@@ -1,8 +1,8 @@
 """Command-line front end; thin adapters over the library modules.
 
 Exit codes are a stable contract: 0 success, 2 input problem (parse, flag,
-non-Hermitian, file), 3 not PSD, 4 not diagonally dominant, 5 certification
-failure.
+non-Hermitian, file, a scale that overflows), 3 not PSD, 4 not diagonally
+dominant, 5 certification failure.
 """
 
 from __future__ import annotations
@@ -267,8 +267,8 @@ def main(argv=None) -> int:
         print(f"error: certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFY
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            EigenFailureError, InsufficientDataError, BudgetExceededError,
-            L1RankOneError) as exc:
+            OverflowError, EigenFailureError, InsufficientDataError,
+            BudgetExceededError, L1RankOneError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

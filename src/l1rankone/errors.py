@@ -19,7 +19,7 @@ class NotHermitianError(L1RankOneError):
 
 
 class EigenFailureError(L1RankOneError):
-    """Jacobi sweeps did not reach the off-diagonal threshold within the cap."""
+    """The eigensolver failed: LAPACK did not converge or the input was not finite."""
 
 
 class NotPSDError(L1RankOneError):

@@ -1,4 +1,4 @@
-"""Complex dense Hermitian matrices: ingestion, norms, eigensolver, LDL.
+"""Complex dense Hermitian matrices: ingestion, norms, LAPACK eigensolver, LDL.
 
 Everything downstream (decomposition strategies, gamma bounds, experiments)
 consumes this module. All values are immutable after construction and all
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import (
     DimensionMismatchError,
     EigenFailureError,
@@ -25,8 +24,7 @@ HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 PIVOT_TOL = 1e-12
 RECON_TOL = 1e-9
-EIG_SWEEP_CAP = 100
-EIG_OFF_TOL = 1e-12  # times ||A||_Fr
+EIG_CLUSTER_TOL = 1e-12  # relative gap under which eigenvalues count as equal
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -93,32 +91,59 @@ def frobenius_norm(a: HermitianMatrix) -> float:
     return float(np.sqrt((np.abs(a.entries) ** 2).sum()))
 
 
-def eigh(a: HermitianMatrix, sweep_cap: int = EIG_SWEEP_CAP) -> EigenSystem:
-    """Full eigendecomposition by cyclic Jacobi with a deterministic sign fix.
+def _eigenspace_basis(block: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of range(block) that depends on that range alone.
 
-    Eigenvalues ascend; each eigenvector's first non-negligible coordinate is
-    made real positive so downstream costs are reproducible.
+    Gram-Schmidt over the columns of the projector P = block block*, in
+    order, taking column j when its residual weight exceeds 1/(2n). One
+    always does: the weights sum to the number of dimensions still missing,
+    at least 1, and only shrink as the basis grows. D P D* has columns
+    D P e_j conj(d_j), so under A -> D A D* the basis becomes D times itself,
+    up to column phases.
     """
-    n = a.n
-    work = np.array(a.entries, dtype=np.complex128, order="C", copy=True)
-    vecs = np.eye(n, dtype=np.complex128, order="C")
-    off_tol = EIG_OFF_TOL * max(frobenius_norm(a), np.finfo(float).tiny)
-    sweeps = kernels.cyclic_jacobi(work, vecs, off_tol, sweep_cap)
-    if sweeps < 0:
-        raise EigenFailureError(
-            f"Jacobi did not converge within {sweep_cap} sweeps (n={n})"
-        )
-    vals = np.diagonal(work).real.copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for k in range(n):
-        col = vecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        j = int(nz[0]) if nz.size else 0
-        piv = col[j]
-        if abs(piv) > 0.0:
-            vecs[:, k] = col * (piv.conjugate() / abs(piv))
+    n, k = block.shape
+    proj = block @ block.conj().T
+    basis = np.empty((n, k), dtype=np.complex128)
+    m = 0
+    for j in range(n):
+        r = proj[:, j] - basis[:, :m] @ (basis[:, :m].conj().T @ proj[:, j])
+        weight = float(np.vdot(r, r).real)
+        if weight > 0.5 / n:
+            basis[:, m] = r / np.sqrt(weight)
+            m += 1
+            if m == k:
+                break
+    return basis
+
+
+def eigh(a: HermitianMatrix) -> EigenSystem:
+    """Full eigendecomposition by LAPACK (zheevd), made deterministic.
+
+    Eigenvalues ascend. Inside a cluster of eigenvalues within
+    EIG_CLUSTER_TOL * ||A||_op of each other any orthonormal basis is an
+    eigenbasis, and LAPACK's pick follows rounding, so the cluster's basis is
+    rebuilt from its eigenspace alone. Each eigenvector's first coordinate
+    above 1e-12 in magnitude is then made real positive. Downstream costs are
+    thus reproducible and unchanged under A -> D A D* for unit phases D.
+    """
+    try:
+        vals, vecs = np.linalg.eigh(a.entries)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailureError(f"LAPACK eigh failed (n={a.n}): {exc}") from exc
+    if not np.isfinite(vals).all():  # LAPACK passes inf/nan entries through
+        raise EigenFailureError(f"non-finite eigenvalues (n={a.n}): input has inf or nan")
+    op_norm = max(-float(vals[0]), float(vals[-1]))  # vals ascend
+    gaps = vals[1:] - vals[:-1] > EIG_CLUSTER_TOL * op_norm
+    if not gaps.all():
+        bounds = [0, *(np.flatnonzero(gaps) + 1).tolist(), a.n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo > 1:
+                vecs[:, lo:hi] = _eigenspace_basis(vecs[:, lo:hi])
+    # A unit column has an entry of magnitude >= 1/sqrt(n), so argmax always
+    # lands on a true pivot and the divisor below is never zero. hypot rounds
+    # like the scalar abs(); np.abs on complex arrays can differ in the last bit.
+    piv = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(a.n)]
+    vecs *= piv.conj() / np.hypot(piv.real, piv.imag)
     return EigenSystem(_readonly(vals), _readonly(vecs))
 
 

@@ -115,6 +115,15 @@ class TestGamma:
     def test_plus_requires_psd(self, files, capsys):
         assert run(capsys, "gamma", files["flip"], "--functional", "plus")[0] == 3
 
+    @pytest.mark.parametrize("functional, entries", [
+        ("plus", [[1e300, 1e300], [1e300, 2e300]]),
+        ("zero", [[0, 1e300], [1e300, 0]]),
+    ])
+    def test_overflowing_scale_is_an_input_error(self, files, capsys, functional, entries):
+        p = files["dir"] / "huge.json"
+        p.write_text(json.dumps({"n": 2, "entries": entries}))
+        assert run(capsys, "gamma", str(p), "--functional", functional)[0] == 2
+
 
 class TestCertify:
     def _decompose_to_file(self, files, capsys, name="dec.json"):

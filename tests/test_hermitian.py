@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import l1rankone as lr
 from l1rankone.errors import (
     DimensionMismatchError,
+    EigenFailureError,
     NotHermitianError,
     NotPSDError,
     NotSquareError,
@@ -112,10 +115,88 @@ class TestEigh:
                 assert abs(lead.imag) <= 1e-14
                 assert lead.real > 0
 
-    def test_sweep_cap_failure(self):
-        from l1rankone.errors import EigenFailureError
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 16])
+    def test_matches_lapack(self, n, rng):
+        for _ in range(10):
+            a = random_hermitian(rng, n)
+            es = lr.eigh(a)
+            ref = np.linalg.eigvalsh(a.entries)
+            scale = max(1.0, float(np.abs(ref).max()))
+            assert np.abs(es.eigenvalues - ref).max() <= 1e-10 * scale
+            resid = a.entries @ es.eigenvectors - es.eigenvectors * es.eigenvalues
+            assert np.abs(resid).max() <= 1e-10 * scale
+            gram = es.eigenvectors.conj().T @ es.eigenvectors
+            assert np.abs(gram - np.eye(n)).max() <= 1e-12
+
+    def test_phase_fix_matches_loop_reference(self, rng):
+        """On a simple spectrum, where LAPACK's basis is kept, the vectorised
+        phase fix equals the per-column loop bit for bit.
+
+        LAPACK returns a real first row, so the pivot only moves to a complex
+        coordinate when an eigenvector's first coordinate is (near) zero: the
+        last two cases plant an eigenvector whose first coordinate is 0 or 1e-7.
+        """
+        for n in range(1, 17):
+            cases = [random_hermitian(rng, n), random_psd(rng, n)]
+            for first in (0.0, 1e-7):
+                g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                g[0, 0] = first
+                u, _ = np.linalg.qr(g)
+                cases.append(hermitian((u * np.arange(1.0, n + 1)) @ u.conj().T))
+            for a in cases:
+                vals, vecs = np.linalg.eigh(a.entries)
+                for k in range(n):
+                    col = vecs[:, k]
+                    nz = np.flatnonzero(np.abs(col) > 1e-12)
+                    piv = col[int(nz[0]) if nz.size else 0]
+                    if abs(piv) > 0.0:
+                        vecs[:, k] = col * (piv.conjugate() / abs(piv))
+                es = lr.eigh(a)
+                np.testing.assert_array_equal(es.eigenvalues, vals)
+                np.testing.assert_array_equal(es.eigenvectors, vecs)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(EigenFailureError):
-            lr.eigh(hermitian([[2, 1], [1, 2]]), sweep_cap=0)
+            lr.eigh(hermitian([[2, 1], [1, 2]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(EigenFailureError):
+            lr.eigh(lr.HermitianMatrix(np.array([[bad, 0], [0, 1]], dtype=complex)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=8, max_size=8),
+           levels=st.none() | st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.5]),
+                                       min_size=8, max_size=8))
+    def test_eigen_cost_invariant_under_diagonal_phases(self, n, seed, phases, levels):
+        """cost(D A D*) = cost(A) for D = diag(e^{i phi}).
+
+        A is a seeded Wishart draw, whose spectrum is simple almost surely,
+        or U diag(levels) U* with levels from a small set, so that
+        eigenvalues repeat and the eigenbasis is not unique.
+        """
+        g_rng = np.random.default_rng(seed)
+        if levels is None:
+            a = random_psd(g_rng, n, rank=int(g_rng.integers(1, n + 1)))
+        else:
+            g = g_rng.standard_normal((n, n)) + 1j * g_rng.standard_normal((n, n))
+            u, _ = np.linalg.qr(g)
+            a = hermitian((u * np.array(levels[:n])) @ u.conj().T)
+        d = np.exp(1j * np.array(phases[:n]))
+        b = lr.ingest_matrix(d[:, None] * a.entries * d.conj()[None, :])
+        es = lr.eigh(b)
+        scale = max(1.0, float(np.abs(es.eigenvalues).max()))
+        resid = b.entries @ es.eigenvectors - es.eigenvectors * es.eigenvalues
+        assert np.abs(resid).max() <= 1e-12 * scale
+        gram = es.eigenvectors.conj().T @ es.eigenvectors
+        assert np.abs(gram - np.eye(n)).max() <= 1e-12
+        cost = lr.eigen_decompose(a).cost
+        assert abs(lr.eigen_decompose(b).cost - cost) <= 1e-12 * cost
 
 
 class TestIsPsd:
