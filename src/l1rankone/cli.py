@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import decompose as dc
 from . import experiments as ex
 from . import gamma as gm
@@ -147,12 +145,12 @@ def cmd_reduce(args) -> int:
         )
     target = reconstruct(vectors)
     dec = dc.RankOneDecomposition.build(target, vectors, method)
+    # reduce_decomposition rebuilds through RankOneDecomposition.build, which
+    # checks the residual; only the cost can still drift.
     reduced = dc.reduce_decomposition(dec, target)
-    drift = float(np.abs(reconstruct(reduced.vectors).entries - target.entries).max())
-    if drift > 1e-9 * target.scale() or abs(reduced.cost - dec.cost) > 1e-9 * max(1.0, dec.cost):
+    if abs(reduced.cost - dec.cost) > 1e-9 * max(1.0, dec.cost):
         raise CertificationFailure(
-            f"reduction drifted: residual {drift:.3e}, "
-            f"cost {dec.cost!r} -> {reduced.cost!r}"
+            f"reduction drifted: cost {dec.cost!r} -> {reduced.cost!r}"
         )
     _emit(jsonio.dumps(jsonio.decomposition_to_obj(reduced)), args.out)
     return EXIT_OK

@@ -36,6 +36,7 @@ from .hermitian import (
 )
 
 RANK_TOL = 1e-8  # times ||A||_op; eigenvalues above it count toward rank
+NULL_TOL = 1e-14  # times A.scale(); vectors with ||v||_1^2 at or below it are dropped
 
 METHOD_LDL = "ldl"
 METHOD_EIGEN = "eigen"
@@ -51,6 +52,23 @@ def vector_l1(v: np.ndarray) -> float:
 
 def decomposition_cost(vectors) -> float:
     return float(sum(vector_l1(v) ** 2 for v in vectors))
+
+
+def drop_null_vectors(target: HermitianMatrix, vectors) -> list[np.ndarray]:
+    """The vectors with ||v||_1^2 above NULL_TOL * target.scale()."""
+    floor = NULL_TOL * target.scale()
+    vecs = [np.asarray(v, dtype=np.complex128) for v in vectors]
+    return [v for v in vecs if vector_l1(v) ** 2 > floor]
+
+
+def _lex_key(vectors) -> tuple:
+    return tuple((float(z.real), float(z.imag)) for v in vectors for z in v)
+
+
+def cheapest_family(families) -> list:
+    """The vector family of least cost; equal costs go to the smaller
+    coordinates in lexicographic order, so the pick ignores input order."""
+    return min(families, key=lambda vecs: (decomposition_cost(vecs), _lex_key(vecs)))
 
 
 def _frozen(v: np.ndarray) -> np.ndarray:
@@ -72,16 +90,13 @@ class RankOneDecomposition:
     def build(cls, target: HermitianMatrix, vectors, method: str,
               recon_tol: float = RECON_TOL) -> "RankOneDecomposition":
         """Drop null vectors, compute the cost, and verify reconstruction."""
-        kept = []
-        floor = 1e-14 * target.scale()
-        for v in vectors:
-            v = np.asarray(v, dtype=np.complex128)
+        vecs = [np.asarray(v, dtype=np.complex128) for v in vectors]
+        for v in vecs:
             if v.shape != (target.n,):
                 raise DimensionMismatchError(
                     f"vector of shape {v.shape} does not fit n={target.n}"
                 )
-            if vector_l1(v) ** 2 > floor:
-                kept.append(_frozen(v))
+        kept = [_frozen(v) for v in drop_null_vectors(target, vecs)]
         report = verify_reconstruction(target, kept, recon_tol)
         if not report.ok:
             raise ReconstructionError(
@@ -225,34 +240,6 @@ class GreedyConfig:
     node_cap: int = 4000
 
 
-def _l11_arr(w: np.ndarray) -> float:
-    return float(np.abs(w).sum())
-
-
-def _ldl_vectors_arr(w: np.ndarray, tol_p: float):
-    """Natural-order LDL on a raw array; assumes PSD within tolerance."""
-    n = w.shape[0]
-    w = w.copy()
-    out = []
-    for k in range(n):
-        d = float(w[k, k].real)
-        if d <= tol_p:
-            w[k, :] = 0.0
-            w[:, k] = 0.0
-            continue
-        v = np.zeros(n, dtype=np.complex128)
-        v[k:] = w[k:, k] / np.sqrt(d)
-        out.append(v)
-        w[k:, k:] -= np.outer(v[k:], v[k:].conj())
-        w[k, :] = 0.0
-        w[:, k] = 0.0
-    return out
-
-
-def _ldl_cost_arr(w: np.ndarray, tol_p: float) -> float:
-    return decomposition_cost(_ldl_vectors_arr(w, tol_p))
-
-
 def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float, node_cap: int):
     """Search LDL pivot orders for the cheapest total cost.
 
@@ -275,7 +262,7 @@ def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float, node_cap: int):
                 best_cost = acc
                 best_vecs = list(vecs)
             return
-        if acc + _l11_arr(w) >= best_cost - 1e-12:
+        if acc + vector_l1(w) >= best_cost - 1e-12:
             return
         scored = []
         for i in active:
@@ -399,10 +386,10 @@ def _greedy_run(a_arr: np.ndarray, cfg: GreedyConfig, tol_p: float,
                 quick.append(np.inf)
                 continue
             resid = r - np.outer(y, y.conj())
-            quick.append(vector_l1(y) ** 2 + _l11_arr(resid))
+            quick.append(vector_l1(y) ** 2 + vector_l1(resid))
         order = [int(i) for i in np.argsort(quick, kind="stable")
                  if np.isfinite(quick[int(i)])]
-        best_x, best_total = None, np.inf
+        best_y, best_r, best_total = None, None, np.inf
         trial_xs = []
         if order:
             trial_xs.append(cands[order[0]])
@@ -416,15 +403,17 @@ def _greedy_run(a_arr: np.ndarray, cfg: GreedyConfig, tol_p: float,
                 continue
             resid = r - np.outer(y, y.conj())
             resid = (resid + resid.conj().T) / 2.0
-            total = vector_l1(y) ** 2 + _ldl_cost_arr(resid, tol_p)
+            try:
+                tail = ldl_factor(HermitianMatrix(resid))
+            except NotPSDError:
+                continue
+            total = vector_l1(y) ** 2 + decomposition_cost(tail)
             if total < best_total - 1e-15:
-                best_x, best_total = x, total
-        if best_x is None:
+                best_y, best_r, best_total = y, resid, total
+        if best_y is None:
             break
-        y = r @ best_x
-        vectors.append(y)
-        r = r - np.outer(y, y.conj())
-        r = (r + r.conj().T) / 2.0
+        vectors.append(best_y)
+        r = best_r
         trace_now = float(np.diagonal(r).real.sum())
         if trace_now > trace_prev - 1e-15 * scale:
             raise StallDetectedError(
@@ -432,10 +421,6 @@ def _greedy_run(a_arr: np.ndarray, cfg: GreedyConfig, tol_p: float,
             )
         trace_prev = trace_now
     return vectors
-
-
-def _lex_key(vectors) -> tuple:
-    return tuple((float(z.real), float(z.imag)) for v in vectors for z in v)
 
 
 def greedy_decompose(a: HermitianMatrix,
@@ -465,19 +450,14 @@ def greedy_decompose(a: HermitianMatrix,
             candidates.append(_greedy_run(a_arr, cfg, tol_p, rng, max_steps))
         except ZeroDirectionError:
             continue
-    best = None
-    best_key = None
-    for vecs in candidates:
-        rec = np.zeros_like(a_arr)
-        for v in vecs:
-            rec += np.outer(v, v.conj())
-        if float(np.abs(a_arr - rec).max()) > RECON_TOL * scale:
-            continue  # incomplete run (e.g. all peel directions filtered)
-        key = (decomposition_cost(vecs), _lex_key(vecs))
-        if best_key is None or key < best_key:
-            best, best_key = vecs, key
-    if best is None:
-        best = ldl_factor(a)  # every run degenerated; natural order always completes
+    # Skip incomplete runs (e.g. all peel directions filtered) and families
+    # that meet A only within RECON_TOL yet cost less than the lower bound
+    # ||A||_1,1, which no exact decomposition does.
+    floor = norm_l11(a) * (1.0 - 1e-12)
+    complete = [vecs for vecs in candidates
+                if verify_reconstruction(a, vecs).ok and decomposition_cost(vecs) >= floor]
+    # If every run degenerated, natural order always completes.
+    best = cheapest_family(complete) if complete else ldl_factor(a)
     return RankOneDecomposition.build(a, best, METHOD_GREEDY)
 
 

@@ -18,8 +18,10 @@ from .decompose import (
     METHOD_ORACLE,
     GreedyConfig,
     RankOneDecomposition,
+    cheapest_family,
     decomposition_cost,
     dd_decompose,
+    drop_null_vectors,
     eigen_decompose,
     greedy_decompose,
     is_diagonally_dominant,
@@ -37,6 +39,7 @@ from .hermitian import (
     ldl_factor,
     norm_l11,
     trace_norm,
+    verify_reconstruction,
 )
 
 CERT_TOL = 1e-6            # absolute bracket width for CERTIFIED-OPTIMAL
@@ -67,20 +70,13 @@ class SignedDecomposition:
     @classmethod
     def build(cls, target: HermitianMatrix, positive, negative,
               recon_tol: float = RECON_TOL) -> "SignedDecomposition":
-        floor = 1e-14 * target.scale()
-        pos = [np.asarray(v, dtype=np.complex128) for v in positive]
-        neg = [np.asarray(v, dtype=np.complex128) for v in negative]
-        pos = [v for v in pos if vector_l1(v) ** 2 > floor]
-        neg = [v for v in neg if vector_l1(v) ** 2 > floor]
-        rec = np.zeros((target.n, target.n), dtype=np.complex128)
-        for v in pos:
-            rec += np.outer(v, v.conj())
-        for v in neg:
-            rec -= np.outer(v, v.conj())
-        resid = float(np.abs(target.entries - rec).max())
-        if resid > recon_tol * target.scale():
+        pos = drop_null_vectors(target, positive)
+        neg = drop_null_vectors(target, negative)
+        report = verify_reconstruction(target, pos, recon_tol, negative=neg)
+        if not report.ok:
             raise ReconstructionError(
-                f"signed decomposition misses target by {resid:.3e}"
+                f"signed decomposition misses target by {report.max_residual:.3e} "
+                f"(tol {report.tol:.3e})"
             )
         for v in pos + neg:
             v.flags.writeable = False
@@ -100,6 +96,21 @@ class GammaReport:
     best: object  # RankOneDecomposition | SignedDecomposition | None
     per_method: dict
     certified: bool
+
+    @classmethod
+    def pick(cls, functional: str, lower: float, named) -> "GammaReport":
+        """Bracket over (name, certificate) candidates in order of preference.
+
+        A later candidate replaces the incumbent only when cheaper by more
+        than TIE_TOL (relative), so ties keep the earlier one. Certified when
+        the upper bound is within CERT_TOL of the lower."""
+        best = named[0][1]
+        for _, cand in named[1:]:
+            if cand.cost < best.cost - TIE_TOL * max(1.0, best.cost):
+                best = cand
+        return cls(functional, lower, best.cost, best,
+                   {name: cand.cost for name, cand in named},
+                   (best.cost - lower) <= CERT_TOL)
 
 
 def gamma_exact(a: HermitianMatrix) -> float:
@@ -147,19 +158,8 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
         candidates.append(
             RankOneDecomposition.build(a, dec.vectors, METHOD_EXTERNAL)
         )
-    per_method = {d.method: d.cost for d in candidates}
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.cost < best.cost - TIE_TOL * max(1.0, best.cost):
-            best = cand
-    return GammaReport(
-        functional=FUNCTIONAL_GAMMA_PLUS,
-        lower=lower,
-        upper=best.cost,
-        best=best,
-        per_method=per_method,
-        certified=(best.cost - lower) <= CERT_TOL,
-    )
+    return GammaReport.pick(FUNCTIONAL_GAMMA_PLUS, lower,
+                            [(d.method, d) for d in candidates])
 
 
 def _half_sum_signed(a: HermitianMatrix) -> SignedDecomposition:
@@ -213,23 +213,12 @@ def gamma0_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     """
     lower = norm_l11(a)
     if a.n and not np.any(a.entries != 0.0):
-        empty = SignedDecomposition.build(a, [], [])
-        return GammaReport(FUNCTIONAL_GAMMA_ZERO, 0.0, 0.0, empty,
-                           {"half_sum": 0.0, "eigen_split": 0.0}, True)
-    half = _half_sum_signed(a)
-    split = _eigen_split_signed(a, effort, seed, greedy_config)
-    per_method = {"half_sum": half.cost, "eigen_split": split.cost}
-    best = half
-    if split.cost < best.cost - TIE_TOL * max(1.0, best.cost):
-        best = split
-    return GammaReport(
-        functional=FUNCTIONAL_GAMMA_ZERO,
-        lower=lower,
-        upper=best.cost,
-        best=best,
-        per_method=per_method,
-        certified=(best.cost - lower) <= CERT_TOL,
-    )
+        half = split = SignedDecomposition.build(a, [], [])
+    else:
+        half = _half_sum_signed(a)
+        split = _eigen_split_signed(a, effort, seed, greedy_config)
+    return GammaReport.pick(FUNCTIONAL_GAMMA_ZERO, lower,
+                            [("half_sum", half), ("eigen_split", split)])
 
 
 def omega_membership(t: HermitianMatrix, effort: str = EFFORT_FAST, *,
@@ -271,8 +260,7 @@ def _restore_feasibility(a: HermitianMatrix, g: np.ndarray):
     """Scale the optimizer's vectors until A - lambda * sum gg* is PSD, then
     peel the exact residual with LDL. The result reconstructs A exactly up
     to floating-point error."""
-    keep = [g[k] for k in range(g.shape[0])
-            if vector_l1(g[k]) ** 2 > 1e-14 * a.scale()]
+    keep = drop_null_vectors(a, g)
     if not keep:
         return ldl_factor(a)
     s = np.zeros((a.n, a.n), dtype=np.complex128)
@@ -341,18 +329,8 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, terms: int | None = None,
             pad[k] = v
         warm.append(pad)
 
-    best_vectors = None
-    best_key = None
-
-    def consider(vectors):
-        nonlocal best_vectors, best_key
-        key = (decomposition_cost(vectors),
-               tuple((float(z.real), float(z.imag)) for v in vectors for z in v))
-        if best_key is None or key < best_key:
-            best_vectors, best_key = vectors, key
-
-    for g0 in warm:  # never return worse than a start incumbent
-        consider(_restore_feasibility(a, g0))
+    # Restored starts join the pool, so the result is never worse than one.
+    restored = [_restore_feasibility(a, g0) for g0 in warm]
     for r in range(max(restarts, 1)):
         rng = np.random.default_rng(seed + r)
         noise = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
@@ -369,8 +347,8 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, terms: int | None = None,
             )
             theta = res.x
         g = theta[: m * n].reshape(m, n) + 1j * theta[m * n:].reshape(m, n)
-        consider(_restore_feasibility(a, g))
-    dec = RankOneDecomposition.build(a, best_vectors, METHOD_ORACLE)
+        restored.append(_restore_feasibility(a, g))
+    dec = RankOneDecomposition.build(a, cheapest_family(restored), METHOD_ORACLE)
     return reduce_decomposition(dec, a)
 
 

@@ -7,6 +7,7 @@ functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,11 +176,12 @@ def ldl_factor(a: HermitianMatrix, pivot_tol: float = PIVOT_TOL,
     """
     n = a.n
     w = np.array(a.entries, dtype=np.complex128, copy=True)
-    diag0 = np.diagonal(a.entries).real
-    scale = max(1.0, float(diag0.max(initial=0.0)))
+    scale = max([1.0, *w.real.diagonal().tolist()])  # beats ndarray.max at small n
     tol_p = pivot_tol * scale
     neg_tol = psd_tol * scale
     vectors: list[np.ndarray] = []
+    # Row and column k are never read after step k, so only the trailing
+    # block w[k+1:, k+1:] is kept up to date.
     for k in range(n):
         d = float(w[k, k].real)
         if d < -neg_tol:
@@ -188,26 +190,24 @@ def ldl_factor(a: HermitianMatrix, pivot_tol: float = PIVOT_TOL,
             )
         if d <= tol_p:
             # A matrix PSD within neg_tol obeys |W_kj|^2 <= (W_kk+slack)(W_jj+slack),
-            # so a vanished pivot forces its whole row under this cap.
-            rest = np.abs(w[k, k + 1:])
-            if rest.size:
-                slack = tol_p + neg_tol
+            # so a vanished pivot forces its whole row under this cap. The cap
+            # is at least slack, and the row's squared 2-norm, one cheap call,
+            # bounds its largest entry squared: most rows stop there.
+            slack = tol_p + neg_tol
+            rest = w[k, k + 1:]
+            if float(np.vdot(rest, rest).real) > slack * slack:
+                row_max = float(np.abs(rest).max())
                 diag_rest = np.abs(np.diagonal(w)[k + 1:].real)
-                cap = np.sqrt((max(d, 0.0) + slack) * (diag_rest.max(initial=0.0) + slack))
-                if float(rest.max()) > cap + slack:
+                cap = np.sqrt((max(d, 0.0) + slack) * (diag_rest.max() + slack))
+                if row_max > cap + slack:
                     raise NotPSDError(
-                        f"pivot {k} vanished but its row has magnitude "
-                        f"{float(rest.max()):.3e}"
+                        f"pivot {k} vanished but its row has magnitude {row_max:.3e}"
                     )
-            w[k, :] = 0.0
-            w[:, k] = 0.0
             continue
         v = np.zeros(n, dtype=np.complex128)
-        v[k:] = w[k:, k] / np.sqrt(d)
+        v[k:] = w[k:, k] / math.sqrt(d)
         vectors.append(_readonly(v))
-        w[k:, k:] -= np.outer(v[k:], v[k:].conj())
-        w[k, :] = 0.0
-        w[:, k] = 0.0
+        w[k + 1:, k + 1:] -= np.outer(v[k + 1:], v[k + 1:].conj())
     return vectors
 
 
@@ -235,17 +235,25 @@ class ReconstructionReport:
     ok: bool
 
 
-def verify_reconstruction(a: HermitianMatrix, vectors,
-                          recon_tol: float = RECON_TOL) -> ReconstructionReport:
-    """Max-entry residual of |A - sum g g*| against recon_tol * scale."""
-    if vectors:
-        rec = reconstruct(vectors)
-        if rec.n != a.n:
-            raise DimensionMismatchError(
-                f"decomposition dimension {rec.n} != matrix dimension {a.n}"
-            )
-        resid = float(np.abs(a.entries - rec.entries).max())
-    else:
-        resid = float(np.abs(a.entries).max()) if a.n else 0.0
+def _outer_sum(a: HermitianMatrix, family) -> np.ndarray:
+    rec = reconstruct(family)
+    if rec.n != a.n:
+        raise DimensionMismatchError(
+            f"decomposition dimension {rec.n} != matrix dimension {a.n}"
+        )
+    return rec.entries
+
+
+def verify_reconstruction(a: HermitianMatrix, vectors, recon_tol: float = RECON_TOL,
+                          negative=()) -> ReconstructionReport:
+    """Max-entry residual |A - sum g g* + sum h h*| against recon_tol * scale,
+    with g over `vectors` and h over `negative`. This is the one residual
+    check: every decomposition builder and the CLI go through it."""
+    resid = a.entries
+    if len(vectors):
+        resid = resid - _outer_sum(a, vectors)
+    if len(negative):
+        resid = resid + _outer_sum(a, negative)
+    worst = float(np.abs(resid).max()) if a.n else 0.0
     tol = recon_tol * a.scale()
-    return ReconstructionReport(resid, tol, resid <= tol)
+    return ReconstructionReport(worst, tol, worst <= tol)

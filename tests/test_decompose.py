@@ -14,12 +14,29 @@ from l1rankone.errors import (
     NotPSDError,
     QuadFormTooLargeError,
     RankOneInputError,
+    ReconstructionError,
     ZeroDirectionError,
 )
+from l1rankone.hermitian import RECON_TOL
 
 from conftest import hermitian, random_dd, random_psd
 
 LIGHT = dc.GreedyConfig(restarts=2, max_iter=80)
+
+
+class TestBuild:
+    @pytest.mark.parametrize("miss", [0.5, 2.0])
+    def test_reconstruction_checked_against_recon_tol(self, miss):
+        # The vectors sum to [[4, 2], [2, 2]]; the target's off-diagonal is
+        # moved by miss * RECON_TOL * scale, with scale = max |A_ij| = 4.
+        vectors = [np.array([2.0, 1.0]), np.array([0.0, 1.0])]
+        off = 2.0 + miss * RECON_TOL * 4.0
+        target = hermitian([[4.0, off], [off, 2.0]])
+        if miss < 1.0:
+            assert dc.RankOneDecomposition.build(target, vectors, "external").cost == 10.0
+        else:
+            with pytest.raises(ReconstructionError):
+                dc.RankOneDecomposition.build(target, vectors, "external")
 
 
 class TestLdlDecompose:

@@ -8,7 +8,8 @@ import pytest
 import l1rankone as lr
 from l1rankone import decompose as dc
 from l1rankone import gamma as gm
-from l1rankone.errors import BudgetExceededError, NotPSDError
+from l1rankone.errors import BudgetExceededError, NotPSDError, ReconstructionError
+from l1rankone.hermitian import RECON_TOL
 
 from conftest import hermitian, random_hermitian, random_psd
 
@@ -35,7 +36,33 @@ class TestGammaExact:
         assert cost == pytest.approx(gm.gamma_exact(a), abs=1e-12)
 
 
+class TestSignedBuild:
+    @pytest.mark.parametrize("miss", [0.5, 2.0])
+    def test_reconstruction_checked_against_recon_tol(self, miss):
+        # g g* - h h* = [[4, 2], [2, 0]]; the target's off-diagonal is moved
+        # by miss * RECON_TOL * scale, with scale = max |A_ij| = 4.
+        pos, neg = [np.array([2.0, 1.0])], [np.array([0.0, 1.0])]
+        off = 2.0 + miss * RECON_TOL * 4.0
+        target = hermitian([[4.0, off], [off, 0.0]])
+        if miss < 1.0:
+            assert gm.SignedDecomposition.build(target, pos, neg).cost == 10.0
+        else:
+            with pytest.raises(ReconstructionError):
+                gm.SignedDecomposition.build(target, pos, neg)
+
+
 class TestGammaPlusBounds:
+    def test_bracket_not_inverted_by_greedy(self):
+        # Rank-one 2x2 on which greedy returned a family that met A only
+        # within RECON_TOL and cost less than ||A||_1,1, making the thorough
+        # bracket lower > upper while still flagged certified.
+        b = -1.793732557878405 + 0.4255125394149487j
+        a = hermitian([[3.392696142714512, b], [np.conj(b), 1.0017217184894072]])
+        report = gm.gamma_plus_bounds(a, gm.EFFORT_THOROUGH, seed=122, oracle_restarts=1)
+        assert report.per_method["greedy"] >= report.lower * (1.0 - 1e-12)
+        assert report.lower <= report.upper
+        assert report.certified
+
     def test_diagonally_dominant_certified(self):
         report = gm.gamma_plus_bounds(hermitian([[2, 1], [1, 2]]), greedy_config=LIGHT)
         assert report.lower == pytest.approx(6.0, abs=1e-12)

@@ -236,6 +236,19 @@ class TestLdlFactor:
         with pytest.raises(NotPSDError):
             lr.ldl_factor(hermitian([[1, 2], [2, 1]]))
 
+    @pytest.mark.parametrize("off, psd", [(1e-11, True), (1e-6, True), (1e-4, False)])
+    def test_vanished_pivot_row_cap(self, off, psd):
+        # Pivot 0 (1e-13) is under PIVOT_TOL. PSD within tolerance caps its row
+        # near sqrt(1e-13 + 1e-10) ~ 1e-5: a row under the slack skips the cap,
+        # 1e-6 passes it, 1e-4 breaks it. Each verdict agrees with is_psd.
+        a = hermitian([[1e-13, off], [off, 1]])
+        assert lr.is_psd(a) is psd
+        if psd:
+            assert len(lr.ldl_factor(a)) == 1
+        else:
+            with pytest.raises(NotPSDError):
+                lr.ldl_factor(a)
+
 
 class TestReconstruct:
     def test_basis_vectors(self):
