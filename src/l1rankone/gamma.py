@@ -14,7 +14,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .decompose import (
+    METHOD_DD,
+    METHOD_EIGEN,
     METHOD_EXTERNAL,
+    METHOD_GREEDY,
+    METHOD_LDL,
     METHOD_ORACLE,
     GreedyConfig,
     RankOneDecomposition,
@@ -88,29 +92,43 @@ class SignedDecomposition:
         )
 
 
+def _cheapest(named):
+    """The preferred certificate of (name, certificate) pairs: a later one
+    replaces the incumbent only when cheaper by more than TIE_TOL (relative),
+    so ties keep the earlier one."""
+    best = named[0][1]
+    for _, cand in named[1:]:
+        if cand.cost < best.cost - TIE_TOL * max(1.0, best.cost):
+            best = cand
+    return best
+
+
 @dataclass(frozen=True)
 class GammaReport:
     functional: str
     lower: float
     upper: float
     best: object  # RankOneDecomposition | SignedDecomposition | None
-    per_method: dict
+    per_method: dict  # cost of each strategy that ran
     certified: bool
+    skipped: tuple = ()  # strategies not run because the bracket had closed
 
     @classmethod
-    def pick(cls, functional: str, lower: float, named) -> "GammaReport":
+    def pick(cls, functional: str, lower: float, named,
+             skipped: tuple = ()) -> "GammaReport":
         """Bracket over (name, certificate) candidates in order of preference.
 
-        A later candidate replaces the incumbent only when cheaper by more
-        than TIE_TOL (relative), so ties keep the earlier one. Certified when
-        the upper bound is within CERT_TOL of the lower."""
-        best = named[0][1]
-        for _, cand in named[1:]:
-            if cand.cost < best.cost - TIE_TOL * max(1.0, best.cost):
-                best = cand
+        Certified when the upper bound is within CERT_TOL of the lower. A
+        certificate cheaper than the proven lower bound (beyond 1e-12
+        relative) is a numerical failure and raises ReconstructionError."""
+        best = _cheapest(named)
+        if best.cost < lower * (1.0 - 1e-12):
+            raise ReconstructionError(
+                f"certificate cost {best.cost!r} is below the lower bound {lower!r}"
+            )
         return cls(functional, lower, best.cost, best,
                    {name: cand.cost for name, cand in named},
-                   (best.cost - lower) <= CERT_TOL)
+                   (best.cost - lower) <= CERT_TOL, tuple(skipped))
 
 
 def gamma_exact(a: HermitianMatrix) -> float:
@@ -139,27 +157,35 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     the constructive strategies (plus the numeric oracle at thorough effort
     for n <= 4). seed_decompositions are externally supplied certificates
     (vector families for this same matrix) joined into the candidate pool
-    after re-validation."""
+    after re-validation.
+
+    Strategies run in order (ldl, eigen, dd when A is diagonally dominant,
+    greedy, oracle) and stop once the preferred certificate costs at most
+    lower * (1 + TIE_TOL): no exact decomposition costs less than the lower
+    bound, so no later strategy could replace it. The report lists the
+    strategies left out in `skipped`."""
     if not is_psd(a):
         raise NotPSDError("gamma_plus is defined on PSD matrices only")
     lower = norm_l11(a)
     if greedy_config is None:
         restarts = 16 if effort == EFFORT_THOROUGH else 4
         greedy_config = GreedyConfig(restarts=restarts, seed=seed)
-    candidates = [ldl_decompose(a), eigen_decompose(a)]
+    seeds = [(METHOD_EXTERNAL, RankOneDecomposition.build(a, dec.vectors, METHOD_EXTERNAL))
+             for dec in seed_decompositions]
+    strategies = [(METHOD_LDL, ldl_decompose), (METHOD_EIGEN, eigen_decompose)]
     if is_diagonally_dominant(a)[0]:
-        candidates.append(dd_decompose(a))
-    candidates.append(greedy_decompose(a, greedy_config))
+        strategies.append((METHOD_DD, dd_decompose))
+    strategies.append((METHOD_GREEDY, lambda m: greedy_decompose(m, greedy_config)))
     if effort == EFFORT_THOROUGH and a.n <= 4:
-        candidates.append(
-            numeric_gamma_plus_oracle(a, restarts=oracle_restarts, seed=seed)
-        )
-    for dec in seed_decompositions:
-        candidates.append(
-            RankOneDecomposition.build(a, dec.vectors, METHOD_EXTERNAL)
-        )
-    return GammaReport.pick(FUNCTIONAL_GAMMA_PLUS, lower,
-                            [(d.method, d) for d in candidates])
+        strategies.append((METHOD_ORACLE, lambda m: numeric_gamma_plus_oracle(
+            m, restarts=oracle_restarts, seed=seed)))
+    named, skipped = [], ()
+    for k, (name, strategy) in enumerate(strategies):
+        named.append((name, strategy(a)))
+        if _cheapest(named).cost <= lower * (1.0 + TIE_TOL):
+            skipped = tuple(later for later, _ in strategies[k + 1:])
+            break
+    return GammaReport.pick(FUNCTIONAL_GAMMA_PLUS, lower, named + seeds, skipped)
 
 
 def _half_sum_signed(a: HermitianMatrix) -> SignedDecomposition:
@@ -181,7 +207,7 @@ def _eigen_split_signed(a: HermitianMatrix, effort: str, seed: int,
                         greedy_config: GreedyConfig | None) -> SignedDecomposition:
     """Split A into its positive and negative eigenparts and bound each side
     by gamma_plus_bounds."""
-    es = eigh(a)
+    es = a.eigensystem
     lam = es.eigenvalues
     lam_scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
     cut = PSD_TOL * lam_scale
@@ -330,8 +356,11 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, terms: int | None = None,
         warm.append(pad)
 
     # Restored starts join the pool, so the result is never worse than one.
+    # When one already sits on the lower bound ||A||_1,1 the search cannot
+    # improve it, and the restarts are skipped.
     restored = [_restore_feasibility(a, g0) for g0 in warm]
-    for r in range(max(restarts, 1)):
+    closed = min(map(decomposition_cost, restored)) <= norm_l11(a) * (1.0 + TIE_TOL)
+    for r in range(0 if closed else max(restarts, 1)):
         rng = np.random.default_rng(seed + r)
         noise = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
         if r < len(warm):

@@ -7,6 +7,7 @@ functions are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,9 +16,11 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EigenFailureError,
+    NonFiniteInputError,
     NotHermitianError,
     NotPSDError,
     NotSquareError,
+    ScaleOverflowError,
 )
 
 # Defaults; each operation takes the tolerance it uses as a parameter.
@@ -26,6 +29,8 @@ PSD_TOL = 1e-10
 PIVOT_TOL = 1e-12
 RECON_TOL = 1e-9
 EIG_CLUSTER_TOL = 1e-12  # relative gap under which eigenvalues count as equal
+# n * max |A_ij| bounds every column's l1 norm; past this its square overflows.
+MAX_SCALE = math.sqrt(np.finfo(np.float64).max)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -39,9 +44,22 @@ class HermitianMatrix:
 
     entries: np.ndarray
 
+    def __post_init__(self):
+        # Read-only entries are what make the cached eigensystem sound. A
+        # view is copied first: its base could still be written.
+        if self.entries.base is not None:
+            object.__setattr__(self, "entries", self.entries.copy())
+        self.entries.flags.writeable = False
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @functools.cached_property
+    def eigensystem(self) -> "EigenSystem":
+        """eigh(self), solved on first use and kept. Threads racing on the
+        first use at worst solve twice and store equal values."""
+        return eigh(self)
 
     def scale(self) -> float:
         """max(1, largest entry magnitude); reference for relative tolerances."""
@@ -62,25 +80,35 @@ def ingest_matrix(raw, hermitian_tol: float = HERMITIAN_TOL) -> HermitianMatrix:
     """Validate and symmetrize a raw square array into a HermitianMatrix.
 
     Accepts anything np.asarray handles; the stored matrix is
-    (raw + raw*)/2 provided max |raw - raw*| <= hermitian_tol.
+    (raw + raw*)/2 provided every entry is finite, n * max |raw_ij| is at
+    most MAX_SCALE, and max |raw - raw*| <= hermitian_tol.
     """
     arr = np.asarray(raw, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise NotSquareError("matrix must have dimension >= 1")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NonFiniteInputError(f"entry ({i},{j}) is {arr[i, j]}, not finite")
+    largest = float(np.abs(arr).max())
+    if arr.shape[0] * largest > MAX_SCALE:
+        raise ScaleOverflowError(
+            f"n * max |A_ij| = {arr.shape[0] * largest:.3e} exceeds {MAX_SCALE:.3e}, "
+            "so squared norms would overflow"
+        )
     dev = np.abs(arr - arr.conj().T)
     worst = float(dev.max())
-    if not worst <= hermitian_tol:  # NaN-safe: NaN comparisons are False
-        i, j = np.unravel_index(int(np.argmax(np.nan_to_num(dev, nan=np.inf))), dev.shape)
+    if not worst <= hermitian_tol:
+        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise NotHermitianError(
             f"entry ({i},{j}) deviates from conj transpose by {worst:.3e} "
             f"(tol {hermitian_tol:.3e})",
             index=(int(i), int(j)),
             deviation=worst,
         )
-    sym = (arr + arr.conj().T) / 2.0
-    return HermitianMatrix(_readonly(sym))
+    return HermitianMatrix((arr + arr.conj().T) / 2.0)
 
 
 def norm_l11(a: HermitianMatrix) -> float:
@@ -150,16 +178,16 @@ def eigh(a: HermitianMatrix) -> EigenSystem:
 
 def trace_norm(a: HermitianMatrix) -> float:
     """Sum of absolute eigenvalues (nuclear norm for Hermitian input)."""
-    return float(np.abs(eigh(a).eigenvalues).sum())
+    return float(np.abs(a.eigensystem.eigenvalues).sum())
 
 
 def operator_norm(a: HermitianMatrix) -> float:
-    return float(np.abs(eigh(a).eigenvalues).max())
+    return float(np.abs(a.eigensystem.eigenvalues).max())
 
 
 def is_psd(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> bool:
     """True iff lambda_min >= -psd_tol * max(1, ||A||_op)."""
-    vals = eigh(a).eigenvalues
+    vals = a.eigensystem.eigenvalues
     lam_min = float(vals[0])
     lam_max_abs = float(np.abs(vals).max())
     return lam_min >= -psd_tol * max(1.0, lam_max_abs)
@@ -224,8 +252,7 @@ def reconstruct(vectors) -> HermitianMatrix:
             )
     stack = np.vstack(vecs)
     out = stack.T @ stack.conj()
-    out = (out + out.conj().T) / 2.0
-    return HermitianMatrix(_readonly(out))
+    return HermitianMatrix((out + out.conj().T) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Matrix:        {"n": int, "entries": [[entry, ...], ...]} where entry is
                [re, im] or a plain number for real input.
 Decomposition: {"method": str, "cost": float, "vectors": [[entry, ...], ...]}
 Gamma report:  {"functional": ..., "lower": ..., "upper": ..., "certified":
-               ..., "per_method": {...}, "decomposition": {...}}
+               ..., "per_method": {...}, "skipped": [...], "decomposition": {...}}
+               per_method holds the strategies that ran, skipped (always
+               present, possibly empty) those left out once the bracket closed.
 """
 
 from __future__ import annotations
@@ -117,6 +119,7 @@ def report_to_obj(report: GammaReport) -> dict:
         "upper": report.upper,
         "certified": report.certified,
         "per_method": dict(sorted(report.per_method.items())),
+        "skipped": list(report.skipped),
         "decomposition": dec,
     }
 

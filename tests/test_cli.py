@@ -7,6 +7,8 @@ import pytest
 
 from l1rankone.cli import main
 
+from test_hermitian import REMARK_4X4
+
 A_2X2 = {"n": 2, "entries": [[2, 1], [1, 2]]}
 FLIP = {"n": 2, "entries": [[0, 1], [1, 0]]}
 NOT_DD = {"n": 2, "entries": [[1, 2], [2, 1]]}
@@ -123,6 +125,37 @@ class TestGamma:
         p = files["dir"] / "huge.json"
         p.write_text(json.dumps({"n": 2, "entries": entries}))
         assert run(capsys, "gamma", str(p), "--functional", functional)[0] == 2
+
+    @pytest.mark.parametrize("entries", [
+        [[1e-300, 1e-300], [1e-300, 2e-300]],  # certificates fall below the lower bound
+        [[float("nan"), 0], [0, 1]],
+        [[1, 0], [0, float("inf")]],
+    ])
+    def test_unusable_input_is_an_input_error(self, files, capsys, entries):
+        p = files["dir"] / "bad.json"
+        p.write_text(json.dumps({"n": 2, "entries": entries}))
+        assert run(capsys, "gamma", str(p), "--functional", "plus")[0] == 2
+
+    @pytest.mark.parametrize("effort", ["fast", "thorough"])
+    def test_ran_and_skipped_cover_the_strategies(self, files, capsys, effort):
+        # A_2X2 is diagonally dominant and closes at once; the remark matrix
+        # keeps a gap, so every strategy runs.
+        p = files["dir"] / "remark.json"
+        p.write_text(json.dumps({"n": 4, "entries": REMARK_4X4.tolist()}))
+        for path, applicable, closes in ((files["a"], ["ldl", "eigen", "dd", "greedy"], True),
+                                         (str(p), ["ldl", "eigen", "greedy"], False)):
+            if effort == "thorough":
+                applicable = applicable + ["oracle"]
+            code, out = run(capsys, "gamma", path, "--functional", "plus",
+                            "--effort", effort, "--restarts", "1")
+            assert code == 0
+            obj = json.loads(out)
+            ran = [m for m in applicable if m in obj["per_method"]]
+            assert set(obj["per_method"]) == set(ran)
+            assert ran + obj["skipped"] == applicable
+            assert bool(obj["skipped"]) == closes
+        code, out = run(capsys, "gamma", files["flip"], "--functional", "zero")
+        assert json.loads(out)["skipped"] == []
 
 
 class TestCertify:

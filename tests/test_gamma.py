@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import l1rankone as lr
 from l1rankone import decompose as dc
@@ -11,7 +13,7 @@ from l1rankone import gamma as gm
 from l1rankone.errors import BudgetExceededError, NotPSDError, ReconstructionError
 from l1rankone.hermitian import RECON_TOL
 
-from conftest import hermitian, random_hermitian, random_psd
+from conftest import hermitian, random_dd, random_hermitian, random_psd
 
 from test_hermitian import REMARK_4X4
 
@@ -51,17 +53,80 @@ class TestSignedBuild:
                 gm.SignedDecomposition.build(target, pos, neg)
 
 
+def _bracket_input(kind: str, n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    if kind == "dd":
+        return random_dd(rng, n, tight_rows=1)
+    if kind == "2x2":
+        return random_psd(rng, 2)
+    return random_psd(rng, n, rank=max(1, n // 2) if kind == "deficient" else n)
+
+
 class TestGammaPlusBounds:
     def test_bracket_not_inverted_by_greedy(self):
         # Rank-one 2x2 on which greedy returned a family that met A only
         # within RECON_TOL and cost less than ||A||_1,1, making the thorough
-        # bracket lower > upper while still flagged certified.
+        # bracket lower > upper while still flagged certified. LDL now closes
+        # the bracket first, so greedy is checked on its own.
         b = -1.793732557878405 + 0.4255125394149487j
         a = hermitian([[3.392696142714512, b], [np.conj(b), 1.0017217184894072]])
+        greedy = dc.greedy_decompose(a, dc.GreedyConfig(restarts=16, seed=122))
+        assert greedy.cost >= lr.norm_l11(a) * (1.0 - 1e-12)
         report = gm.gamma_plus_bounds(a, gm.EFFORT_THOROUGH, seed=122, oracle_restarts=1)
-        assert report.per_method["greedy"] >= report.lower * (1.0 - 1e-12)
         assert report.lower <= report.upper
         assert report.certified
+
+    def test_certificate_below_lower_bound_raises(self):
+        # At this scale every vector falls under the null-vector floor, so the
+        # certificates cost 0 < ||A||_1,1: a numerical failure, not a bracket.
+        a = lr.ingest_matrix(np.array([[1, 1], [1, 2]]) * 1e-300)
+        with pytest.raises(ReconstructionError):
+            gm.gamma_plus_bounds(a)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["dd", "2x2", "deficient", "wishart"]),
+           n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_early_exit_matches_full_pick(self, kind, n, seed):
+        """The report equals GammaReport.pick over every strategy, run by
+        hand; strategies are skipped exactly when a proper prefix of them
+        already sits within TIE_TOL of the lower bound."""
+        a = _bracket_input(kind, n, seed)
+        lower = lr.norm_l11(a)
+        named = [("ldl", dc.ldl_decompose(a)), ("eigen", dc.eigen_decompose(a))]
+        if dc.is_diagonally_dominant(a)[0]:
+            named.append(("dd", dc.dd_decompose(a)))
+        named.append(("greedy", dc.greedy_decompose(a, LIGHT)))
+        full = gm.GammaReport.pick(gm.FUNCTIONAL_GAMMA_PLUS, lower, named)
+        report = gm.gamma_plus_bounds(a, greedy_config=LIGHT)
+        assert report.upper == full.upper
+        assert report.certified == full.certified
+        assert report.best.method == full.best.method
+        assert len(report.best.vectors) == len(full.best.vectors)
+        for got, want in zip(report.best.vectors, full.best.vectors):
+            np.testing.assert_array_equal(got, want)
+        closed = [k for k in range(1, len(named))
+                  if gm.GammaReport.pick(gm.FUNCTIONAL_GAMMA_PLUS, lower, named[:k]).upper
+                  <= lower * (1.0 + gm.TIE_TOL)]
+        ran = closed[0] if closed else len(named)
+        assert list(report.per_method) == [name for name, _ in named[:ran]]
+        assert report.skipped == tuple(name for name, _ in named[ran:])
+        assert bool(report.skipped) == bool(closed)
+        if kind in ("dd", "2x2"):  # closed forms: LDL or DD sits on the bound
+            assert report.skipped
+
+    def test_one_eigensolve_per_fast_bracket(self, rng, monkeypatch):
+        a = random_psd(rng, 5)
+        calls = []
+        solve = np.linalg.eigh
+
+        def counted(m):
+            calls.append(m.shape)
+            return solve(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        report = gm.gamma_plus_bounds(a)
+        assert set(report.per_method) == {"ldl", "eigen", "greedy"}
+        assert calls == [(5, 5)]
 
     def test_diagonally_dominant_certified(self):
         report = gm.gamma_plus_bounds(hermitian([[2, 1], [1, 2]]), greedy_config=LIGHT)
@@ -80,6 +145,7 @@ class TestGammaPlusBounds:
         assert report.lower == 1.0
         assert report.upper > 1.0
         assert not report.certified
+        assert report.skipped == ()
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):

@@ -9,9 +9,11 @@ import l1rankone as lr
 from l1rankone.errors import (
     DimensionMismatchError,
     EigenFailureError,
+    NonFiniteInputError,
     NotHermitianError,
     NotPSDError,
     NotSquareError,
+    ScaleOverflowError,
 )
 
 from conftest import hermitian, random_hermitian, random_psd
@@ -40,14 +42,35 @@ class TestIngest:
         with pytest.raises(NotSquareError):
             lr.ingest_matrix(np.zeros((2, 3)))
 
-    def test_nan_rejected(self):
-        with pytest.raises(NotHermitianError):
-            lr.ingest_matrix([[np.nan, 0], [0, 0]])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_rejected(self, bad):
+        with pytest.raises(NonFiniteInputError):
+            lr.ingest_matrix([[bad, 0], [0, 0]])
+        with pytest.raises(NonFiniteInputError):
+            lr.ingest_matrix([[1, 0], [complex(0, bad), 1]])
+
+    def test_overflowing_scale_rejected(self):
+        # n * max |A_ij| past sqrt(float max) would overflow a column's squared l1 norm.
+        edge = lr.hermitian.MAX_SCALE / 2
+        assert lr.ingest_matrix([[edge, 0], [0, edge]]).n == 2
+        with pytest.raises(ScaleOverflowError):
+            lr.ingest_matrix([[edge * 1.01, 0], [0, 0]])
 
     def test_entries_read_only(self):
         a = lr.ingest_matrix([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
             a.entries[0, 0] = 5.0
+        direct = lr.HermitianMatrix(np.eye(2, dtype=complex))
+        with pytest.raises(ValueError):
+            direct.entries[0, 0] = 5.0
+
+    def test_view_is_copied_so_the_eigensystem_stays_valid(self):
+        base = np.eye(2, dtype=complex)
+        a = lr.HermitianMatrix(base[:, :])
+        assert lr.operator_norm(a) == 1.0
+        base[0, 0] = 5.0
+        assert a.entries[0, 0] == 1.0
+        assert lr.operator_norm(a) == 1.0
 
     def test_symmetrization_within_tol(self):
         a = lr.ingest_matrix([[1, 1 + 1e-12], [1, 1]])
