@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import decompose as dc
@@ -167,12 +168,10 @@ def cmd_experiment(args) -> int:
         methods=methods,
     )
     report = ex.run_ensemble(config)
-    csv_text = ex.render_csv(report)
     if args.out is None:
-        sys.stdout.write(csv_text)
+        sys.stdout.write(ex.render_csv(report))
     else:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(csv_text)
+        ex.emit_csv(report, args.out)
     c = report.fit.sqrt_coeff if report.fit is not None else None
     sys.stdout.write(f"sqrt_fit c={c!r}\n" if c is not None else "sqrt_fit c=nan\n")
     return EXIT_OK
@@ -180,8 +179,9 @@ def cmd_experiment(args) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and positive, got {text}")
     return value
 
 

@@ -37,6 +37,9 @@ from .hermitian import (
 
 RANK_TOL = 1e-8  # times ||A||_op; eigenvalues above it count toward rank
 NULL_TOL = 1e-14  # times A.scale(); vectors with ||v||_1^2 at or below it are dropped
+SMOOTHING_EPS = 1e-8  # epsilon of the smoothed |.| in greedy's l1 objective
+PIVOT_SEARCH_MAX_N = 6  # largest n whose LDL pivot orders are searched with pruning
+PIVOT_SEARCH_NODES = 4000  # past this many nodes each node keeps only its best child
 
 METHOD_LDL = "ldl"
 METHOD_EIGEN = "eigen"
@@ -87,8 +90,8 @@ class RankOneDecomposition:
     method: str
 
     @classmethod
-    def build(cls, target: HermitianMatrix, vectors, method: str,
-              recon_tol: float = RECON_TOL) -> "RankOneDecomposition":
+    def build(cls, target: HermitianMatrix, vectors,
+              method: str) -> "RankOneDecomposition":
         """Drop null vectors, compute the cost, and verify reconstruction."""
         vecs = [np.asarray(v, dtype=np.complex128) for v in vectors]
         for v in vecs:
@@ -97,7 +100,7 @@ class RankOneDecomposition:
                     f"vector of shape {v.shape} does not fit n={target.n}"
                 )
         kept = [_frozen(v) for v in drop_null_vectors(target, vecs)]
-        report = verify_reconstruction(target, kept, recon_tol)
+        report = verify_reconstruction(target, kept)
         if not report.ok:
             raise ReconstructionError(
                 f"{method} decomposition misses target by {report.max_residual:.3e} "
@@ -117,29 +120,30 @@ def ldl_decompose(a: HermitianMatrix) -> RankOneDecomposition:
     return RankOneDecomposition.build(a, vectors, METHOD_LDL)
 
 
-def eigen_decompose(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> RankOneDecomposition:
+def eigen_decompose(a: HermitianMatrix) -> RankOneDecomposition:
     """Eigenvectors scaled by sqrt-eigenvalue, ascending order."""
     es = a.eigensystem
     lam = es.eigenvalues
     lam_scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    if float(lam[0]) < -psd_tol * lam_scale:
+    if float(lam[0]) < -PSD_TOL * lam_scale:
         raise NotPSDError(f"smallest eigenvalue {lam[0]:.3e} is negative")
     vectors = []
     for k in range(a.n):
-        if lam[k] > psd_tol * lam_scale:
+        if lam[k] > PSD_TOL * lam_scale:
             vectors.append(np.sqrt(lam[k]) * es.eigenvectors[:, k])
     return RankOneDecomposition.build(a, vectors, METHOD_EIGEN)
 
 
-def is_diagonally_dominant(a: HermitianMatrix, margin_tol: float = 1e-12):
-    """(verdict, per-row margins A_ii - sum_{j != i} |A_ij|)."""
+def is_diagonally_dominant(a: HermitianMatrix):
+    """(verdict, per-row margins A_ii - sum_{j != i} |A_ij|); margins down to
+    -1e-12 pass."""
     absrow = np.abs(a.entries).sum(axis=1)
     diag = np.diagonal(a.entries).real
     margins = diag - (absrow - np.abs(diag))
-    return bool(margins.min(initial=0.0) >= -margin_tol), margins
+    return bool(margins.min(initial=0.0) >= -1e-12), margins
 
 
-def dd_decompose(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> RankOneDecomposition:
+def dd_decompose(a: HermitianMatrix) -> RankOneDecomposition:
     """Closed-form decomposition for diagonally dominant matrices.
 
     One two-point vector per non-zero off-diagonal pair carrying the
@@ -155,7 +159,7 @@ def dd_decompose(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> RankOneDecompo
             margin=float(margins[worst]),
         )
     n = a.n
-    tol = psd_tol * a.scale()
+    tol = PSD_TOL * a.scale()
     vectors = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -183,8 +187,9 @@ class PeelStep:
     quad: float
 
 
-def rank_one_peel(a: HermitianMatrix, x, quad_tol: float = 1e-12):
-    """Peel (Ax)(Ax)* off A; PSD is preserved whenever <Ax, x> <= 1.
+def rank_one_peel(a: HermitianMatrix, x):
+    """Peel (Ax)(Ax)* off A; PSD is preserved whenever <Ax, x> <= 1 (checked
+    to 1e-12).
 
     Returns (PeelStep, residual). At <Ax, x> = 1 the residual loses exactly
     one rank.
@@ -197,7 +202,7 @@ def rank_one_peel(a: HermitianMatrix, x, quad_tol: float = 1e-12):
     if float(np.abs(y).max(initial=0.0)) <= 1e-14 * scale * max(1.0, vector_l1(x)):
         raise ZeroDirectionError("Ax vanishes; nothing to peel")
     quad = float(np.vdot(x, y).real)
-    if quad > 1.0 + quad_tol:
+    if quad > 1.0 + 1e-12:
         raise QuadFormTooLargeError(f"<Ax, x> = {quad:.12g} exceeds 1")
     if quad <= 0.0:
         raise ZeroDirectionError(f"<Ax, x> = {quad:.3e} is not positive")
@@ -206,10 +211,10 @@ def rank_one_peel(a: HermitianMatrix, x, quad_tol: float = 1e-12):
     return PeelStep(_frozen(x), _frozen(y), quad), HermitianMatrix(residual)
 
 
-def numerical_rank(a: HermitianMatrix, rank_tol: float = RANK_TOL) -> int:
+def numerical_rank(a: HermitianMatrix) -> int:
     vals = a.eigensystem.eigenvalues
     lam_max = float(np.abs(vals).max(initial=0.0))
-    return int((vals > rank_tol * max(lam_max, np.finfo(float).tiny)).sum())
+    return int((vals > RANK_TOL * max(lam_max, np.finfo(float).tiny)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +226,15 @@ def numerical_rank(a: HermitianMatrix, rank_tol: float = RANK_TOL) -> int:
 class GreedyConfig:
     """Search budget for greedy_decompose.
 
-    restarts:     independent runs mixing random directions into the pivot
-                  candidates (run 0 is fully deterministic).
-    max_iter:     coordinate-descent trials per refined peel direction.
-    smoothing_eps: epsilon for the smoothed |.| in the l1 objective.
-    seed:         base seed; run r uses seed + r.
-    exhaust_max_n: dimension cap for the pruned search over pivot orders.
-    node_cap:     search-tree node budget beyond which only the best child
-                  of each node is explored.
+    restarts: independent runs mixing random directions into the pivot
+              candidates (run 0 is fully deterministic).
+    max_iter: coordinate-descent trials per refined peel direction.
+    seed:     base seed; run r uses seed + r.
     """
 
     restarts: int = 16
     max_iter: int = 200
-    smoothing_eps: float = 1e-8
     seed: int = 0
-    exhaust_max_n: int = 6
-    node_cap: int = 4000
 
 
 def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float, node_cap: int):
@@ -301,7 +299,7 @@ def _refine_direction(r_arr: np.ndarray, x: np.ndarray, cfg: GreedyConfig,
     rank-deficient residual and peel nothing. cfg.max_iter counts moves.
     """
     n = r_arr.shape[0]
-    eps = cfg.smoothing_eps
+    eps = SMOOTHING_EPS
     cols_t = np.ascontiguousarray(r_arr.T)
     diag = np.diagonal(r_arr).real
     y = r_arr @ x
@@ -427,10 +425,10 @@ def greedy_decompose(a: HermitianMatrix,
     """Greedy peeling over <Ax, x> = 1 directions with permuted-LDL search.
 
     The candidate space contains every LDL pivot order (searched exactly for
-    small n, pruned beyond node_cap), pivot seeds refined by coordinate
-    descent, and random restart directions; so the result never loses to
-    plain LDL. Restarts merge deterministically: lowest cost, ties broken
-    lexicographically.
+    small n, pruned beyond PIVOT_SEARCH_NODES), pivot seeds refined by
+    coordinate descent, and random restart directions; so the result never
+    loses to plain LDL. Restarts merge deterministically: lowest cost, ties
+    broken lexicographically.
     """
     cfg = config or GreedyConfig()
     if not is_psd(a):
@@ -439,7 +437,7 @@ def greedy_decompose(a: HermitianMatrix,
     diag = np.diagonal(a_arr).real
     scale = max(1.0, float(diag.max(initial=0.0)))
     tol_p = PIVOT_TOL * scale
-    node_cap = cfg.node_cap if a.n <= cfg.exhaust_max_n else 0
+    node_cap = PIVOT_SEARCH_NODES if a.n <= PIVOT_SEARCH_MAX_N else 0
     _, pivot_vecs = _best_pivot_order_ldl(a_arr, tol_p, node_cap)
     candidates = [pivot_vecs]
     max_steps = numerical_rank(a) + 2
@@ -477,15 +475,16 @@ def _vec_real(x: np.ndarray) -> np.ndarray:
     ])
 
 
-def caratheodory_reduce(weights, unit_vectors, *, tol: float = 1e-9,
-                        singular_tol: float = 1e-10):
+def caratheodory_reduce(weights, unit_vectors):
     """Rewrite sum w_k x_k x_k* with at most n^2 + 1 terms.
 
     Weights stay positive and keep their exact total; the represented matrix
-    is unchanged. Each pass solves the homogeneous system built from the
+    is unchanged. Unit l1 norms and a total weight of at most 1 are checked
+    to 1e-9. Each pass solves the homogeneous system built from the
     real coordinates of x_k x_k* plus a row of ones, then shifts the weights
     along the null direction until the first one vanishes.
     """
+    tol = 1e-9
     w = np.asarray(weights, dtype=float).copy()
     xs = [np.asarray(x, dtype=np.complex128) for x in unit_vectors]
     if w.ndim != 1 or len(xs) != w.shape[0]:
@@ -510,7 +509,7 @@ def caratheodory_reduce(weights, unit_vectors, *, tol: float = 1e-9,
         _, svals, vt = np.linalg.svd(phi, full_matrices=True)
         lam = vt[-1]
         resid = float(np.linalg.norm(phi @ lam))
-        if resid > singular_tol * max(1.0, float(svals[0])):
+        if resid > 1e-10 * max(1.0, float(svals[0])):
             raise NumericalRankFailureError(
                 f"null-space residual {resid:.3e} too large for m={w.size}"
             )
@@ -580,7 +579,7 @@ def structured_cost_check(a: HermitianMatrix, dec: RankOneDecomposition) -> bool
     return True
 
 
-def special_3x3_gap(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> float:
+def special_3x3_gap(a: HermitianMatrix) -> float:
     """LDL-vs-l11 gap 2(|ae - conj(b)c| + |b||c| - a|e|)/a for 3x3 PSD input.
 
     Zero gap certifies that the natural-order LDL decomposition is optimal.
@@ -589,12 +588,12 @@ def special_3x3_gap(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> float:
     """
     if a.n != 3:
         raise DimensionMismatchError(f"need a 3x3 matrix, got n={a.n}")
-    if not is_psd(a, psd_tol):
+    if not is_psd(a):
         raise NotPSDError("special_3x3_gap requires a PSD matrix")
     if numerical_rank(a) <= 1:
         raise RankOneInputError("rank-one input: single-vector decomposition is optimal")
     aa = float(a.entries[0, 0].real)
-    if aa <= psd_tol * a.scale():
+    if aa <= PSD_TOL * a.scale():
         return 0.0
     b = a.entries[0, 1]
     c = a.entries[0, 2]

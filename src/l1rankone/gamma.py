@@ -3,7 +3,8 @@
 gamma(A) is the entrywise l1 norm and is computed exactly. gamma_plus (PSD
 input) and gamma_zero are bracketed: the lower bound is always ||A||_1,1,
 the upper bound is the cheapest certificate found by the constructive
-strategies. A report is CERTIFIED when the bracket closes within cert_tol.
+strategies. A report is CERTIFIED when the bracket width upper - lower is
+at most the absolute CERT_TOL = 1e-6.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ from .decompose import (
 from .errors import BudgetExceededError, NotPSDError, ReconstructionError
 from .hermitian import (
     PSD_TOL,
-    RECON_TOL,
     HermitianMatrix,
-    eigh,
+    eigh,  # noqa: F401  (kept in this namespace: perfbench's tracer rebinds it here)
     is_psd,
     ldl_factor,
     norm_l11,
+    operator_norm,
+    reconstruct,
     trace_norm,
     verify_reconstruction,
 )
@@ -49,6 +51,7 @@ from .hermitian import (
 CERT_TOL = 1e-6            # absolute bracket width for CERTIFIED-OPTIMAL
 TIE_TOL = 1e-12            # relative; bound candidates closer than this tie
 ORACLE_MAX_N = 6
+RHO_ROUNDS = (1e2, 10 ** (10 / 3), 10 ** (14 / 3), 1e6)  # oracle penalty ramp
 
 FUNCTIONAL_GAMMA_PLUS = "gamma_plus"
 FUNCTIONAL_GAMMA = "gamma"
@@ -72,11 +75,10 @@ class SignedDecomposition:
     cost: float
 
     @classmethod
-    def build(cls, target: HermitianMatrix, positive, negative,
-              recon_tol: float = RECON_TOL) -> "SignedDecomposition":
+    def build(cls, target: HermitianMatrix, positive, negative) -> "SignedDecomposition":
         pos = drop_null_vectors(target, positive)
         neg = drop_null_vectors(target, negative)
-        report = verify_reconstruction(target, pos, recon_tol, negative=neg)
+        report = verify_reconstruction(target, pos, negative=neg)
         if not report.ok:
             raise ReconstructionError(
                 f"signed decomposition misses target by {report.max_residual:.3e} "
@@ -283,56 +285,43 @@ def _oracle_objective(theta: np.ndarray, a_arr: np.ndarray, m: int, n: int,
 
 
 def _restore_feasibility(a: HermitianMatrix, g: np.ndarray):
-    """Scale the optimizer's vectors until A - lambda * sum gg* is PSD, then
-    peel the exact residual with LDL. The result reconstructs A exactly up
-    to floating-point error."""
+    """Scale the optimizer's vectors g by sqrt(lambda), lambda the largest
+    value in [0, 1] with lambda_min(A - lambda S) >= -tau for S = sum g g*
+    and tau = 1e-13 max(1, ||A||_op); then peel the exact residual with LDL.
+    The result reconstructs A exactly up to floating-point error.
+
+    The condition is A + tau I - lambda S >= 0. With A = V diag(a_k) V* and
+    W = V diag((a_k + tau)^(-1/2)) it reads lambda mu <= 1 for the largest
+    eigenvalue mu of W* S W, so lambda = min(1, 1/mu): one small eigenvalue
+    solve on A's cached eigensystem. lambda = 0 when A + tau I is not
+    positive definite."""
     keep = drop_null_vectors(a, g)
     if not keep:
         return ldl_factor(a)
-    s = np.zeros((a.n, a.n), dtype=np.complex128)
-    for v in keep:
-        s += np.outer(v, v.conj())
-    s = (s + s.conj().T) / 2.0
-
-    def residual_at(lam: float) -> HermitianMatrix:
-        resid = a.entries - lam * s
-        return HermitianMatrix((resid + resid.conj().T) / 2.0)
-
-    def psd_at(lam: float) -> bool:
-        vals = eigh(residual_at(lam)).eigenvalues
-        return float(vals[0]) >= -1e-13 * max(1.0, float(np.abs(vals).max()))
-
-    if psd_at(1.0):
-        lam = 1.0
+    s = reconstruct(keep).entries
+    es = a.eigensystem
+    shifted = es.eigenvalues + 1e-13 * max(1.0, operator_norm(a))
+    if shifted[0] <= 0.0:
+        lam = 0.0
     else:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            if psd_at(mid):
-                lo = mid
-            else:
-                hi = mid
-        lam = lo
-    # Shrinking lambda only adds PSD mass to the residual, so retry the
-    # elimination a few steps inside the cone if fp noise trips it.
-    for pullback in (1.0, 1.0 - 1e-9, 1.0 - 1e-6, 1.0 - 1e-3):
-        try:
-            tail = ldl_factor(residual_at(lam * pullback), psd_tol=1e-8)
-        except NotPSDError:
-            continue
-        return [np.sqrt(lam * pullback) * v for v in keep] + list(tail)
-    return ldl_factor(a)  # give up on this start; plain LDL is always valid
+        w = es.eigenvectors / np.sqrt(shifted)
+        mu = float(np.linalg.eigvalsh(w.conj().T @ s @ w)[-1])
+        lam = 1.0 if mu <= 1.0 else 1.0 / mu
+    resid = a.entries - lam * s
+    try:
+        tail = ldl_factor(HermitianMatrix((resid + resid.conj().T) / 2.0), psd_tol=1e-8)
+    except NotPSDError:
+        return ldl_factor(a)  # give up on this start; plain LDL is always valid
+    return [np.sqrt(lam) * v for v in keep] + list(tail)
 
 
-def numeric_gamma_plus_oracle(a: HermitianMatrix, terms: int | None = None,
-                              restarts: int = 32, seed: int = 0, *,
-                              rho_rounds=(1e2, 10 ** (10 / 3), 10 ** (14 / 3), 1e6),
+def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32, seed: int = 0, *,
                               maxiter: int = 150) -> RankOneDecomposition:
     """Multi-start penalized search for a cheap exact decomposition.
 
-    Minimizes sum ||g_k||_1^2 + rho ||A - sum g g*||_Fr^2 over a fixed
-    number of vectors (n^2 + 1 suffices for the optimum), ramping rho across
-    rounds, then restores exact feasibility and reduces the term count.
+    Minimizes sum ||g_k||_1^2 + rho ||A - sum g g*||_Fr^2 over n^2 + 1
+    vectors (enough for the optimum), ramping rho across RHO_ROUNDS, then
+    restores exact feasibility and reduces the term count.
     Guarded to n <= 6.
     """
     if a.n > ORACLE_MAX_N:
@@ -340,7 +329,7 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, terms: int | None = None,
     if not is_psd(a):
         raise NotPSDError("oracle requires a PSD matrix")
     n = a.n
-    m = terms if terms is not None else n * n + 1
+    m = n * n + 1
     a_arr = np.asarray(a.entries)
     tr = float(np.diagonal(a_arr).real.sum())
     sigma = np.sqrt(max(tr, 1e-12) / (m * n))
@@ -368,7 +357,7 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, terms: int | None = None,
         else:
             g0 = sigma * noise
         theta = np.concatenate([g0.real.ravel(), g0.imag.ravel()])
-        for rho in rho_rounds:
+        for rho in RHO_ROUNDS:
             res = minimize(
                 _oracle_objective, theta, args=(a_arr, m, n, rho, eps),
                 jac=True, method="L-BFGS-B",
@@ -398,13 +387,15 @@ class InequalityReport:
     all_ok: bool
 
 
-def inequality_report(a: HermitianMatrix, *, slack: float = 1e-9) -> InequalityReport:
-    """Evaluate the norm/functional chain and flag any violated inequality.
+def inequality_report(a: HermitianMatrix) -> InequalityReport:
+    """Evaluate the norm/functional chain and flag any violated inequality,
+    each to a relative slack of 1e-9.
 
     The chain is checked at the level of computable quantities: the trace
     norm, the entrywise l1 norm (= gamma), the gamma_zero upper bound, twice
     gamma, and for PSD input the gamma_plus upper bound.
     """
+    slack = 1e-9
     tr = trace_norm(a)
     l11 = norm_l11(a)
     g0 = gamma0_bounds(a)

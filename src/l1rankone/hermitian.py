@@ -23,7 +23,7 @@ from .errors import (
     ScaleOverflowError,
 )
 
-# Defaults; each operation takes the tolerance it uses as a parameter.
+# Tolerances; HERMITIAN_TOL, PSD_TOL and RECON_TOL are also parameter defaults.
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 PIVOT_TOL = 1e-12
@@ -193,8 +193,7 @@ def is_psd(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> bool:
     return lam_min >= -psd_tol * max(1.0, lam_max_abs)
 
 
-def ldl_factor(a: HermitianMatrix, pivot_tol: float = PIVOT_TOL,
-               psd_tol: float = PSD_TOL) -> list[np.ndarray]:
+def ldl_factor(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> list[np.ndarray]:
     """Lagrangian (LDL-style) rank-one elimination in natural pivot order.
 
     Returns vectors v_k, each zero on positions before its pivot, with
@@ -205,7 +204,7 @@ def ldl_factor(a: HermitianMatrix, pivot_tol: float = PIVOT_TOL,
     n = a.n
     w = np.array(a.entries, dtype=np.complex128, copy=True)
     scale = max([1.0, *w.real.diagonal().tolist()])  # beats ndarray.max at small n
-    tol_p = pivot_tol * scale
+    tol_p = PIVOT_TOL * scale
     neg_tol = psd_tol * scale
     vectors: list[np.ndarray] = []
     # Row and column k are never read after step k, so only the trailing

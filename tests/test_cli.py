@@ -193,6 +193,24 @@ class TestCertify:
         code, _ = run(capsys, "certify", files["cplx"], dec)
         assert code == 5
 
+    @pytest.mark.parametrize("flag", ["--recon-tol", "--hermitian-tol"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, files, capsys, flag,
+                                                   value):
+        # The one-vector family [sqrt 2, sqrt 2] misses [[2, 1], [1, 2]] by
+        # 1.0 off the diagonal, and nh.json is not Hermitian: an infinite
+        # tolerance would pass both (and write "residual_tol": Infinity,
+        # which is not JSON).
+        bad = files["dir"] / "bad_dec.json"
+        bad.write_text(json.dumps({"method": "external", "cost": 8.0,
+                                   "vectors": [[[2 ** 0.5, 0], [2 ** 0.5, 0]]]}))
+        nh = files["dir"] / "nh.json"
+        nh.write_text(json.dumps({"n": 2, "entries": [[2, 1], [0, 2]]}))
+        target = files["a"] if flag == "--recon-tol" else str(nh)
+        code, out = run(capsys, "certify", target, str(bad), flag, value)
+        assert code == 2
+        assert out == ""
+
 
 class TestReduce:
     def test_overlong_reduces(self, files, capsys, tmp_path):

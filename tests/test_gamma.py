@@ -242,6 +242,87 @@ class TestOracle:
             assert lr.verify_reconstruction(a, dec.vectors).ok
 
 
+def _bisection_restore(a, g):
+    """Reference restore: bisect 60 times for the largest lambda in [0, 1]
+    with lambda_min(A - lambda S) >= -1e-13 max(1, ||A - lambda S||_op),
+    then peel the residual by LDL, pulling lambda back if that fails.
+    Returns (lambda, family)."""
+    keep = dc.drop_null_vectors(a, g)
+    if not keep:
+        return None, lr.ldl_factor(a)
+    s = sum(np.outer(v, v.conj()) for v in keep)
+    s = (s + s.conj().T) / 2.0
+
+    def residual_at(lam):
+        resid = a.entries - lam * s
+        return lr.HermitianMatrix((resid + resid.conj().T) / 2.0)
+
+    def psd_at(lam):
+        vals = lr.eigh(residual_at(lam)).eigenvalues
+        return float(vals[0]) >= -1e-13 * max(1.0, float(np.abs(vals).max()))
+
+    lo, hi = (1.0, 1.0) if psd_at(1.0) else (0.0, 1.0)
+    for _ in range(60 if lo < 1.0 else 0):
+        mid = (lo + hi) / 2.0
+        if psd_at(mid):
+            lo = mid
+        else:
+            hi = mid
+    for pullback in (1.0, 1.0 - 1e-9, 1.0 - 1e-6, 1.0 - 1e-3):
+        try:
+            tail = lr.ldl_factor(residual_at(lo * pullback), psd_tol=1e-8)
+        except NotPSDError:
+            continue
+        return lo * pullback, [np.sqrt(lo * pullback) * v for v in keep] + tail
+    return None, lr.ldl_factor(a)
+
+
+class TestRestoreFeasibility:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 4), log_noise=st.floats(-12.0, 0.0),
+           extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_matches_bisection(self, data, n, log_noise, extra, seed):
+        """Closed-form lambda against the bisection reference: equal to
+        1e-8 on full-rank A; on rank-deficient A the slack alone sets
+        lambda, so only the restored costs are compared."""
+        rank = data.draw(st.integers(1, n), label="rank")
+        rng = np.random.default_rng(seed)
+        a = random_psd(rng, n, rank)
+        scale = 10.0 ** log_noise * np.sqrt(lr.operator_norm(a))
+
+        def noise():
+            return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+        exact = lr.ldl_factor(a)
+        out = gm._restore_feasibility(a, exact)
+        assert all(np.array_equal(u, v) for u, v in zip(out, exact))  # lambda = 1
+
+        family = [v + noise() for v in exact] + [noise() for _ in range(extra)]
+        out = gm._restore_feasibility(a, family)
+        assert lr.verify_reconstruction(a, out).ok
+        lam_ref, ref = _bisection_restore(a, family)
+        assert lam_ref is not None
+        if rank == n:
+            kept = dc.drop_null_vectors(a, family)[0]
+            lam = (dc.vector_l1(out[0]) / dc.vector_l1(kept)) ** 2
+            assert lam == pytest.approx(lam_ref, rel=1e-8, abs=0.0)
+        else:
+            cost, cost_ref = dc.decomposition_cost(out), dc.decomposition_cost(ref)
+            assert cost == pytest.approx(cost_ref, rel=1e-6)
+
+    def test_calls_no_eigh(self, rng, monkeypatch):
+        a = random_psd(rng, 4, 2)
+        a.eigensystem  # the oracle has solved it (is_psd) before any restore
+        family = [v + 1e-6 for v in lr.ldl_factor(a)]
+
+        def fail(m):
+            raise AssertionError("eigh called")
+
+        for module in (lr.hermitian, gm):
+            monkeypatch.setattr(module, "eigh", fail)
+        assert lr.verify_reconstruction(a, gm._restore_feasibility(a, family)).ok
+
+
 class TestInequalityReport:
     def test_flip(self):
         rep = gm.inequality_report(hermitian(FLIP))
