@@ -113,7 +113,7 @@ def cmd_gamma(args) -> int:
 def cmd_certify(args) -> int:
     a = _load_matrix(args)
     _, declared_cost, vectors = jsonio.decomposition_from_obj(_load_json(args.decomposition))
-    if vectors[0].shape[0] != a.n:
+    if vectors and vectors[0].shape[0] != a.n:
         raise CertificationFailure(
             f"decomposition dimension {vectors[0].shape[0]} != matrix dimension {a.n}"
         )

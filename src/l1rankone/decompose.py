@@ -227,7 +227,9 @@ class GreedyConfig:
     """Search budget for greedy_decompose.
 
     restarts: independent runs mixing random directions into the pivot
-              candidates (run 0 is fully deterministic).
+              candidates (run 0 is fully deterministic). A run that reaches
+              a residual already visited in the same call reuses that peel
+              step; the output is unchanged.
     max_iter: coordinate-descent trials per refined peel direction.
     seed:     base seed; run r uses seed + r.
     """
@@ -348,9 +350,63 @@ def _refine_direction(r_arr: np.ndarray, x: np.ndarray, cfg: GreedyConfig,
     return x / np.sqrt(q)
 
 
+def _quick_score(r: np.ndarray, x: np.ndarray, peel_floor: float) -> float:
+    """||Rx||_1^2 + ||R - (Rx)(Rx)*||_1; inf when x peels less than peel_floor."""
+    y = r @ x
+    if float((np.abs(y) ** 2).sum()) < peel_floor:
+        return np.inf
+    resid = r - np.outer(y, y.conj())
+    return vector_l1(y) ** 2 + vector_l1(resid)
+
+
+def _pivot_candidates(r: np.ndarray, tol_p: float, peel_floor: float):
+    """Directions e_i / sqrt(R_ii) over pivots above tol_p, and their quick scores."""
+    n = r.shape[0]
+    diag = np.diagonal(r).real
+    cands = []
+    for i in np.flatnonzero(diag > tol_p):
+        x = np.zeros(n, dtype=np.complex128)
+        x[i] = 1.0 / np.sqrt(diag[i])
+        cands.append(x)
+    return cands, [_quick_score(r, x, peel_floor) for x in cands]
+
+
+def _peel_step(r: np.ndarray, x0: np.ndarray, cfg: GreedyConfig, peel_floor: float):
+    """Peel along x0 or its refinement, whichever costs less counting the
+    natural-order LDL of the residual; (y, residual), or None when neither
+    trial peels at least peel_floor and leaves a PSD residual."""
+    trial_xs = [x0]
+    try:
+        trial_xs.append(_refine_direction(r, x0, cfg, peel_floor))
+    except ZeroDirectionError:
+        pass
+    best, best_total = None, np.inf
+    for x in trial_xs:
+        y = r @ x
+        if float((np.abs(y) ** 2).sum()) < peel_floor:
+            continue
+        resid = r - np.outer(y, y.conj())
+        resid = (resid + resid.conj().T) / 2.0
+        try:
+            tail = ldl_factor(HermitianMatrix(resid))
+        except NotPSDError:
+            continue
+        total = vector_l1(y) ** 2 + decomposition_cost(tail)
+        if total < best_total - 1e-15:
+            best, best_total = (y, resid), total
+    return best
+
+
 def _greedy_run(a_arr: np.ndarray, cfg: GreedyConfig, tol_p: float,
-                rng: np.random.Generator | None, max_steps: int):
-    """One greedy peeling pass; returns the list of peeled vectors."""
+                rng: np.random.Generator | None, max_steps: int, memo: dict):
+    """One greedy peeling pass; returns the list of peeled vectors.
+
+    memo maps (residual bytes, peel floor) to that residual's pivot
+    candidates, their quick scores and the peel step taken from each start
+    direction so far. Every entry is a pure function of its key, so runs
+    sharing one memo return what they would alone; only the random
+    candidates, drawn from rng, are scored afresh.
+    """
     n = a_arr.shape[0]
     r = a_arr.copy()
     vectors: list[np.ndarray] = []
@@ -360,57 +416,32 @@ def _greedy_run(a_arr: np.ndarray, cfg: GreedyConfig, tol_p: float,
     for _ in range(max_steps):
         if float(np.abs(r).max()) <= stop:
             break
-        diag = np.diagonal(r).real
         # Any rank-counted eigendirection peels at least RANK_TOL * tr / n.
         peel_floor = RANK_TOL * trace_prev / n
-        cands = []
-        for i in np.flatnonzero(diag > tol_p):
-            x = np.zeros(n, dtype=np.complex128)
-            x[i] = 1.0 / np.sqrt(diag[i])
-            cands.append(x)
+        key = (r.tobytes(), peel_floor)
+        if key not in memo:
+            memo[key] = (*_pivot_candidates(r, tol_p, peel_floor), {})
+        pivots, pivot_quick, steps = memo[key]
+        cands, quick = list(pivots), list(pivot_quick)
         if rng is not None:
             for _ in range(2):
                 z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 q = float(np.vdot(z, r @ z).real)
                 if q > 1e-12 * scale:
                     cands.append(z / np.sqrt(q))
-        if not cands:
-            break
-        quick = []
-        for x in cands:
-            y = r @ x
-            if float((np.abs(y) ** 2).sum()) < peel_floor:
-                quick.append(np.inf)
-                continue
-            resid = r - np.outer(y, y.conj())
-            quick.append(vector_l1(y) ** 2 + vector_l1(resid))
+                    quick.append(_quick_score(r, cands[-1], peel_floor))
         order = [int(i) for i in np.argsort(quick, kind="stable")
                  if np.isfinite(quick[int(i)])]
-        best_y, best_r, best_total = None, None, np.inf
-        trial_xs = []
-        if order:
-            trial_xs.append(cands[order[0]])
-            try:
-                trial_xs.append(_refine_direction(r, cands[order[0]], cfg, peel_floor))
-            except ZeroDirectionError:
-                pass
-        for x in trial_xs:
-            y = r @ x
-            if float((np.abs(y) ** 2).sum()) < peel_floor:
-                continue
-            resid = r - np.outer(y, y.conj())
-            resid = (resid + resid.conj().T) / 2.0
-            try:
-                tail = ldl_factor(HermitianMatrix(resid))
-            except NotPSDError:
-                continue
-            total = vector_l1(y) ** 2 + decomposition_cost(tail)
-            if total < best_total - 1e-15:
-                best_y, best_r, best_total = y, resid, total
-        if best_y is None:
+        if not order:
             break
-        vectors.append(best_y)
-        r = best_r
+        x0 = cands[order[0]]
+        start = x0.tobytes()
+        if start not in steps:
+            steps[start] = _peel_step(r, x0, cfg, peel_floor)
+        if steps[start] is None:
+            break
+        y, r = steps[start]
+        vectors.append(y)
         trace_now = float(np.diagonal(r).real.sum())
         if trace_now > trace_prev - 1e-15 * scale:
             raise StallDetectedError(
@@ -428,7 +459,9 @@ def greedy_decompose(a: HermitianMatrix,
     small n, pruned beyond PIVOT_SEARCH_NODES), pivot seeds refined by
     coordinate descent, and random restart directions; so the result never
     loses to plain LDL. Restarts merge deterministically: lowest cost, ties
-    broken lexicographically.
+    broken lexicographically. A restart that reaches a residual already
+    visited in this call reuses its pivot scores and, from the same start
+    direction, its peel step; the output is what independent runs give.
     """
     cfg = config or GreedyConfig()
     if not is_psd(a):
@@ -441,10 +474,11 @@ def greedy_decompose(a: HermitianMatrix,
     _, pivot_vecs = _best_pivot_order_ldl(a_arr, tol_p, node_cap)
     candidates = [pivot_vecs]
     max_steps = numerical_rank(a) + 2
+    memo: dict = {}
     for run in range(max(cfg.restarts, 1)):
         rng = None if run == 0 else np.random.default_rng(cfg.seed + run)
         try:
-            candidates.append(_greedy_run(a_arr, cfg, tol_p, rng, max_steps))
+            candidates.append(_greedy_run(a_arr, cfg, tol_p, rng, max_steps, memo))
         except ZeroDirectionError:
             continue
     # Skip incomplete runs (e.g. all peel directions filtered) and families

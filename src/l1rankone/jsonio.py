@@ -59,8 +59,8 @@ def matrix_to_obj(a: HermitianMatrix) -> dict:
 
 
 def vectors_from_obj(obj) -> list:
-    if not isinstance(obj, list) or not obj:
-        raise ValueError("'vectors' must be a nonempty list")
+    if not isinstance(obj, list):
+        raise ValueError("'vectors' must be a list")
     out = []
     for vec in obj:
         if not isinstance(vec, list) or not vec:
@@ -74,7 +74,8 @@ def vectors_to_obj(vectors) -> list:
 
 
 def decomposition_from_obj(obj) -> tuple:
-    """(method, declared_cost, vectors); structural validation only."""
+    """(method, declared_cost, vectors); structural validation only. An
+    empty family is accepted: it is the exact certificate of the zero matrix."""
     if not isinstance(obj, dict):
         raise ValueError("decomposition JSON must be an object")
     method = obj.get("method", "external")
@@ -82,8 +83,7 @@ def decomposition_from_obj(obj) -> tuple:
     if not isinstance(cost, (int, float)):
         raise ValueError(f"'cost' must be a number, got {cost!r}")
     vectors = vectors_from_obj(obj["vectors"])
-    n = vectors[0].shape[0]
-    if any(v.shape[0] != n for v in vectors):
+    if any(v.shape != vectors[0].shape for v in vectors):
         raise ValueError("vectors must share one dimension")
     return str(method), float(cost), vectors
 

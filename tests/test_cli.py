@@ -193,6 +193,25 @@ class TestCertify:
         code, _ = run(capsys, "certify", files["cplx"], dec)
         assert code == 5
 
+    def test_zero_matrix_round_trip(self, files, capsys):
+        # decompose writes the empty family for the zero matrix; it is an
+        # exact certificate, while reduce has no dimension to rebuild from.
+        zero = files["dir"] / "zero.json"
+        zero.write_text(json.dumps({"n": 2, "entries": [[0, 0], [0, 0]]}))
+        code, out = run(capsys, "decompose", str(zero), "--method", "ldl")
+        assert code == 0
+        assert json.loads(out)["vectors"] == []
+        dec = files["dir"] / "zero_dec.json"
+        dec.write_text(out)
+        code, out = run(capsys, "certify", str(zero), str(dec))
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+        code, out = run(capsys, "certify", files["a"], str(dec))
+        assert code == 5
+        code, out = run(capsys, "reduce", str(dec))
+        assert code == 2
+        assert out == ""
+
     @pytest.mark.parametrize("flag", ["--recon-tol", "--hermitian-tol"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
     def test_tolerance_must_be_finite_and_positive(self, files, capsys, flag,

@@ -1,9 +1,12 @@
 """Decomposition strategies, the peel step, Caratheodory reduction."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import l1rankone as lr
 from l1rankone import decompose as dc
@@ -15,9 +18,10 @@ from l1rankone.errors import (
     QuadFormTooLargeError,
     RankOneInputError,
     ReconstructionError,
+    StallDetectedError,
     ZeroDirectionError,
 )
-from l1rankone.hermitian import RECON_TOL
+from l1rankone.hermitian import RECON_TOL, HermitianMatrix
 
 from conftest import hermitian, random_dd, random_psd
 
@@ -189,6 +193,110 @@ class TestGreedy:
             np.testing.assert_array_equal(v1, v2)
 
 
+def _greedy_run_reference(a_arr, cfg, tol_p, rng, max_steps):
+    """One greedy pass with nothing shared: every peel step is recomputed.
+    greedy_decompose's memo must reproduce it bit for bit."""
+    n = a_arr.shape[0]
+    r = a_arr.copy()
+    vectors = []
+    scale = max(1.0, float(np.abs(a_arr).max()))
+    stop = 0.05 * RECON_TOL * scale
+    trace_prev = float(np.diagonal(r).real.sum())
+    for _ in range(max_steps):
+        if float(np.abs(r).max()) <= stop:
+            break
+        diag = np.diagonal(r).real
+        peel_floor = dc.RANK_TOL * trace_prev / n
+        cands = []
+        for i in np.flatnonzero(diag > tol_p):
+            x = np.zeros(n, dtype=np.complex128)
+            x[i] = 1.0 / np.sqrt(diag[i])
+            cands.append(x)
+        if rng is not None:
+            for _ in range(2):
+                z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                q = float(np.vdot(z, r @ z).real)
+                if q > 1e-12 * scale:
+                    cands.append(z / np.sqrt(q))
+        if not cands:
+            break
+        quick = []
+        for x in cands:
+            y = r @ x
+            if float((np.abs(y) ** 2).sum()) < peel_floor:
+                quick.append(np.inf)
+                continue
+            resid = r - np.outer(y, y.conj())
+            quick.append(dc.vector_l1(y) ** 2 + dc.vector_l1(resid))
+        order = [int(i) for i in np.argsort(quick, kind="stable")
+                 if np.isfinite(quick[int(i)])]
+        best_y, best_r, best_total = None, None, np.inf
+        trial_xs = []
+        if order:
+            trial_xs.append(cands[order[0]])
+            try:
+                trial_xs.append(dc._refine_direction(r, cands[order[0]], cfg, peel_floor))
+            except ZeroDirectionError:
+                pass
+        for x in trial_xs:
+            y = r @ x
+            if float((np.abs(y) ** 2).sum()) < peel_floor:
+                continue
+            resid = r - np.outer(y, y.conj())
+            resid = (resid + resid.conj().T) / 2.0
+            try:
+                tail = lr.ldl_factor(HermitianMatrix(resid))
+            except NotPSDError:
+                continue
+            total = dc.vector_l1(y) ** 2 + dc.decomposition_cost(tail)
+            if total < best_total - 1e-15:
+                best_y, best_r, best_total = y, resid, total
+        if best_y is None:
+            break
+        vectors.append(best_y)
+        r = best_r
+        trace_now = float(np.diagonal(r).real.sum())
+        if trace_now > trace_prev - 1e-15 * scale:
+            raise StallDetectedError("residual trace stalled")
+        trace_prev = trace_now
+    return vectors
+
+
+class TestGreedyMemo:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 6), restarts=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), greedy_seed=st.integers(0, 3))
+    def test_matches_independent_runs(self, data, n, restarts, seed, greedy_seed):
+        """Runs sharing one memo give the family and cost of a merge over
+        runs that share nothing."""
+        rank = data.draw(st.integers(1, n), label="rank")
+        a = random_psd(np.random.default_rng(seed), n, rank)
+        cfg = dc.GreedyConfig(restarts=restarts, seed=greedy_seed)
+        got = dc.greedy_decompose(a, cfg)
+
+        def independent(a_arr, cfg, tol_p, rng, max_steps, memo):
+            return _greedy_run_reference(a_arr, cfg, tol_p, rng, max_steps)
+
+        with mock.patch.object(dc, "_greedy_run", independent):
+            want = dc.greedy_decompose(a, cfg)
+        assert got.cost == want.cost
+        assert [v.tobytes() for v in got.vectors] == [v.tobytes() for v in want.vectors]
+
+    def test_no_peel_step_is_refined_twice(self, monkeypatch):
+        a = random_psd(np.random.default_rng(5), 5)
+        seen = []
+        refine = dc._refine_direction
+
+        def recording(r_arr, x, cfg, peel_floor):
+            seen.append((r_arr.tobytes(), x.tobytes()))
+            return refine(r_arr, x, cfg, peel_floor)
+
+        monkeypatch.setattr(dc, "_refine_direction", recording)
+        dc.greedy_decompose(a, dc.GreedyConfig(restarts=4))
+        assert seen
+        assert len(seen) - len(set(seen)) == 0  # repeated (residual, start) pairs
+
+
 class TestCaratheodory:
     def test_short_input_unchanged(self):
         xs = [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex),
@@ -314,6 +422,26 @@ class TestStrategyInvariants:
                 assert d.cost >= l11 - 1e-9
                 assert d.cost == pytest.approx(dc.decomposition_cost(d.vectors), abs=1e-12)
                 assert all(np.abs(v).sum() > 0 for v in d.vectors)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=8, max_size=8),
+           dd=st.booleans())
+    def test_ldl_and_dd_costs_invariant_under_diagonal_phases(self, data, n, seed,
+                                                              phases, dd):
+        """cost(D A D*) = cost(A) for D = diag(e^{i phi}), for LDL on PSD
+        input of any rank and for DD on diagonally dominant input."""
+        rng = np.random.default_rng(seed)
+        if dd:
+            a = random_dd(rng, n, tight_rows=data.draw(st.integers(0, 2), label="tight"))
+        else:
+            a = random_psd(rng, n, rank=data.draw(st.integers(1, n), label="rank"))
+        d = np.exp(1j * np.array(phases[:n]))
+        b = lr.ingest_matrix(d[:, None] * a.entries * d.conj()[None, :])
+        ops = [dc.ldl_decompose] + ([dc.dd_decompose] if dd else [])
+        for op in ops:
+            cost = op(a).cost
+            assert abs(op(b).cost - cost) <= 1e-12 * cost
 
     def test_dd_cost_is_l11(self, rng):
         for k in range(200):
