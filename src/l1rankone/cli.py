@@ -145,6 +145,10 @@ def cmd_reduce(args) -> int:
             f"declared cost {declared_cost!r} does not match vectors "
             f"({recomputed!r})"
         )
+    if not vectors:  # the zero matrix's family is within every cap: pass it back
+        empty = dc.RankOneDecomposition(0, (), recomputed, method)
+        _emit(jsonio.dumps(jsonio.decomposition_to_obj(empty)), args.out)
+        return EXIT_OK
     target = reconstruct(vectors)
     dec = dc.RankOneDecomposition.build(target, vectors, method)
     # reduce_decomposition rebuilds through RankOneDecomposition.build, which

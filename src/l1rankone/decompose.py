@@ -53,15 +53,25 @@ def vector_l1(v: np.ndarray) -> float:
     return float(np.abs(v).sum())
 
 
+def _row_l1(vectors) -> list[float]:
+    """vector_l1 of each vector: rows of a C-contiguous stack sum like single
+    vectors. Square these Python floats, not the array: libm's x ** 2 and
+    NumPy's x * x differ in the last bit for some x."""
+    if len(vectors) == 0:
+        return []
+    stack = np.ascontiguousarray(vectors, dtype=np.complex128)
+    return np.add.reduce(np.abs(stack), axis=-1).tolist()
+
+
 def decomposition_cost(vectors) -> float:
-    return float(sum(vector_l1(v) ** 2 for v in vectors))
+    return float(sum(l1 ** 2 for l1 in _row_l1(vectors)))
 
 
 def drop_null_vectors(target: HermitianMatrix, vectors) -> list[np.ndarray]:
     """The vectors with ||v||_1^2 above NULL_TOL * target.scale()."""
     floor = NULL_TOL * target.scale()
     vecs = [np.asarray(v, dtype=np.complex128) for v in vectors]
-    return [v for v in vecs if vector_l1(v) ** 2 > floor]
+    return [v for v, l1 in zip(vecs, _row_l1(vecs)) if l1 ** 2 > floor]
 
 
 def _lex_key(vectors) -> tuple:
@@ -127,11 +137,9 @@ def eigen_decompose(a: HermitianMatrix) -> RankOneDecomposition:
     lam_scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
     if float(lam[0]) < -PSD_TOL * lam_scale:
         raise NotPSDError(f"smallest eigenvalue {lam[0]:.3e} is negative")
-    vectors = []
-    for k in range(a.n):
-        if lam[k] > PSD_TOL * lam_scale:
-            vectors.append(np.sqrt(lam[k]) * es.eigenvectors[:, k])
-    return RankOneDecomposition.build(a, vectors, METHOD_EIGEN)
+    keep = lam > PSD_TOL * lam_scale
+    vectors = es.eigenvectors[:, keep] * np.sqrt(lam[keep])
+    return RankOneDecomposition.build(a, vectors.T, METHOD_EIGEN)
 
 
 def is_diagonally_dominant(a: HermitianMatrix):
@@ -230,7 +238,8 @@ class GreedyConfig:
               candidates (run 0 is fully deterministic). A run that reaches
               a residual already visited in the same call reuses that peel
               step; the output is unchanged.
-    max_iter: coordinate-descent trials per refined peel direction.
+    max_iter: budget of scored trial moves per refined peel direction; a
+              sweep scores 4n of them.
     seed:     base seed; run r uses seed + r.
     """
 
@@ -263,11 +272,10 @@ def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float, node_cap: int):
             return
         if acc + vector_l1(w) >= best_cost - 1e-12:
             return
-        scored = []
-        for i in active:
-            step = vector_l1(w[:, i]) ** 2 / diag[i]
-            scored.append((step, int(i)))
-        scored.sort()
+        # Rows of the transposed copy sum like the columns summed alone.
+        l1 = _row_l1(w.T[active])
+        scored = sorted((c ** 2 / d, i) for c, d, i
+                        in zip(l1, diag[active].tolist(), active.tolist()))
         if nodes > node_cap:
             scored = scored[:1]
         for step, i in scored:
@@ -294,15 +302,18 @@ def _refine_direction(r_arr: np.ndarray, x: np.ndarray, cfg: GreedyConfig,
                       peel_floor: float) -> np.ndarray:
     """Coordinate search for ||Rx||_1^2 on the surface <Rx, x> = 1.
 
-    Each sweep scores all 4n single-coordinate moves at step h in one batch
-    (y and q updated incrementally) and takes the best improvement; h halves
-    when no move helps. Moves whose peel mass ||Rx||_2^2 / q drops below
-    peel_floor are rejected: they ride numerical-dust null directions of a
-    rank-deficient residual and peel nothing. cfg.max_iter counts moves.
+    Each sweep scores all 4n single-coordinate moves x_j += h * {1, -1, i, -i}
+    in one batch (y and q updated incrementally) and takes the best
+    improvement; h halves when no move helps. Moves whose peel mass
+    ||Rx||_2^2 / q drops below peel_floor are rejected: they ride
+    numerical-dust null directions of a rank-deficient residual and peel
+    nothing. cfg.max_iter caps the scored trials, 4n per sweep; the search
+    usually ends on it before h falls to 1e-6. y is kept as (Re y | Im y): a
+    step h * {1, -1, i, -i} times column c is exactly (+-h c_re, +-h c_im) or
+    (-+h c_im, +-h c_re), so the scores keep the bits of complex arithmetic.
     """
     n = r_arr.shape[0]
     eps = SMOOTHING_EPS
-    cols_t = np.ascontiguousarray(r_arr.T)
     diag = np.diagonal(r_arr).real
     y = r_arr @ x
     q = float(np.vdot(x, y).real)
@@ -312,63 +323,73 @@ def _refine_direction(r_arr: np.ndarray, x: np.ndarray, cfg: GreedyConfig,
     y = y / np.sqrt(q)
     q = 1.0
     f_cur = _smoothed_l1sq(y, eps)
+    y = np.concatenate([y.real, y.imag])
+    re, im = r_arr.real.T, r_arr.imag.T  # row j is column j of R
+    # Row (d, j): step d of {1, -1, i, -i} times column j, as (Re | Im).
+    unit_moves = np.concatenate([[re, -re, -im, im], [im, -im, re, -re]], axis=2)
+    # 2 Re(step * conj(y)) is 2 (+-h) times Re y, Re y, Im y, Im y.
+    parts = np.arange(2 * n).reshape(2, n).repeat(2, axis=0)
+    obj = np.empty((4, n))
     h = 0.25
+    moves_h = None
     trials = 0
     while h > 1e-6 and trials < cfg.max_iter:
-        step = h * _REFINE_DIRS
-        y2 = y[None, None, :] + step[:, None, None] * cols_t[None, :, :]
-        q2 = q + 2.0 * (step[:, None] * np.conj(y)[None, :]).real \
-            + (h * h) * diag[None, :]
-        abs2 = y2.real ** 2 + y2.imag ** 2
-        mass = abs2.sum(axis=-1)
-        f2 = np.sqrt(abs2 + eps * eps).sum(axis=-1) ** 2
-        safe_q = np.where(q2 > 1e-30, q2, 1.0)
-        obj = np.where(
-            (q2 > 1e-30) & (mass >= peel_floor * safe_q),
-            f2 / safe_q,
-            np.inf,
-        )
+        if moves_h != h:
+            moves_h = h
+            step = h * _REFINE_DIRS
+            signed_h = np.array([[h], [-h], [h], [-h]])
+            moves = h * unit_moves
+            curvature = (h * h) * diag
+        y2 = y + moves
+        sq = y2 * y2
+        abs2 = sq[..., :n] + sq[..., n:]
+        mass = np.add.reduce(abs2, axis=-1)
+        f2 = np.add.reduce(np.sqrt(abs2 + eps * eps), axis=-1) ** 2
+        q2 = q + 2.0 * (y[parts] * signed_h) + curvature
+        obj.fill(np.inf)
+        np.divide(f2, q2, out=obj, where=(q2 > 1e-30) & (mass >= peel_floor * q2))
         trials += 4 * n
-        k = int(np.argmin(obj))
+        k = int(obj.argmin())
         if float(obj.flat[k]) < f_cur - 1e-12 * max(1.0, f_cur):
             d_idx, j = divmod(k, n)
-            x = x.copy()
             x[j] += step[d_idx]
             y = y2[d_idx, j]
             q = float(q2[d_idx, j])
             f_cur = float(obj.flat[k])
         else:
             h *= 0.5
-            y = r_arr @ x  # resync incremental state
-            q = float(np.vdot(x, y).real)
+            yc = r_arr @ x  # resync incremental state
+            q = float(np.vdot(x, yc).real)
             if q <= 1e-30:
                 break
-            f_cur = _smoothed_l1sq(y, eps) / q
+            f_cur = _smoothed_l1sq(yc, eps) / q
+            y = np.concatenate([yc.real, yc.imag])
     q = float(np.vdot(x, r_arr @ x).real)
     if q <= 1e-30:
         raise ZeroDirectionError("refinement collapsed to a null direction")
     return x / np.sqrt(q)
 
 
-def _quick_score(r: np.ndarray, x: np.ndarray, peel_floor: float) -> float:
-    """||Rx||_1^2 + ||R - (Rx)(Rx)*||_1; inf when x peels less than peel_floor."""
-    y = r @ x
-    if float((np.abs(y) ** 2).sum()) < peel_floor:
-        return np.inf
-    resid = r - np.outer(y, y.conj())
-    return vector_l1(y) ** 2 + vector_l1(resid)
+def _quick_scores(r: np.ndarray, ys: np.ndarray, peel_floor: float) -> list[float]:
+    """||y||_1^2 + ||R - yy*||_1 for each row y = Rx of ys; inf where x peels
+    less than peel_floor."""
+    k, n = ys.shape
+    mass = np.add.reduce(np.abs(ys) ** 2, axis=1).tolist()
+    resid = (r - ys[:, :, None] * ys.conj()[:, None, :]).reshape(k, n * n)
+    return [np.inf if m < peel_floor else c ** 2 + t
+            for m, c, t in zip(mass, _row_l1(ys), _row_l1(resid))]
 
 
 def _pivot_candidates(r: np.ndarray, tol_p: float, peel_floor: float):
     """Directions e_i / sqrt(R_ii) over pivots above tol_p, and their quick scores."""
     n = r.shape[0]
     diag = np.diagonal(r).real
-    cands = []
-    for i in np.flatnonzero(diag > tol_p):
-        x = np.zeros(n, dtype=np.complex128)
-        x[i] = 1.0 / np.sqrt(diag[i])
-        cands.append(x)
-    return cands, [_quick_score(r, x, peel_floor) for x in cands]
+    active = np.flatnonzero(diag > tol_p)
+    inv_root = 1.0 / np.sqrt(diag[active])
+    cands = np.eye(n, dtype=np.complex128)[active] * inv_root[:, None]
+    # R e_i s is column i of R times s, the same bits as the product R @ x.
+    ys = r.T[active] * inv_root[:, None]
+    return list(cands), _quick_scores(r, ys, peel_floor)
 
 
 def _peel_step(r: np.ndarray, x0: np.ndarray, cfg: GreedyConfig, peel_floor: float):
@@ -424,17 +445,19 @@ def _greedy_run(a_arr: np.ndarray, cfg: GreedyConfig, tol_p: float,
         pivots, pivot_quick, steps = memo[key]
         cands, quick = list(pivots), list(pivot_quick)
         if rng is not None:
-            for _ in range(2):
-                z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            # One draw of (2, 2, n) normals is the stream of four draws of n.
+            g = rng.standard_normal((2, 2, n))
+            ys = []
+            for z in g[:, 0] + 1j * g[:, 1]:
                 q = float(np.vdot(z, r @ z).real)
                 if q > 1e-12 * scale:
                     cands.append(z / np.sqrt(q))
-                    quick.append(_quick_score(r, cands[-1], peel_floor))
-        order = [int(i) for i in np.argsort(quick, kind="stable")
-                 if np.isfinite(quick[int(i)])]
-        if not order:
+                    ys.append(r @ cands[-1])
+            quick += _quick_scores(r, np.array(ys).reshape(-1, n), peel_floor)
+        best = min(quick, default=np.inf)  # its first index is the pick
+        if not np.isfinite(best):
             break
-        x0 = cands[order[0]]
+        x0 = cands[quick.index(best)]
         start = x0.tobytes()
         if start not in steps:
             steps[start] = _peel_step(r, x0, cfg, peel_floor)
@@ -481,11 +504,13 @@ def greedy_decompose(a: HermitianMatrix,
             candidates.append(_greedy_run(a_arr, cfg, tol_p, rng, max_steps, memo))
         except ZeroDirectionError:
             continue
-    # Skip incomplete runs (e.g. all peel directions filtered) and families
+    # Check each distinct family once (restarts often repeat one). Skip
+    # incomplete runs (e.g. all peel directions filtered) and families
     # that meet A only within RECON_TOL yet cost less than the lower bound
     # ||A||_1,1, which no exact decomposition does.
+    distinct = {tuple(v.tobytes() for v in vecs): vecs for vecs in candidates}
     floor = norm_l11(a) * (1.0 - 1e-12)
-    complete = [vecs for vecs in candidates
+    complete = [vecs for vecs in distinct.values()
                 if verify_reconstruction(a, vecs).ok and decomposition_cost(vecs) >= floor]
     # If every run degenerated, natural order always completes.
     best = cheapest_family(complete) if complete else ldl_factor(a)

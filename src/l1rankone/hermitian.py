@@ -249,7 +249,7 @@ def reconstruct(vectors) -> HermitianMatrix:
             raise DimensionMismatchError(
                 f"vector of length {v.shape} does not match dimension {n}"
             )
-    stack = np.vstack(vecs)
+    stack = np.array(vecs)
     out = stack.T @ stack.conj()
     return HermitianMatrix((out + out.conj().T) / 2.0)
 

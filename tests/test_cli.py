@@ -195,7 +195,7 @@ class TestCertify:
 
     def test_zero_matrix_round_trip(self, files, capsys):
         # decompose writes the empty family for the zero matrix; it is an
-        # exact certificate, while reduce has no dimension to rebuild from.
+        # exact certificate, and reduce passes it through unchanged.
         zero = files["dir"] / "zero.json"
         zero.write_text(json.dumps({"n": 2, "entries": [[0, 0], [0, 0]]}))
         code, out = run(capsys, "decompose", str(zero), "--method", "ldl")
@@ -203,14 +203,17 @@ class TestCertify:
         assert json.loads(out)["vectors"] == []
         dec = files["dir"] / "zero_dec.json"
         dec.write_text(out)
-        code, out = run(capsys, "certify", str(zero), str(dec))
-        assert code == 0
-        assert json.loads(out)["pass"] is True
-        code, out = run(capsys, "certify", files["a"], str(dec))
-        assert code == 5
         code, out = run(capsys, "reduce", str(dec))
-        assert code == 2
-        assert out == ""
+        assert code == 0
+        assert json.loads(out) == {"method": "ldl", "cost": 0.0, "vectors": []}
+        reduced = files["dir"] / "zero_reduced.json"
+        reduced.write_text(out)
+        for family in (dec, reduced):
+            code, out = run(capsys, "certify", str(zero), str(family))
+            assert code == 0
+            assert json.loads(out)["pass"] is True
+            code, out = run(capsys, "certify", files["a"], str(family))
+            assert code == 5
 
     @pytest.mark.parametrize("flag", ["--recon-tol", "--hermitian-tol"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])

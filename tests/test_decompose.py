@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import l1rankone as lr
@@ -295,6 +295,229 @@ class TestGreedyMemo:
         dc.greedy_decompose(a, dc.GreedyConfig(restarts=4))
         assert seen
         assert len(seen) - len(set(seen)) == 0  # repeated (residual, start) pairs
+
+
+# Per-candidate and per-vector forms of the batched greedy and build code,
+# kept as references: the batched code must reproduce them bit for bit.
+
+_REFINE_DIRS_REFERENCE = np.array([1.0, -1.0, 1.0j, -1.0j])
+
+
+def _refine_direction_reference(r_arr, x, cfg, peel_floor):
+    n = r_arr.shape[0]
+    eps = dc.SMOOTHING_EPS
+    cols_t = np.ascontiguousarray(r_arr.T)
+    diag = np.diagonal(r_arr).real
+    y = r_arr @ x
+    q = float(np.vdot(x, y).real)
+    if q <= 1e-30:
+        raise ZeroDirectionError("refinement started from a null direction")
+    x = x / np.sqrt(q)
+    y = y / np.sqrt(q)
+    q = 1.0
+    f_cur = dc._smoothed_l1sq(y, eps)
+    h = 0.25
+    trials = 0
+    while h > 1e-6 and trials < cfg.max_iter:
+        step = h * _REFINE_DIRS_REFERENCE
+        y2 = y[None, None, :] + step[:, None, None] * cols_t[None, :, :]
+        q2 = q + 2.0 * (step[:, None] * np.conj(y)[None, :]).real \
+            + (h * h) * diag[None, :]
+        abs2 = y2.real ** 2 + y2.imag ** 2
+        mass = abs2.sum(axis=-1)
+        f2 = np.sqrt(abs2 + eps * eps).sum(axis=-1) ** 2
+        safe_q = np.where(q2 > 1e-30, q2, 1.0)
+        obj = np.where((q2 > 1e-30) & (mass >= peel_floor * safe_q),
+                       f2 / safe_q, np.inf)
+        trials += 4 * n
+        k = int(np.argmin(obj))
+        if float(obj.flat[k]) < f_cur - 1e-12 * max(1.0, f_cur):
+            d_idx, j = divmod(k, n)
+            x = x.copy()
+            x[j] += step[d_idx]
+            y = y2[d_idx, j]
+            q = float(q2[d_idx, j])
+            f_cur = float(obj.flat[k])
+        else:
+            h *= 0.5
+            y = r_arr @ x
+            q = float(np.vdot(x, y).real)
+            if q <= 1e-30:
+                break
+            f_cur = dc._smoothed_l1sq(y, eps) / q
+    q = float(np.vdot(x, r_arr @ x).real)
+    if q <= 1e-30:
+        raise ZeroDirectionError("refinement collapsed to a null direction")
+    return x / np.sqrt(q)
+
+
+def _quick_score_reference(r, x, peel_floor):
+    y = r @ x
+    if float((np.abs(y) ** 2).sum()) < peel_floor:
+        return np.inf
+    resid = r - np.outer(y, y.conj())
+    return dc.vector_l1(y) ** 2 + dc.vector_l1(resid)
+
+
+def _best_pivot_order_ldl_reference(a_arr, tol_p, node_cap):
+    best_cost = np.inf
+    best_vecs = []
+    nodes = 0
+
+    def descend(w, acc, vecs):
+        nonlocal best_cost, best_vecs, nodes
+        nodes += 1
+        diag = np.diagonal(w).real
+        active = np.flatnonzero(diag > tol_p)
+        if active.size == 0:
+            if acc < best_cost - 1e-15:
+                best_cost = acc
+                best_vecs = list(vecs)
+            return
+        if acc + dc.vector_l1(w) >= best_cost - 1e-12:
+            return
+        scored = []
+        for i in active:
+            scored.append((dc.vector_l1(w[:, i]) ** 2 / diag[i], int(i)))
+        scored.sort()
+        if nodes > node_cap:
+            scored = scored[:1]
+        for step, i in scored:
+            v = w[:, i] / np.sqrt(diag[i])
+            w2 = w - np.outer(v, v.conj())
+            w2[i, :] = 0.0
+            w2[:, i] = 0.0
+            vecs.append(v)
+            descend(w2, acc + step, vecs)
+            vecs.pop()
+
+    descend(a_arr.copy(), 0.0, [])
+    return best_cost, best_vecs
+
+
+def _decomposition_cost_reference(vectors):
+    return float(sum(dc.vector_l1(v) ** 2 for v in vectors))
+
+
+def _build_reference(target, vectors, method):
+    floor = dc.NULL_TOL * target.scale()
+    kept = [np.asarray(v, dtype=np.complex128) for v in vectors]
+    kept = [v for v in kept if dc.vector_l1(v) ** 2 > floor]
+    if not lr.verify_reconstruction(target, kept).ok:
+        raise ReconstructionError(method)
+    return kept, _decomposition_cost_reference(kept)
+
+
+# An exactly rank-1 residual: u u* is exact for these entries.
+_RANK_ONE = np.outer(np.array([1, 2j, -1, 0, 3]), np.array([1, 2j, -1, 0, 3]).conj())
+
+
+@st.composite
+def _psd_arrays(draw):
+    """Complex Wishart n 2..8 of rank 1..n."""
+    n = draw(st.integers(2, 8), label="n")
+    rank = draw(st.integers(1, n), label="rank")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    return np.asarray(random_psd(np.random.default_rng(seed), n, rank).entries)
+
+
+def _greedy_floors(r):
+    """Pivot tolerance and the peel floor _greedy_run uses on residual r."""
+    diag = np.diagonal(r).real
+    return (lr.hermitian.PIVOT_TOL * max(1.0, float(diag.max())),
+            dc.RANK_TOL * float(diag.sum()) / r.shape[0])
+
+
+def _random_directions(r, seed):
+    """Two random directions scaled to <Rx, x> = 1, as a restart draws them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(2):
+        z = rng.standard_normal(r.shape[0]) + 1j * rng.standard_normal(r.shape[0])
+        q = float(np.vdot(z, r @ z).real)
+        if q > 1e-12:
+            out.append(z / np.sqrt(q))
+    return out
+
+
+class TestBatchedParity:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(r=_psd_arrays(), max_iter=st.sampled_from([80, 200]))
+    @example(r=_RANK_ONE, max_iter=200)
+    def test_refine_direction_matches_reference(self, r, max_iter):
+        cfg = dc.GreedyConfig(max_iter=max_iter)
+        tol_p, peel_floor = _greedy_floors(r)
+        starts, _ = dc._pivot_candidates(r, tol_p, peel_floor)
+        for x in starts + _random_directions(r, r.shape[0]):
+            try:
+                want = _refine_direction_reference(r, x, cfg, peel_floor)
+            except ZeroDirectionError:
+                with pytest.raises(ZeroDirectionError):
+                    dc._refine_direction(r, x, cfg, peel_floor)
+                continue
+            got = dc._refine_direction(r, x, cfg, peel_floor)
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(r=_psd_arrays())
+    @example(r=_RANK_ONE)
+    def test_quick_scores_match_reference(self, r):
+        tol_p, peel_floor = _greedy_floors(r)
+        cands, quick = dc._pivot_candidates(r, tol_p, peel_floor)
+        n = r.shape[0]
+        for i, x in zip(np.flatnonzero(np.diagonal(r).real > tol_p), cands):
+            want = np.zeros(n, dtype=np.complex128)
+            want[i] = 1.0 / np.sqrt(np.diagonal(r).real[i])
+            assert x.tobytes() == want.tobytes()
+        assert len(cands) == len(quick)
+        assert quick == [_quick_score_reference(r, x, peel_floor) for x in cands]
+        xs = _random_directions(r, n)
+        ys = np.array([r @ x for x in xs]).reshape(-1, n)
+        assert dc._quick_scores(r, ys, peel_floor) == [
+            _quick_score_reference(r, x, peel_floor) for x in xs]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(a=_psd_arrays(), node_cap=st.sampled_from([0, 50, dc.PIVOT_SEARCH_NODES]))
+    @example(a=_RANK_ONE, node_cap=dc.PIVOT_SEARCH_NODES)
+    def test_pivot_order_search_matches_reference(self, a, node_cap):
+        tol_p, _ = _greedy_floors(a)
+        cost, vecs = dc._best_pivot_order_ldl(a, tol_p, node_cap)
+        want_cost, want_vecs = _best_pivot_order_ldl_reference(a, tol_p, node_cap)
+        assert cost == want_cost
+        assert [v.tobytes() for v in vecs] == [v.tobytes() for v in want_vecs]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(a=_psd_arrays(), seed=st.integers(0, 2**32 - 1))
+    @example(a=_RANK_ONE, seed=0)
+    def test_cost_and_build_match_reference(self, a, seed):
+        """Families of LDL, eigen and random vectors with null vectors mixed
+        in; the target is each family's own reconstruction."""
+        target = lr.ingest_matrix(a)
+        rng = np.random.default_rng(seed)
+        n = a.shape[0]
+        noise = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        families = [
+            lr.ldl_factor(target),
+            list(dc.eigen_decompose(target).vectors),
+            list(noise * 10.0 ** rng.uniform(-9, 3, size=(3, 1))),
+            [*lr.ldl_factor(target), np.zeros(n, dtype=np.complex128), 1e-9 * noise[0]],
+        ]
+        for vecs in families:
+            assert dc.decomposition_cost(vecs) == _decomposition_cost_reference(vecs)
+            own = lr.reconstruct(vecs)
+            kept, cost = _build_reference(own, vecs, "external")
+            got = dc.RankOneDecomposition.build(own, vecs, "external")
+            assert got.cost == cost
+            assert [v.tobytes() for v in got.vectors] == [v.tobytes() for v in kept]
+
+    def test_cost_squares_python_floats(self):
+        """||v||_1^2 is the Python float squared (libm pow), as per-vector
+        code computed it; with glibc, x ** 2 is one ulp above x * x here."""
+        x = 24.63541527532056
+        assert dc.decomposition_cost([np.array([x])]) == x ** 2
+        assert dc.decomposition_cost([np.array([x]), np.array([-x])]) == x ** 2 + x ** 2
+        r = np.array([[x * x]], dtype=np.complex128)  # R - yy* vanishes for y = [x]
+        assert dc._quick_scores(r, np.array([[x + 0j]]), 0.0) == [x ** 2]
 
 
 class TestCaratheodory:
