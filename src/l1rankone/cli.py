@@ -17,14 +17,7 @@ from . import decompose as dc
 from . import experiments as ex
 from . import gamma as gm
 from . import jsonio
-from .errors import (
-    BudgetExceededError,
-    EigenFailureError,
-    InsufficientDataError,
-    L1RankOneError,
-    NotDiagonallyDominantError,
-    NotPSDError,
-)
+from .errors import L1RankOneError, NotDiagonallyDominantError, NotPSDError
 from .hermitian import (
     HERMITIAN_TOL,
     RECON_TOL,
@@ -189,11 +182,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _int_from(minimum: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,51 +198,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, matrix_input=True):
-        if matrix_input:
-            p.add_argument("input", help="matrix JSON file")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--hermitian-tol", type=_positive_float, default=HERMITIAN_TOL)
-        p.add_argument("--recon-tol", type=_positive_float, default=RECON_TOL)
+    shared = {
+        "input": {"help": "matrix JSON file"},
+        "--hermitian-tol": {"type": _positive_float, "default": HERMITIAN_TOL},
+        "--recon-tol": {"type": _positive_float, "default": RECON_TOL},
+        "--out": {"default": None, "help": "output path (default stdout)"},
+    }
 
-    p = sub.add_parser("norms", help="all four matrix norms")
-    add_common(p)
-    p.set_defaults(func=cmd_norms)
+    def add(name, help_text, func, *flags):
+        """Subcommand `name` with the shared flags it reads, and --out."""
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*flags, "--out"):
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("decompose", help="rank-one decomposition by one strategy")
-    add_common(p)
+    matrix = ("input", "--hermitian-tol")
+    add("norms", "all four matrix norms", cmd_norms, *matrix)
+
+    p = add("decompose", "rank-one decomposition by one strategy", cmd_decompose,
+            *matrix, "--recon-tol")
     p.add_argument("--method", required=True,
                    choices=("ldl", "eigen", "dd", "greedy", "oracle"))
-    p.add_argument("--restarts", type=_positive_int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_decompose)
+    p.add_argument("--restarts", type=_int_from(1), default=16)
+    p.add_argument("--seed", type=_int_from(0), default=0)
 
-    p = sub.add_parser("gamma", help="functional bounds report")
-    add_common(p)
+    p = add("gamma", "functional bounds report", cmd_gamma, *matrix)
     p.add_argument("--functional", required=True, choices=("plus", "zero", "exact"))
     p.add_argument("--effort", choices=(gm.EFFORT_FAST, gm.EFFORT_THOROUGH),
                    default=gm.EFFORT_FAST)
-    p.add_argument("--restarts", type=_positive_int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gamma)
+    p.add_argument("--restarts", type=_int_from(1), default=32)
+    p.add_argument("--seed", type=_int_from(0), default=0)
 
-    p = sub.add_parser("certify", help="verify a decomposition against a matrix")
-    add_common(p)
+    p = add("certify", "verify a decomposition against a matrix", cmd_certify,
+            *matrix, "--recon-tol")
     p.add_argument("decomposition", help="decomposition JSON file")
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("reduce", help="Caratheodory-reduce a decomposition")
-    add_common(p, matrix_input=False)
+    p = add("reduce", "Caratheodory-reduce a decomposition", cmd_reduce)
     p.add_argument("decomposition", help="decomposition JSON file")
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("experiment", help="seeded Monte-Carlo ratio curves")
+    p = add("experiment", "seeded Monte-Carlo ratio curves", cmd_experiment)
     p.add_argument("--dims", required=True, help="comma-separated dimensions")
-    p.add_argument("--realizations", type=_positive_int, required=True)
+    p.add_argument("--realizations", type=_int_from(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--methods", default="ldl,eigen")
-    p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.set_defaults(func=cmd_experiment)
 
     return parser
 
@@ -269,9 +263,8 @@ def main(argv=None) -> int:
     except CertificationFailure as exc:
         print(f"error: certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFY
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            OverflowError, EigenFailureError, InsufficientDataError,
-            BudgetExceededError, L1RankOneError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError,
+            L1RankOneError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

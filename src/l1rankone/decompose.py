@@ -28,6 +28,7 @@ from .hermitian import (
     PSD_TOL,
     RECON_TOL,
     HermitianMatrix,
+    eigenvalue_cut,
     eigh,  # noqa: F401  (kept in this namespace: perfbench's tracer rebinds it here)
     is_psd,
     ldl_factor,
@@ -134,10 +135,9 @@ def eigen_decompose(a: HermitianMatrix) -> RankOneDecomposition:
     """Eigenvectors scaled by sqrt-eigenvalue, ascending order."""
     es = a.eigensystem
     lam = es.eigenvalues
-    lam_scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    if float(lam[0]) < -PSD_TOL * lam_scale:
+    if not is_psd(a):
         raise NotPSDError(f"smallest eigenvalue {lam[0]:.3e} is negative")
-    keep = lam > PSD_TOL * lam_scale
+    keep = lam > eigenvalue_cut(a)
     vectors = es.eigenvectors[:, keep] * np.sqrt(lam[keep])
     return RankOneDecomposition.build(a, vectors.T, METHOD_EIGEN)
 

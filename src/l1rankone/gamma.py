@@ -3,8 +3,10 @@
 gamma(A) is the entrywise l1 norm and is computed exactly. gamma_plus (PSD
 input) and gamma_zero are bracketed: the lower bound is always ||A||_1,1,
 the upper bound is the cheapest certificate found by the constructive
-strategies. A report is CERTIFIED when the bracket width upper - lower is
-at most the absolute CERT_TOL = 1e-6.
+strategies: for gamma_plus ldl, dd, greedy and, at thorough effort, the
+oracle (not eigen, which never set the upper bound); for gamma_zero the
+half-sum and eigen-split constructions. A report is CERTIFIED when the
+bracket width upper - lower is at most the absolute CERT_TOL = 1e-6.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ from scipy.optimize import minimize
 
 from .decompose import (
     METHOD_DD,
-    METHOD_EIGEN,
     METHOD_EXTERNAL,
     METHOD_GREEDY,
     METHOD_LDL,
     METHOD_ORACLE,
     GreedyConfig,
     RankOneDecomposition,
+    _frozen,
     cheapest_family,
     decomposition_cost,
     dd_decompose,
@@ -36,8 +38,8 @@ from .decompose import (
 )
 from .errors import BudgetExceededError, NotPSDError, ReconstructionError
 from .hermitian import (
-    PSD_TOL,
     HermitianMatrix,
+    eigenvalue_cut,
     eigh,  # noqa: F401  (kept in this namespace: perfbench's tracer rebinds it here)
     is_psd,
     ldl_factor,
@@ -76,16 +78,14 @@ class SignedDecomposition:
 
     @classmethod
     def build(cls, target: HermitianMatrix, positive, negative) -> "SignedDecomposition":
-        pos = drop_null_vectors(target, positive)
-        neg = drop_null_vectors(target, negative)
+        pos = [_frozen(v) for v in drop_null_vectors(target, positive)]
+        neg = [_frozen(v) for v in drop_null_vectors(target, negative)]
         report = verify_reconstruction(target, pos, negative=neg)
         if not report.ok:
             raise ReconstructionError(
                 f"signed decomposition misses target by {report.max_residual:.3e} "
                 f"(tol {report.tol:.3e})"
             )
-        for v in pos + neg:
-            v.flags.writeable = False
         return cls(
             target_n=target.n,
             positive=tuple(pos),
@@ -153,28 +153,27 @@ def gamma_exact_certificate(a: HermitianMatrix):
 
 def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
                       seed: int = 0, oracle_restarts: int = 32,
-                      greedy_config: GreedyConfig | None = None,
                       seed_decompositions=()) -> GammaReport:
     """Two-sided bracket for gamma_plus: lower = ||A||_1,1, upper = best of
     the constructive strategies (plus the numeric oracle at thorough effort
-    for n <= 4). seed_decompositions are externally supplied certificates
-    (vector families for this same matrix) joined into the candidate pool
-    after re-validation.
+    for n <= 4). Greedy runs 4 restarts at fast effort, 16 at thorough.
+    seed_decompositions are externally supplied certificates (vector
+    families for this same matrix) joined into the candidate pool after
+    re-validation.
 
-    Strategies run in order (ldl, eigen, dd when A is diagonally dominant,
-    greedy, oracle) and stop once the preferred certificate costs at most
+    Strategies run in order (ldl, dd when A is diagonally dominant, greedy,
+    oracle) and stop once the preferred certificate costs at most
     lower * (1 + TIE_TOL): no exact decomposition costs less than the lower
     bound, so no later strategy could replace it. The report lists the
-    strategies left out in `skipped`."""
+    strategies left out in `skipped`. Scaled eigenvectors are not a
+    candidate: they never set the upper bound on the seeded bracket streams."""
     if not is_psd(a):
         raise NotPSDError("gamma_plus is defined on PSD matrices only")
     lower = norm_l11(a)
-    if greedy_config is None:
-        restarts = 16 if effort == EFFORT_THOROUGH else 4
-        greedy_config = GreedyConfig(restarts=restarts, seed=seed)
+    greedy_config = GreedyConfig(restarts=16 if effort == EFFORT_THOROUGH else 4, seed=seed)
     seeds = [(METHOD_EXTERNAL, RankOneDecomposition.build(a, dec.vectors, METHOD_EXTERNAL))
              for dec in seed_decompositions]
-    strategies = [(METHOD_LDL, ldl_decompose), (METHOD_EIGEN, eigen_decompose)]
+    strategies = [(METHOD_LDL, ldl_decompose)]
     if is_diagonally_dominant(a)[0]:
         strategies.append((METHOD_DD, dd_decompose))
     strategies.append((METHOD_GREEDY, lambda m: greedy_decompose(m, greedy_config)))
@@ -205,14 +204,12 @@ def _half_sum_signed(a: HermitianMatrix) -> SignedDecomposition:
     return SignedDecomposition.build(a, pos, neg)
 
 
-def _eigen_split_signed(a: HermitianMatrix, effort: str, seed: int,
-                        greedy_config: GreedyConfig | None) -> SignedDecomposition:
+def _eigen_split_signed(a: HermitianMatrix, effort: str, seed: int) -> SignedDecomposition:
     """Split A into its positive and negative eigenparts and bound each side
     by gamma_plus_bounds."""
     es = a.eigensystem
     lam = es.eigenvalues
-    lam_scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    cut = PSD_TOL * lam_scale
+    cut = eigenvalue_cut(a)
     pos_idx = np.flatnonzero(lam > cut)
     neg_idx = np.flatnonzero(lam < -cut)
 
@@ -223,16 +220,14 @@ def _eigen_split_signed(a: HermitianMatrix, effort: str, seed: int,
         vals = sign * lam[idx]
         side_mat = (vecs * vals) @ vecs.conj().T
         side_mat = (side_mat + side_mat.conj().T) / 2.0
-        report = gamma_plus_bounds(HermitianMatrix(side_mat), effort, seed=seed,
-                                   greedy_config=greedy_config)
+        report = gamma_plus_bounds(HermitianMatrix(side_mat), effort, seed=seed)
         return list(report.best.vectors)
 
     return SignedDecomposition.build(a, side(pos_idx, 1.0), side(neg_idx, -1.0))
 
 
 def gamma0_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
-                  seed: int = 0,
-                  greedy_config: GreedyConfig | None = None) -> GammaReport:
+                  seed: int = 0) -> GammaReport:
     """Bracket for gamma_zero on any Hermitian matrix.
 
     Candidates: the half-sum construction (exact arithmetic, certifies
@@ -244,14 +239,14 @@ def gamma0_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
         half = split = SignedDecomposition.build(a, [], [])
     else:
         half = _half_sum_signed(a)
-        split = _eigen_split_signed(a, effort, seed, greedy_config)
+        split = _eigen_split_signed(a, effort, seed)
     return GammaReport.pick(FUNCTIONAL_GAMMA_ZERO, lower,
                             [("half_sum", half), ("eigen_split", split)])
 
 
-def omega_membership(t: HermitianMatrix, effort: str = EFFORT_FAST, *,
-                     seed: int = 0) -> str:
-    """Locate T against the body {PSD T : gamma_plus(T) <= 1}.
+def omega_membership(t: HermitianMatrix) -> str:
+    """Locate T against the body {PSD T : gamma_plus(T) <= 1}, with the fast
+    gamma_plus bracket.
 
     Outside on a certified lower bound > 1, inside on a certificate <= 1,
     undecided in the gap; membership is never guessed."""
@@ -259,7 +254,7 @@ def omega_membership(t: HermitianMatrix, effort: str = EFFORT_FAST, *,
         return OUTSIDE
     if norm_l11(t) > 1.0 + 1e-9:
         return OUTSIDE
-    report = gamma_plus_bounds(t, effort, seed=seed)
+    report = gamma_plus_bounds(t)
     if report.upper <= 1.0 + 1e-9:
         return INSIDE
     return UNDECIDED
@@ -315,13 +310,14 @@ def _restore_feasibility(a: HermitianMatrix, g: np.ndarray):
     return [np.sqrt(lam) * v for v in keep] + list(tail)
 
 
-def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32, seed: int = 0, *,
-                              maxiter: int = 150) -> RankOneDecomposition:
+def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32,
+                              seed: int = 0) -> RankOneDecomposition:
     """Multi-start penalized search for a cheap exact decomposition.
 
     Minimizes sum ||g_k||_1^2 + rho ||A - sum g g*||_Fr^2 over n^2 + 1
-    vectors (enough for the optimum), ramping rho across RHO_ROUNDS, then
-    restores exact feasibility and reduces the term count.
+    vectors (enough for the optimum), ramping rho across RHO_ROUNDS with up
+    to 150 L-BFGS-B iterations per round, then restores exact feasibility
+    and reduces the term count.
     Guarded to n <= 6.
     """
     if a.n > ORACLE_MAX_N:
@@ -361,7 +357,7 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32, seed: int 
             res = minimize(
                 _oracle_objective, theta, args=(a_arr, m, n, rho, eps),
                 jac=True, method="L-BFGS-B",
-                options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10},
+                options={"maxiter": 150, "ftol": 1e-14, "gtol": 1e-10},
             )
             theta = res.x
         g = theta[: m * n].reshape(m, n) + 1j * theta[m * n:].reshape(m, n)

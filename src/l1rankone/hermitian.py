@@ -185,12 +185,14 @@ def operator_norm(a: HermitianMatrix) -> float:
     return float(np.abs(a.eigensystem.eigenvalues).max())
 
 
-def is_psd(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> bool:
-    """True iff lambda_min >= -psd_tol * max(1, ||A||_op)."""
-    vals = a.eigensystem.eigenvalues
-    lam_min = float(vals[0])
-    lam_max_abs = float(np.abs(vals).max())
-    return lam_min >= -psd_tol * max(1.0, lam_max_abs)
+def eigenvalue_cut(a: HermitianMatrix) -> float:
+    """PSD_TOL * max(1, ||A||_op): eigenvalues within it of zero count as zero."""
+    return PSD_TOL * max(1.0, operator_norm(a))
+
+
+def is_psd(a: HermitianMatrix) -> bool:
+    """True iff lambda_min >= -eigenvalue_cut(A)."""
+    return float(a.eigensystem.eigenvalues[0]) >= -eigenvalue_cut(a)
 
 
 def ldl_factor(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> list[np.ndarray]:

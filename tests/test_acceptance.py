@@ -66,7 +66,7 @@ def test_criterion_03_2x2_exactness():
         l11 = lr.norm_l11(a)
         assert abs(dc.ldl_decompose(a).cost - l11) <= 1e-9 * max(1.0, l11)
         assert dc.greedy_decompose(a, greedy_cfg).cost >= l11 - 1e-9
-        oracle = gm.numeric_gamma_plus_oracle(a, restarts=1, seed=k, maxiter=60)
+        oracle = gm.numeric_gamma_plus_oracle(a, restarts=1, seed=k)
         assert oracle.cost >= l11 - 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -112,7 +112,7 @@ def test_criterion_06_rank_one_peel():
         x = z / np.sqrt(np.vdot(z, a.entries @ z).real)
         step, resid = dc.rank_one_peel(a, x)
         assert abs(step.quad - 1.0) <= 1e-9
-        assert lr.is_psd(resid, psd_tol=1e-9)
+        assert lr.is_psd(resid)
         assert dc.numerical_rank(resid) == n - 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -145,12 +145,11 @@ def test_criterion_07_caratheodory_reduction():
 def test_criterion_08_norm_chain():
     rng = np.random.default_rng(8)
     t0 = time.perf_counter()
-    light = dc.GreedyConfig(restarts=2, max_iter=60)
     for _ in range(500):
         a = random_hermitian(rng, int(rng.integers(2, 7)))
         tr = lr.trace_norm(a)
         l11 = lr.norm_l11(a)
-        g0_upper = gm.gamma0_bounds(a, greedy_config=light).upper
+        g0_upper = gm.gamma0_bounds(a).upper
         assert tr <= l11 + 1e-9 * max(1.0, l11)
         assert l11 <= g0_upper + 1e-9 * max(1.0, g0_upper)
         assert g0_upper <= 2.0 * l11 + 1e-9 * max(1.0, l11)

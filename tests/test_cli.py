@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from l1rankone import cli
 from l1rankone.cli import main
+from l1rankone.errors import BudgetExceededError, EigenFailureError, InsufficientDataError
 
 from test_hermitian import REMARK_4X4
 
@@ -142,8 +144,8 @@ class TestGamma:
         # keeps a gap, so every strategy runs.
         p = files["dir"] / "remark.json"
         p.write_text(json.dumps({"n": 4, "entries": REMARK_4X4.tolist()}))
-        for path, applicable, closes in ((files["a"], ["ldl", "eigen", "dd", "greedy"], True),
-                                         (str(p), ["ldl", "eigen", "greedy"], False)):
+        for path, applicable, closes in ((files["a"], ["ldl", "dd", "greedy"], True),
+                                         (str(p), ["ldl", "greedy"], False)):
             if effort == "thorough":
                 applicable = applicable + ["oracle"]
             code, out = run(capsys, "gamma", path, "--functional", "plus",
@@ -156,6 +158,53 @@ class TestGamma:
             assert bool(obj["skipped"]) == closes
         code, out = run(capsys, "gamma", files["flip"], "--functional", "zero")
         assert json.loads(out)["skipped"] == []
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["norms", "{a}", "--recon-tol", "1e-9"],
+        ["gamma", "{a}", "--functional", "plus", "--recon-tol", "1e-9"],
+        ["reduce", "{dec}", "--recon-tol", "1e-9"],
+        ["reduce", "{dec}", "--hermitian-tol", "1e-10"],
+    ])
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, files, capsys, argv):
+        dec = files["dir"] / "dec.json"
+        dec.write_text(json.dumps({"method": "external", "cost": 2.0,
+                                   "vectors": [[[1.0, 0], [0, 0]], [[0, 0], [1.0, 0]]]}))
+        argv = [arg.format(a=files["a"], dec=dec) for arg in argv]
+        assert run(capsys, *argv[:-2])[0] == 0
+        assert run(capsys, *argv) == (2, "")
+
+    @pytest.mark.parametrize("command", [["decompose", "--method", "ldl"],
+                                         ["decompose", "--method", "greedy"],
+                                         ["gamma", "--functional", "plus"]])
+    def test_negative_seed_is_rejected(self, files, capsys, command):
+        # LDL closes the 2x2 bracket at once; on the 4x4 Wishart greedy runs
+        # its restarts. Both are refused before any strategy runs.
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        wishart = files["dir"] / "wishart.json"
+        wishart.write_text(json.dumps(
+            {"n": 4, "entries": [[[z.real, z.imag] for z in row] for row in g @ g.conj().T]}))
+        for path in (files["a"], str(wishart)):
+            argv = [command[0], path, *command[1:], "--restarts", "2"]
+            assert run(capsys, *argv, "--seed", "3")[0] == 0
+            assert run(capsys, *argv, "--seed", "-3") == (2, "")
+
+    def test_experiment_accepts_a_negative_seed(self, capsys):
+        assert main(["experiment", "--dims", "2", "--realizations", "2", "--seed", "-3"]) == 0
+
+    @pytest.mark.parametrize("error", [
+        json.JSONDecodeError("bad", "{", 0), OverflowError("big"),
+        EigenFailureError("lapack"), InsufficientDataError("few"),
+        BudgetExceededError("n"), KeyError("k"), TypeError("t"),
+    ])
+    def test_input_errors_exit_2(self, files, capsys, monkeypatch, error):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_norms", fail)
+        assert run(capsys, "norms", files["a"]) == (2, "")
 
 
 class TestCertify:

@@ -148,7 +148,7 @@ class TestRankOnePeel:
             x = z / np.sqrt(np.vdot(z, a.entries @ z).real)
             step, resid = dc.rank_one_peel(a, x)
             assert abs(step.quad - 1.0) <= 1e-9
-            assert lr.is_psd(resid, psd_tol=1e-9)
+            assert lr.is_psd(resid)
             assert dc.numerical_rank(resid) == n - 1
 
 

@@ -17,7 +17,6 @@ from conftest import hermitian, random_dd, random_hermitian, random_psd
 
 from test_hermitian import REMARK_4X4
 
-LIGHT = dc.GreedyConfig(restarts=2, max_iter=80)
 FLIP = [[0, 1], [1, 0]]
 
 
@@ -51,6 +50,14 @@ class TestSignedBuild:
         else:
             with pytest.raises(ReconstructionError):
                 gm.SignedDecomposition.build(target, pos, neg)
+
+    def test_caller_arrays_stay_writeable(self):
+        pos = [np.array([2.0, 1.0], dtype=np.complex128)]
+        neg = [np.array([0.0, 1.0], dtype=np.complex128)]
+        sd = gm.SignedDecomposition.build(hermitian([[4, 2], [2, 0]]), pos, neg)
+        assert pos[0].flags.writeable and neg[0].flags.writeable
+        assert not any(v.flags.writeable for v in sd.positive + sd.negative)
+        np.testing.assert_array_equal(sd.positive[0], pos[0])
 
 
 def _bracket_input(kind: str, n: int, seed: int):
@@ -92,12 +99,13 @@ class TestGammaPlusBounds:
         already sits within TIE_TOL of the lower bound."""
         a = _bracket_input(kind, n, seed)
         lower = lr.norm_l11(a)
-        named = [("ldl", dc.ldl_decompose(a)), ("eigen", dc.eigen_decompose(a))]
+        named = [("ldl", dc.ldl_decompose(a))]
         if dc.is_diagonally_dominant(a)[0]:
             named.append(("dd", dc.dd_decompose(a)))
-        named.append(("greedy", dc.greedy_decompose(a, LIGHT)))
+        # The fast bracket's greedy: 4 restarts from seed 0.
+        named.append(("greedy", dc.greedy_decompose(a, dc.GreedyConfig(restarts=4))))
         full = gm.GammaReport.pick(gm.FUNCTIONAL_GAMMA_PLUS, lower, named)
-        report = gm.gamma_plus_bounds(a, greedy_config=LIGHT)
+        report = gm.gamma_plus_bounds(a)
         assert report.upper == full.upper
         assert report.certified == full.certified
         assert report.best.method == full.best.method
@@ -125,23 +133,34 @@ class TestGammaPlusBounds:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         report = gm.gamma_plus_bounds(a)
-        assert set(report.per_method) == {"ldl", "eigen", "greedy"}
+        assert set(report.per_method) == {"ldl", "greedy"}
         assert calls == [(5, 5)]
 
+    def test_fast_bracket_never_runs_eigen(self, rng, monkeypatch):
+        def refuse(a):
+            raise AssertionError("eigen_decompose ran")
+
+        monkeypatch.setattr(gm, "eigen_decompose", refuse)
+        monkeypatch.setattr(dc, "eigen_decompose", refuse)
+        report = gm.gamma_plus_bounds(random_psd(rng, 5))  # LDL leaves a gap here
+        assert report.skipped == ()
+        assert list(report.per_method) == ["ldl", "greedy"]
+        gm.gamma0_bounds(random_hermitian(rng, 4))  # its eigen split runs both sides
+
     def test_diagonally_dominant_certified(self):
-        report = gm.gamma_plus_bounds(hermitian([[2, 1], [1, 2]]), greedy_config=LIGHT)
+        report = gm.gamma_plus_bounds(hermitian([[2, 1], [1, 2]]))
         assert report.lower == pytest.approx(6.0, abs=1e-12)
         assert report.upper == pytest.approx(6.0, abs=1e-9)
         assert report.certified
 
     def test_2x2_always_certified(self):
-        report = gm.gamma_plus_bounds(hermitian([[1, 2], [2, 5]]), greedy_config=LIGHT)
+        report = gm.gamma_plus_bounds(hermitian([[1, 2], [2, 5]]))
         assert report.lower == pytest.approx(10.0, abs=1e-12)
         assert report.upper == pytest.approx(10.0, abs=1e-9)
         assert report.certified
 
     def test_remark_matrix_not_certified(self):
-        report = gm.gamma_plus_bounds(hermitian(REMARK_4X4), greedy_config=LIGHT)
+        report = gm.gamma_plus_bounds(hermitian(REMARK_4X4))
         assert report.lower == 1.0
         assert report.upper > 1.0
         assert not report.certified
@@ -154,7 +173,7 @@ class TestGammaPlusBounds:
     def test_report_invariants(self, rng):
         for _ in range(20):
             a = random_psd(rng, int(rng.integers(2, 6)))
-            report = gm.gamma_plus_bounds(a, greedy_config=LIGHT)
+            report = gm.gamma_plus_bounds(a)
             assert report.lower <= report.upper + 1e-9
             assert report.lower >= lr.norm_l11(a) - 1e-12
             assert report.upper == pytest.approx(report.best.cost, abs=1e-12)
@@ -174,7 +193,7 @@ class TestGamma0Bounds:
 
     def test_psd_input_bounded_by_gamma_plus(self):
         a = hermitian([[2, 1], [1, 2]])
-        report = gm.gamma0_bounds(a, greedy_config=LIGHT)
+        report = gm.gamma0_bounds(a)
         assert report.upper <= 6.0 + 1e-9
         assert len(report.best.negative) == 0
 
@@ -186,7 +205,7 @@ class TestGamma0Bounds:
     def test_upper_at_most_twice_gamma(self, rng):
         for _ in range(30):
             a = random_hermitian(rng, int(rng.integers(2, 6)))
-            report = gm.gamma0_bounds(a, greedy_config=LIGHT)
+            report = gm.gamma0_bounds(a)
             assert report.upper <= 2.0 * gm.gamma_exact(a) + 1e-9
 
     def test_lipschitz_two_tightness(self):
@@ -351,13 +370,12 @@ class TestFunctionalProperties:
         for _ in range(15):
             n = int(rng.integers(2, 6))
             a, b = random_psd(rng, n), random_psd(rng, n)
-            ra = gm.gamma_plus_bounds(a, greedy_config=LIGHT)
-            rb = gm.gamma_plus_bounds(b, greedy_config=LIGHT)
+            ra = gm.gamma_plus_bounds(a)
+            rb = gm.gamma_plus_bounds(b)
             ab = lr.ingest_matrix(a.entries + b.entries)
             union = dc.RankOneDecomposition.build(
                 ab, list(ra.best.vectors) + list(rb.best.vectors), "external")
-            rab = gm.gamma_plus_bounds(ab, greedy_config=LIGHT,
-                                       seed_decompositions=[union])
+            rab = gm.gamma_plus_bounds(ab, seed_decompositions=[union])
             assert rab.upper <= ra.upper + rb.upper + 1e-6
 
     def test_positive_homogeneity_closed_forms(self, rng):
@@ -404,8 +422,8 @@ class TestFunctionalProperties:
                 return lr.ingest_matrix((m + m.conj().T) / 2.0)
 
             t1, t2 = draw(), draw()
-            u1 = gm.gamma_plus_bounds(t1, greedy_config=LIGHT).upper
-            u2 = gm.gamma_plus_bounds(t2, greedy_config=LIGHT).upper
+            u1 = gm.gamma_plus_bounds(t1).upper
+            u2 = gm.gamma_plus_bounds(t2).upper
             dist = lr.operator_norm(lr.ingest_matrix(t1.entries - t2.entries))
             excess = abs(u1 - u2) - (bound_const * dist + 2e-3)
             worst = max(worst, excess)
