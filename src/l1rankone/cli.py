@@ -94,7 +94,8 @@ def cmd_gamma(args) -> int:
         report = gm.gamma_plus_bounds(
             a, args.effort, seed=args.seed, oracle_restarts=args.restarts)
     elif args.functional == "zero":
-        report = gm.gamma0_bounds(a, args.effort, seed=args.seed)
+        report = gm.gamma0_bounds(
+            a, args.effort, seed=args.seed, oracle_restarts=args.restarts)
     else:
         value = gm.gamma_exact(a)
         report = gm.GammaReport(gm.FUNCTIONAL_GAMMA, value, value, None,

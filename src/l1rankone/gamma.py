@@ -7,6 +7,10 @@ strategies: for gamma_plus ldl, dd, greedy and, at thorough effort, the
 oracle (not eigen, which never set the upper bound); for gamma_zero the
 half-sum and eigen-split constructions. A report is CERTIFIED when the
 bracket width upper - lower is at most the absolute CERT_TOL = 1e-6.
+
+The oracle is a penalized L-BFGS-B search over k^2 + 1 vectors in range(A),
+k the numerical rank, run in real arithmetic on stacked coordinates
+[Re c | Im c]; its results are restored to exact feasibility.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .decompose import (
     greedy_decompose,
     is_diagonally_dominant,
     ldl_decompose,
+    numerical_rank,
     reduce_decomposition,
     vector_l1,
 )
@@ -204,7 +209,8 @@ def _half_sum_signed(a: HermitianMatrix) -> SignedDecomposition:
     return SignedDecomposition.build(a, pos, neg)
 
 
-def _eigen_split_signed(a: HermitianMatrix, effort: str, seed: int) -> SignedDecomposition:
+def _eigen_split_signed(a: HermitianMatrix, effort: str, seed: int,
+                        oracle_restarts: int) -> SignedDecomposition:
     """Split A into its positive and negative eigenparts and bound each side
     by gamma_plus_bounds."""
     es = a.eigensystem
@@ -220,26 +226,29 @@ def _eigen_split_signed(a: HermitianMatrix, effort: str, seed: int) -> SignedDec
         vals = sign * lam[idx]
         side_mat = (vecs * vals) @ vecs.conj().T
         side_mat = (side_mat + side_mat.conj().T) / 2.0
-        report = gamma_plus_bounds(HermitianMatrix(side_mat), effort, seed=seed)
+        report = gamma_plus_bounds(HermitianMatrix(side_mat), effort, seed=seed,
+                                   oracle_restarts=oracle_restarts)
         return list(report.best.vectors)
 
     return SignedDecomposition.build(a, side(pos_idx, 1.0), side(neg_idx, -1.0))
 
 
 def gamma0_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
-                  seed: int = 0) -> GammaReport:
+                  seed: int = 0, oracle_restarts: int = 32) -> GammaReport:
     """Bracket for gamma_zero on any Hermitian matrix.
 
     Candidates: the half-sum construction (exact arithmetic, certifies
-    gamma_zero <= 2 gamma) and the eigen split. Ties within TIE_TOL keep the
-    half-sum certificate, whose cost avoids the eigensolver entirely.
+    gamma_zero <= 2 gamma) and the eigen split, whose sides are bracketed by
+    gamma_plus_bounds with the same effort, seed and oracle_restarts. Ties
+    within TIE_TOL keep the half-sum certificate, whose cost avoids the
+    eigensolver entirely.
     """
     lower = norm_l11(a)
     if a.n and not np.any(a.entries != 0.0):
         half = split = SignedDecomposition.build(a, [], [])
     else:
         half = _half_sum_signed(a)
-        split = _eigen_split_signed(a, effort, seed)
+        split = _eigen_split_signed(a, effort, seed, oracle_restarts)
     return GammaReport.pick(FUNCTIONAL_GAMMA_ZERO, lower,
                             [("half_sum", half), ("eigen_split", split)])
 
@@ -265,18 +274,38 @@ def omega_membership(t: HermitianMatrix) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_objective(theta: np.ndarray, a_arr: np.ndarray, m: int, n: int,
+def _real_form(x: np.ndarray) -> np.ndarray:
+    """[[Re x, -Im x], [Im x, Re x]]: complex x acting on stacked [Re; Im]
+    columns, or, transposed, the conjugate of x acting on [Re | Im] rows."""
+    return np.block([[x.real, -x.imag], [x.imag, x.real]])
+
+
+def _oracle_objective(theta: np.ndarray, a_block: np.ndarray, basis, m: int,
                       rho: float, eps: float):
-    g = theta[: m * n].reshape(m, n) + 1j * theta[m * n:].reshape(m, n)
-    s = g.T @ g.conj()
-    r = a_arr - s
-    smooth = np.sqrt(g.real ** 2 + g.imag ** 2 + eps * eps)
+    """Penalized cost sum ||g_k||_1^2 + rho ||A - sum g g*||_Fr^2 of m vectors,
+    with its gradient, in real arithmetic.
+
+    theta holds m rows [Re c | Im c] of coordinates in range(A); g = c B^T,
+    applied as the real (2k, 2n) map `basis`, or g = c when basis is None
+    (full rank). a_block is A in the real form [[Re A, -Im A], [Im A, Re A]].
+    In that form sum g g* is G^T G + H^T H for G = [Re g | Im g] and
+    H = [-Im g | Re g], and the squared Frobenius norm is twice the complex
+    one."""
+    c = theta.reshape(m, -1)
+    g = c if basis is None else c @ basis
+    n = a_block.shape[0] // 2
+    stacked = np.empty((2 * m, 2 * n))  # [G; H]
+    stacked[:m] = g
+    stacked[m:, :n] = -g[:, n:]
+    stacked[m:, n:] = g[:, :n]
+    r = a_block - stacked.T @ stacked
+    parts = g.reshape(m, 2, n)
+    smooth = np.sqrt((parts * parts).sum(axis=1) + eps * eps)
     l1 = smooth.sum(axis=1)
-    f = float((l1 ** 2).sum() + rho * (np.abs(r) ** 2).sum())
-    w = g @ np.conj(r)
-    grad_re = 2.0 * l1[:, None] * (g.real / smooth) - 4.0 * rho * w.real
-    grad_im = 2.0 * l1[:, None] * (g.imag / smooth) - 4.0 * rho * w.imag
-    return f, np.concatenate([grad_re.ravel(), grad_im.ravel()])
+    f = float(l1 @ l1 + 0.5 * rho * np.vdot(r, r))
+    grad = (2.0 * l1[:, None, None] * parts / smooth[:, None, :]).reshape(m, 2 * n)
+    grad -= 4.0 * rho * (g @ r)
+    return f, (grad if basis is None else grad @ basis.T).ravel()
 
 
 def _restore_feasibility(a: HermitianMatrix, g: np.ndarray):
@@ -314,10 +343,12 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32,
                               seed: int = 0) -> RankOneDecomposition:
     """Multi-start penalized search for a cheap exact decomposition.
 
-    Minimizes sum ||g_k||_1^2 + rho ||A - sum g g*||_Fr^2 over n^2 + 1
-    vectors (enough for the optimum), ramping rho across RHO_ROUNDS with up
-    to 150 L-BFGS-B iterations per round, then restores exact feasibility
-    and reduces the term count.
+    Minimizes sum ||g_k||_1^2 + rho ||A - sum g g*||_Fr^2 over k^2 + 1
+    vectors g = B c (enough for the optimum), with B the k eigenvectors
+    above the numerical_rank cut, so the search stays in range(A) (B = I at
+    full rank, k = n). The search runs on real stacked coordinates [Re c | Im c],
+    ramping rho across RHO_ROUNDS with up to 150 L-BFGS-B iterations per
+    round, then restores exact feasibility and reduces the term count.
     Guarded to n <= 6.
     """
     if a.n > ORACLE_MAX_N:
@@ -325,43 +356,46 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32,
     if not is_psd(a):
         raise NotPSDError("oracle requires a PSD matrix")
     n = a.n
-    m = n * n + 1
     a_arr = np.asarray(a.entries)
-    tr = float(np.diagonal(a_arr).real.sum())
-    sigma = np.sqrt(max(tr, 1e-12) / (m * n))
-    eps = 1e-8
-
-    warm = []
     greedy_seed = greedy_decompose(
         a, GreedyConfig(restarts=2, max_iter=80, seed=seed)).vectors
-    for vecs in (greedy_seed, ldl_factor(a), eigen_decompose(a).vectors):
-        pad = np.zeros((m, n), dtype=np.complex128)
-        for k, v in enumerate(vecs[:m]):
-            pad[k] = v
-        warm.append(pad)
+    warm = [np.array(vecs)
+            for vecs in (greedy_seed, ldl_factor(a), eigen_decompose(a).vectors)]
 
     # Restored starts join the pool, so the result is never worse than one.
     # When one already sits on the lower bound ||A||_1,1 the search cannot
     # improve it, and the restarts are skipped.
     restored = [_restore_feasibility(a, g0) for g0 in warm]
     closed = min(map(decomposition_cost, restored)) <= norm_l11(a) * (1.0 + TIE_TOL)
+    if not closed:
+        k = numerical_rank(a)
+        m = k * k + 1
+        range_basis = a.eigensystem.eigenvectors[:, n - k:]
+        basis = None if k == n else _real_form(range_basis.conj().T)
+        a_block = _real_form(a_arr)
+        tr = float(np.diagonal(a_arr).real.sum())
+        sigma = np.sqrt(max(tr, 1e-12) / (m * k))
     for r in range(0 if closed else max(restarts, 1)):
         rng = np.random.default_rng(seed + r)
-        noise = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        noise = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
         if r < len(warm):
-            g0 = warm[r] + 1e-3 * sigma * noise
+            start = warm[r][:m] if basis is None else warm[r][:m] @ range_basis.conj()
+            c0 = 1e-3 * sigma * noise
+            c0[:len(start)] += start
         else:
-            g0 = sigma * noise
-        theta = np.concatenate([g0.real.ravel(), g0.imag.ravel()])
+            c0 = sigma * noise
+        theta = np.concatenate([c0.real, c0.imag], axis=1).ravel()
         for rho in RHO_ROUNDS:
             res = minimize(
-                _oracle_objective, theta, args=(a_arr, m, n, rho, eps),
+                _oracle_objective, theta, args=(a_block, basis, m, rho, 1e-8),
                 jac=True, method="L-BFGS-B",
                 options={"maxiter": 150, "ftol": 1e-14, "gtol": 1e-10},
             )
             theta = res.x
-        g = theta[: m * n].reshape(m, n) + 1j * theta[m * n:].reshape(m, n)
-        restored.append(_restore_feasibility(a, g))
+        g = theta.reshape(m, 2 * k)
+        if basis is not None:
+            g = g @ basis
+        restored.append(_restore_feasibility(a, g[:, :n] + 1j * g[:, n:]))
     dec = RankOneDecomposition.build(a, cheapest_family(restored), METHOD_ORACLE)
     return reduce_decomposition(dec, a)
 

@@ -101,6 +101,26 @@ class TestGamma:
         assert obj["functional"] == "gamma_zero"
         assert set(obj["decomposition"]) == {"cost", "positive", "negative"}
 
+    def test_zero_forwards_restarts_to_the_oracle(self, files, capsys, monkeypatch):
+        # The positive eigenpart of this indefinite 4x4 is the remark matrix,
+        # whose gap thorough effort hands to the oracle.
+        received = []
+        oracle = cli.gm.numeric_gamma_plus_oracle
+
+        def record(a, restarts, seed):
+            received.append(restarts)
+            return oracle(a, restarts=restarts, seed=seed)
+
+        monkeypatch.setattr(cli.gm, "numeric_gamma_plus_oracle", record)
+        null = np.array([1.0, -1.0, -1.0, 0.0])  # REMARK_4X4 @ null == 0
+        p = files["dir"] / "indefinite.json"
+        entries = REMARK_4X4 - np.outer(null, null) / 14.0
+        p.write_text(json.dumps({"n": 4, "entries": entries.tolist()}))
+        code, _ = run(capsys, "gamma", str(p), "--functional", "zero",
+                      "--effort", "thorough", "--restarts", "1")
+        assert code == 0
+        assert received and set(received) == {1}
+
     def test_plus_certified(self, files, capsys):
         code, out = run(capsys, "gamma", files["a"], "--functional", "plus")
         assert code == 0

@@ -261,6 +261,83 @@ class TestOracle:
             assert lr.verify_reconstruction(a, dec.vectors).ok
 
 
+def _complex_objective(theta, a_arr, m, n, rho, eps):
+    """Reference: the penalized objective on full complex coordinates, theta =
+    [Re g | Im g] each flattened, with its gradient."""
+    g = theta[: m * n].reshape(m, n) + 1j * theta[m * n:].reshape(m, n)
+    s = g.T @ g.conj()
+    r = a_arr - s
+    smooth = np.sqrt(g.real ** 2 + g.imag ** 2 + eps * eps)
+    l1 = smooth.sum(axis=1)
+    f = float((l1 ** 2).sum() + rho * (np.abs(r) ** 2).sum())
+    w = g @ np.conj(r)
+    grad_re = 2.0 * l1[:, None] * (g.real / smooth) - 4.0 * rho * w.real
+    grad_im = 2.0 * l1[:, None] * (g.imag / smooth) - 4.0 * rho * w.imag
+    return f, np.concatenate([grad_re.ravel(), grad_im.ravel()])
+
+
+def _search_space(a):
+    """The oracle's search setup: (a_block, basis, m, B) with B the range
+    eigenvectors, basis None at full rank."""
+    k = dc.numerical_rank(a)
+    vecs = a.eigensystem.eigenvectors[:, a.n - k:]
+    basis = None if k == a.n else gm._real_form(vecs.conj().T)
+    return gm._real_form(np.asarray(a.entries)), basis, k * k + 1, vecs
+
+
+RANKS = [(3, 3), (4, 4), (3, 2), (4, 3), (4, 1)]
+
+
+class TestOracleObjective:
+    @pytest.mark.parametrize("n, rank", RANKS)
+    def test_value_matches_complex_formula(self, rng, n, rank):
+        a = random_psd(rng, n, rank)
+        a_block, basis, m, vecs = _search_space(a)
+        k = vecs.shape[1]
+        for rho in gm.RHO_ROUNDS:
+            c = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+            g = c if basis is None else c @ vecs.T
+            f, _ = gm._oracle_objective(np.concatenate([c.real, c.imag], axis=1).ravel(),
+                                        a_block, basis, m, rho, 1e-8)
+            ref, _ = _complex_objective(np.concatenate([g.real.ravel(), g.imag.ravel()]),
+                                        np.asarray(a.entries), m, n, rho, 1e-8)
+            assert f == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, rank", RANKS)
+    def test_gradient_matches_central_differences(self, rng, n, rank):
+        a = random_psd(rng, n, rank)
+        a_block, basis, m, vecs = _search_space(a)
+        theta = rng.standard_normal(2 * m * vecs.shape[1])
+        _, grad = gm._oracle_objective(theta, a_block, basis, m, 1e2, 1e-8)
+        step = 1e-6
+        diffs = np.empty_like(theta)
+        for i in range(theta.size):
+            e = np.zeros_like(theta)
+            e[i] = step
+            up = gm._oracle_objective(theta + e, a_block, basis, m, 1e2, 1e-8)[0]
+            down = gm._oracle_objective(theta - e, a_block, basis, m, 1e2, 1e-8)[0]
+            diffs[i] = (up - down) / (2.0 * step)
+        np.testing.assert_allclose(grad, diffs, rtol=0.0, atol=1e-6 * np.abs(grad).max())
+
+    def test_beats_its_greedy_warm_start_on_rank_deficient_input(self):
+        # A planted rank-3 4x4 on which the search in range(A) finds a
+        # cheaper family than every warm start.
+        a = random_psd(np.random.default_rng(2), 4, 3)
+        greedy = dc.greedy_decompose(a, dc.GreedyConfig(restarts=2, max_iter=80, seed=0))
+        dec = gm.numeric_gamma_plus_oracle(a, restarts=1, seed=0)
+        assert dec.cost < greedy.cost * (1.0 - 1e-3)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.sampled_from([3, 4]), seed=st.integers(0, 2**32 - 1))
+    def test_rank_deficient_result_is_valid(self, data, n, seed):
+        rank = data.draw(st.integers(1, n - 1), label="rank")
+        a = random_psd(np.random.default_rng(seed), n, rank)
+        dec = gm.numeric_gamma_plus_oracle(a, restarts=1, seed=0)
+        assert lr.verify_reconstruction(a, dec.vectors).ok
+        assert dec.cost >= lr.norm_l11(a) * (1.0 - 1e-12)
+        assert dec.cost <= dc.ldl_decompose(a).cost
+
+
 def _bisection_restore(a, g):
     """Reference restore: bisect 60 times for the largest lambda in [0, 1]
     with lambda_min(A - lambda S) >= -1e-13 max(1, ||A - lambda S||_op),

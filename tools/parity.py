@@ -6,6 +6,7 @@ Run from the repository root:
     python3 tools/parity.py                       # this checkout
     python3 tools/parity.py --repo OTHER_CHECKOUT # another commit's library
     python3 tools/parity.py --drop-method eigen   # forget one strategy's entries
+    python3 tools/parity.py --compare OTHER_CHECKOUT  # per-kind upper moves
 
 Two checkouts give equal lines exactly when their outputs are equal. Inputs
 always come from this checkout's perfbench/workloads.py (read, never edited);
@@ -20,6 +21,12 @@ the library comes from --repo's src/. Lines:
 
 --drop-method NAME removes NAME from per_method and skipped before hashing,
 so an output that differs only by a retired strategy hashes the same.
+
+--compare OTHER_CHECKOUT runs the bracket and thorough ops above on both
+libraries (--repo's and OTHER's) and prints, per input kind, how many uppers
+are better (lower), worse or equal than OTHER's, the largest relative move,
+the certified flags that flipped and the winning strategies that changed, then
+each stream's mean upper / lower - 1.
 """
 
 from __future__ import annotations
@@ -92,19 +99,76 @@ def experiment_csv(cli, args, workdir: str) -> bytes:
         return fh.read()
 
 
+def load(src: Path):
+    """perfbench's workloads module and the CLI, imported against src's library."""
+    for name in [k for k in sys.modules
+                 if k in ("l1rankone", "workloads") or k.startswith("l1rankone.")]:
+        del sys.modules[name]
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    try:
+        import workloads as wl
+        from l1rankone import cli
+    finally:
+        del sys.path[:2]
+    return wl, cli
+
+
+def outcomes(wl, workdir: str) -> dict:
+    """(stream, seed, index) -> (kind, checked Outcome) of every bracket and
+    thorough op."""
+    out = {}
+    for stream, seeds, ops in (("bracket", BRACKET_SEEDS, BRACKET_OPS),
+                               ("thorough", THOROUGH_SEEDS, THOROUGH_OPS)):
+        for seed in seeds:
+            for index in range(ops):
+                inp = wl.make_input(stream, seed, index)
+                if stream == "thorough":
+                    inp = wl.write_matrix(inp, workdir)
+                out[stream, seed, index] = (inp.kind, wl.check(stream, inp, wl.call(stream, inp)))
+    return out
+
+
+def compare(this: dict, other: dict) -> None:
+    """Print per-kind upper moves of `this` against `other`."""
+    rows, excess = {}, {}
+    for key, (kind, new) in this.items():
+        old = other[key][1]
+        if not (new.ok and old.ok):
+            raise SystemExit(f"error: {key} failed: {new.reason or old.reason}")
+        move = (1.0 + new.excess) / (1.0 + old.excess) - 1.0
+        row = rows.setdefault((key[0], kind), [0, 0, 0, 0.0, 0, 0])
+        row[0 if move < 0.0 else 1 if move > 0.0 else 2] += 1
+        row[3] = max(row[3], move, key=abs)
+        row[4] += new.certified != old.certified
+        row[5] += new.winner != old.winner
+        excess.setdefault(key[0], []).append((old.excess, new.excess))
+    for (stream, kind), (better, worse, equal, largest, flips, winners) in rows.items():
+        print(f"{stream:9} {kind:13} better {better:3} worse {worse:3} equal {equal:3} "
+              f"largest move {largest:+.3%} certified flips {flips} winner changes {winners}")
+    for stream, pairs in excess.items():
+        old, new = (sum(p[i] for p in pairs) / len(pairs) for i in (0, 1))
+        print(f"{stream:9} mean upper/lower - 1 over {len(pairs)} ops: {old:.5f} -> {new:.5f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo", default=str(ROOT),
                         help="checkout whose src/ supplies the library")
     parser.add_argument("--drop-method", default=None,
                         help="strategy name left out of per_method and skipped")
+    parser.add_argument("--compare", default=None, metavar="OTHER_CHECKOUT",
+                        help="print per-kind upper moves against OTHER_CHECKOUT's library")
     args = parser.parse_args(argv)
-    src = Path(args.repo).resolve() / "src"
-    if not (src / "l1rankone" / "__init__.py").is_file():
-        raise SystemExit(f"error: no l1rankone sources under {src}")
-    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
-    import workloads as wl
-    from l1rankone import cli
+    srcs = [Path(repo).resolve() / "src" for repo in (args.repo, args.compare) if repo]
+    for src in srcs:
+        if not (src / "l1rankone" / "__init__.py").is_file():
+            raise SystemExit(f"error: no l1rankone sources under {src}")
+    if args.compare:
+        with tempfile.TemporaryDirectory() as workdir:
+            this, other = (outcomes(load(src)[0], workdir) for src in srcs)
+            compare(this, other)
+        return 0
+    wl, cli = load(srcs[0])
 
     drop = args.drop_method
     for seed in BRACKET_SEEDS:
