@@ -6,19 +6,22 @@ the upper bound is the cheapest certificate found by the constructive
 strategies: for gamma_plus ldl, dd, greedy and, at thorough effort, the
 oracle (not eigen, which never set the upper bound); for gamma_zero the
 half-sum and eigen-split constructions. A report is CERTIFIED when the
-bracket width upper - lower is at most the absolute CERT_TOL = 1e-6.
+bracket width upper - lower is at most CERT_TOL * min(1, lower), with
+CERT_TOL = 1e-6: absolute at and above lower = 1, relative below it.
 
-The oracle is a penalized L-BFGS-B search over k^2 + 1 vectors in range(A),
-k the numerical rank, run in real arithmetic on stacked coordinates
-[Re c | Im c]; its results are restored to exact feasibility.
+The oracle is a penalized search over k^2 + 1 vectors in range(A), k the
+numerical rank, from many starts at once: minimize, a batched L-BFGS in
+NumPy, runs every start as one row of an (R, d) array of real coordinates,
+and _oracle_objective evaluates all rows with stacked matrix products. Its
+results are restored to exact feasibility.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .decompose import (
     METHOD_DD,
@@ -55,10 +58,14 @@ from .hermitian import (
     verify_reconstruction,
 )
 
-CERT_TOL = 1e-6            # absolute bracket width for CERTIFIED-OPTIMAL
+CERT_TOL = 1e-6            # bracket width for CERTIFIED-OPTIMAL, relative below lower = 1
 TIE_TOL = 1e-12            # relative; bound candidates closer than this tie
 ORACLE_MAX_N = 6
 RHO_ROUNDS = (1e2, 10 ** (10 / 3), 10 ** (14 / 3), 1e6)  # oracle penalty ramp
+LBFGS_MEMORY = 10          # (s, y) pairs per L-BFGS row
+WOLFE_C1, WOLFE_C2 = 1e-3, 0.9  # sufficient decrease and curvature, as in L-BFGS-B
+LINE_SEARCH_EVALS = 20     # trials per line search
+EPS = float(np.finfo(float).eps)
 
 FUNCTIONAL_GAMMA_PLUS = "gamma_plus"
 FUNCTIONAL_GAMMA = "gamma"
@@ -125,7 +132,9 @@ class GammaReport:
              skipped: tuple = ()) -> "GammaReport":
         """Bracket over (name, certificate) candidates in order of preference.
 
-        Certified when the upper bound is within CERT_TOL of the lower. A
+        Certified when upper - lower <= CERT_TOL * min(1, lower): within
+        CERT_TOL of the lower bound, and within CERT_TOL relative to it when
+        lower < 1, so a scaled-down gap is not certified. A
         certificate cheaper than the proven lower bound (beyond 1e-12
         relative) is a numerical failure and raises ReconstructionError."""
         best = _cheapest(named)
@@ -135,7 +144,7 @@ class GammaReport:
             )
         return cls(functional, lower, best.cost, best,
                    {name: cand.cost for name, cand in named},
-                   (best.cost - lower) <= CERT_TOL, tuple(skipped))
+                   best.cost - lower <= CERT_TOL * min(1.0, lower), tuple(skipped))
 
 
 def gamma_exact(a: HermitianMatrix) -> float:
@@ -274,38 +283,296 @@ def omega_membership(t: HermitianMatrix) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _real_form(x: np.ndarray) -> np.ndarray:
-    """[[Re x, -Im x], [Im x, Re x]]: complex x acting on stacked [Re; Im]
-    columns, or, transposed, the conjugate of x acting on [Re | Im] rows."""
-    return np.block([[x.real, -x.imag], [x.imag, x.real]])
+def _real_map(b: np.ndarray) -> np.ndarray:
+    """The real (2k, 2n) matrix of c -> c b, for complex (k, n) b, acting on
+    rows of interleaved (Re, Im) pairs."""
+    k, n = b.shape
+    out = np.empty((k, 2, n, 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = b.real
+    out[:, 0, :, 1] = b.imag
+    out[:, 1, :, 0] = -b.imag
+    return out.reshape(2 * k, 2 * n)
 
 
-def _oracle_objective(theta: np.ndarray, a_block: np.ndarray, basis, m: int,
+def _oracle_objective(theta: np.ndarray, a: np.ndarray, basis, m: int,
                       rho: float, eps: float):
     """Penalized cost sum ||g_k||_1^2 + rho ||A - sum g g*||_Fr^2 of m vectors,
-    with its gradient, in real arithmetic.
+    with its gradient, for every start at once.
 
-    theta holds m rows [Re c | Im c] of coordinates in range(A); g = c B^T,
-    applied as the real (2k, 2n) map `basis`, or g = c when basis is None
-    (full rank). a_block is A in the real form [[Re A, -Im A], [Im A, Re A]].
-    In that form sum g g* is G^T G + H^T H for G = [Re g | Im g] and
-    H = [-Im g | Re g], and the squared Frobenius norm is twice the complex
-    one."""
-    c = theta.reshape(m, -1)
-    g = c if basis is None else c @ basis
-    n = a_block.shape[0] // 2
-    stacked = np.empty((2 * m, 2 * n))  # [G; H]
-    stacked[:m] = g
-    stacked[m:, :n] = -g[:, n:]
-    stacked[m:, n:] = g[:, :n]
-    r = a_block - stacked.T @ stacked
-    parts = g.reshape(m, 2, n)
-    smooth = np.sqrt((parts * parts).sum(axis=1) + eps * eps)
-    l1 = smooth.sum(axis=1)
-    f = float(l1 @ l1 + 0.5 * rho * np.vdot(r, r))
-    grad = (2.0 * l1[:, None, None] * parts / smooth[:, None, :]).reshape(m, 2 * n)
-    grad -= 4.0 * rho * (g @ r)
-    return f, (grad if basis is None else grad @ basis.T).ravel()
+    Row j of theta (shape (R, 2mk)) is start j: the m x k coordinates c of
+    its vectors in range(A), stored as interleaved (Re, Im) pairs, so that
+    the row viewed as complex is c. The vectors are g = c B^T, with basis =
+    _real_map(B^T) the same map on the pairs, or g = c when basis is None
+    (full rank); |g| is smoothed to sqrt(|g|^2 + eps^2). The gradient row
+    holds the derivatives in the same pairs: with respect to g it is
+    2 l1_k g / |g| - 4 rho g conj(A - sum g g*), mapped back by basis^T.
+    Returns the values (R,) and gradients (R, 2mk)."""
+    starts = len(theta)
+    g = theta.reshape(starts * m, -1)
+    if basis is not None:
+        g = g @ basis
+    g = g.reshape(starts, m, -1).view(np.complex128)
+    r = a - np.matmul(g.transpose(0, 2, 1), g.conj())
+    smooth = np.hypot(np.abs(g), eps)
+    l1 = smooth.sum(axis=2)
+    flat = r.reshape(starts, -1).view(np.float64)
+    f = _rowdot(l1, l1) + rho * _rowdot(flat, flat)
+    grad = g @ r.transpose(0, 2, 1)  # conj(r) = r^T: r is Hermitian
+    grad *= -4.0 * rho
+    grad += g * ((2.0 * l1)[:, :, None] / smooth)
+    grad = grad.reshape(starts * m, -1).view(np.float64)
+    if basis is not None:
+        grad = grad @ basis.T
+    return f, grad.reshape(starts, -1)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b."""
+    return (a[:, None, :] @ b[:, :, None]).reshape(len(a))
+
+
+def _cubic_step(a, fa, sa, b, fb, sb):
+    """Minimizer of the cubic through (a, fa, slope sa) and (b, fb, slope sb),
+    kept in the middle 80 % of the interval; its midpoint when the cubic has
+    no finite minimizer."""
+    t = 0.5 * (a + b)
+    if math.isfinite(fb) and math.isfinite(sb):
+        d1 = sa + sb - 3.0 * (fa - fb) / (a - b)
+        disc = d1 * d1 - sa * sb
+        if disc >= 0.0:
+            d2 = math.copysign(math.sqrt(disc), b - a)
+            den = sb - sa + 2.0 * d2
+            if den != 0.0:
+                t = b - (b - a) * (sb + d2 - d1) / den
+    if not math.isfinite(t):
+        t = 0.5 * (a + b)
+    margin = 0.1 * abs(b - a)
+    return min(max(t, min(a, b) + margin), max(a, b) - margin)
+
+
+def _line_search(fun, args, x, f0, g, d, slope, steps):
+    """Strong-Wolfe line search from each row of x along the same row of d.
+
+    slope[j] is g_j . d_j and steps[j] the first trial step of row j. The
+    first trials of all rows are one evaluation of fun; most rows stop
+    there. Each other row keeps its own bracket in Python floats: lo, the
+    best step so far with sufficient decrease (0 at first), and hi, a step
+    known to lie past a minimizer; its later trials are evaluated together
+    with those of the other rows still searching. A trial value that is not
+    finite fails the sufficient-decrease test. A row ends at a trial that
+    meets both Wolfe conditions, and at lo when its bracket is within 10 %
+    of its far end, after LINE_SEARCH_EVALS trials, or at once when d is
+    not a descent direction. Returns the new points, values and gradients,
+    and the step each row took (0.0 when it stayed)."""
+    xt = x + d if steps.count(1.0) == len(steps) else x + np.array(steps)[:, None] * d
+    ft, gt = fun(xt, *args)
+    f_new, st = ft.tolist(), _rowdot(gt, d).tolist()
+    taken = list(steps)
+    search = [j for j in range(len(f0)) if not (
+        f_new[j] <= f0[j] + WOLFE_C1 * steps[j] * slope[j]
+        and abs(st[j]) <= -WOLFE_C2 * slope[j])]
+    if not search:
+        return xt, f_new, gt, taken
+    lo = {j: (0.0, f0[j], slope[j]) for j in search}
+    hi = dict.fromkeys(search)
+    at = {j: j for j in search}  # row of each search row in the latest evaluation
+    xe, ge, fe = xt, gt, f_new
+    for evals in range(1, LINE_SEARCH_EVALS + 1):
+        later = []
+        for j in search:
+            if slope[j] >= 0.0:
+                continue
+            i = at[j]
+            t, f, s = taken[j], fe[i], st[i]
+            if not f <= f0[j] + WOLFE_C1 * t * slope[j] or f >= lo[j][1]:
+                hi[j] = (t, f, s)
+            else:
+                if xe is not xt:
+                    xt[j], gt[j] = xe[i], ge[i]
+                if abs(s) <= -WOLFE_C2 * slope[j]:
+                    lo[j] = (t, f, s)
+                    continue
+                if s >= 0.0 if hi[j] is None else s * (hi[j][0] - lo[j][0]) >= 0.0:
+                    hi[j] = lo[j]
+                lo[j] = (t, f, s)
+            if hi[j] is None:
+                taken[j] = 4.0 * t
+            elif lo[j][0] > 0.0 and abs(hi[j][0] - lo[j][0]) <= 0.1 * max(hi[j][0], lo[j][0]):
+                continue
+            else:
+                taken[j] = _cubic_step(*lo[j], *hi[j])
+            later.append(j)
+        search = later
+        if not search or evals == LINE_SEARCH_EVALS:
+            break
+        at = {j: i for i, j in enumerate(search)}
+        xe = x[search] + np.array([taken[j] for j in search])[:, None] * d[search]
+        fe, ge = fun(xe, *args)
+        fe, st = fe.tolist(), _rowdot(ge, d[search]).tolist()
+    for j, (t, f, _) in lo.items():
+        taken[j], f_new[j] = t, f
+        if t == 0.0:
+            xt[j], gt[j] = x[j], g[j]
+    return xt, f_new, gt, taken
+
+
+class _PairMemory:
+    """The last LBFGS_MEMORY (s, y) pairs of each row of a batch, as the
+    compact inverse-Hessian form of Byrd, Nocedal and Schnabel (1994).
+
+    All rows share one ring: slot k % LBFGS_MEMORY takes update k of every
+    row, a skipped update as a zero pair. z holds the s slots, then the y
+    slots. With R_ij = s_i . y_j for i <= j in age order, rinv is R^-1, yty
+    holds the y_i . y_j, dd the s_i . y_i and gam s . y / y . y of the newest
+    pair. A zero pair has R_ii = 1 and no coupling, so it acts as no pair.
+    The views each step needs are made once per batch size."""
+
+    def __init__(self, count: int, dim: int):
+        mem = LBFGS_MEMORY
+        self.z = np.zeros((count, 2 * mem, dim))
+        self.rinv = np.tile(np.eye(mem), (count, 1, 1))
+        self.yty = np.zeros((count, mem, mem))
+        self.dd = np.zeros((count, mem, 1))
+        self.gam = np.ones((count, 1, 1))
+        self.filled = [False] * count
+        self.slot = 0
+        self._views()
+
+    def _views(self):
+        mem, count = LBFGS_MEMORY, len(self.z)
+        self.c = np.empty((count, 2 * mem, 1))
+        self.e = np.empty((count, 2 * mem, 1))
+        self.zy = np.empty((count, 2 * mem, 1))
+        self.u = np.empty((count, mem, 1))
+        self.v = np.empty((count, mem, 1))
+        self.c_s, self.c_y = self.c[:, :mem], self.c[:, mem:]
+        self.e_s, self.e_y = self.e[:, :mem], self.e[:, mem:]
+        self.e_t = self.e.transpose(0, 2, 1)
+        self.rinv_t = self.rinv.transpose(0, 2, 1)
+        self.gam_col = self.gam.reshape(count, 1)
+        zy = self.zy.reshape(count, 2 * mem)
+        self.zy_s, self.zy_y = self.zy[:, :mem], zy[:, mem:]
+        self.slots = [(self.z[:, o], self.z[:, mem + o, :, None], self.z[:, mem + o],
+                       self.yty[:, o], self.yty[:, :, o], self.dd[:, o, 0],
+                       self.rinv[:, o], self.rinv[:, :, o], self.rinv[:, o, o],
+                       zy[:, o], zy[:, mem + o])
+                      for o in range(mem)]
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g, H = gam I + S P S^T - gam (S R^-T Y^T + Y R^-1 S^T) with
+        P = R^-T (D + gam Y^T Y) R^-1."""
+        np.matmul(self.z, g[:, :, None], out=self.c)
+        u = np.matmul(self.rinv, self.c_s, out=self.u)
+        v = np.matmul(self.yty, u, out=self.v)
+        np.subtract(self.c_y, v, out=v)
+        v *= self.gam
+        v -= self.dd * u
+        np.matmul(self.rinv_t, v, out=self.e_s)
+        np.multiply(u, self.gam, out=self.e_y)
+        d = (self.e_t @ self.z).reshape(g.shape)
+        d -= self.gam_col * g
+        return d
+
+    def push(self, x_new, x, g_new, g, floor) -> None:
+        """Store s = x_new - x and y = g_new - g of every row in the oldest
+        slot, or a zero pair where s . y <= floor. R^-1 without its oldest
+        row and column inverts R without them, so the oldest pair leaves by
+        zeroing them, and the new pair borders R^-1 with one column."""
+        (s, y_col, y, yty_row, yty_col, dd, rinv_row, rinv_col, rinv_diag,
+         sy, yy) = self.slots[self.slot]
+        np.subtract(x_new, x, out=s)
+        np.subtract(g_new, g, out=y)
+        np.matmul(self.z, y_col, out=self.zy)
+        skip = [j for j, (value, low) in enumerate(zip(sy.tolist(), floor)) if not value > low]
+        if skip:
+            s[skip] = y[skip] = self.zy[skip] = 0.0
+        yty_row[...] = yty_col[...] = self.zy_y
+        dd[...] = sy
+        if skip:
+            kept = self.gam[skip]
+            sy[skip] = yy[skip] = 1.0
+        np.divide(sy, yy, out=self.gam_col[:, 0])
+        if skip:
+            self.gam[skip] = kept
+        rinv_row[...] = rinv_col[...] = 0.0
+        col = (self.rinv @ self.zy_s).reshape(rinv_col.shape)
+        np.divide(col, -sy[:, None], out=rinv_col)
+        np.reciprocal(sy, out=rinv_diag)
+        if not all(self.filled):
+            self.filled = [full or j not in skip for j, full in enumerate(self.filled)]
+        self.slot = (self.slot + 1) % LBFGS_MEMORY
+
+    def clear(self, j: int) -> None:
+        """Forget every pair of row j."""
+        self.z[j], self.yty[j], self.dd[j], self.gam[j] = 0.0, 0.0, 0.0, 1.0
+        self.rinv[j] = np.eye(LBFGS_MEMORY)
+        self.filled[j] = False
+
+    def keep(self, rows) -> None:
+        """Keep only the given rows, in that order."""
+        self.z, self.rinv, self.yty, self.dd, self.gam = (
+            arr[rows] for arr in (self.z, self.rinv, self.yty, self.dd, self.gam))
+        self.filled = [self.filled[j] for j in rows]
+        self._views()
+
+
+def minimize(fun, x0, args=(), *, maxiter: int, ftol: float, gtol: float):
+    """Minimize fun from every row of x0 with one batched L-BFGS.
+
+    fun(x, *args) maps an (r, d) array of points to their values (r,) and
+    gradients (r, d), row by row. Each row runs its own L-BFGS: the inverse
+    Hessian from its last LBFGS_MEMORY (s, y) pairs (_PairMemory) and a
+    strong-Wolfe line search (_line_search). As in L-BFGS-B, a pair whose
+    s . y is not positive is skipped, the first step from an empty memory
+    is 1 / ||d||, and a row whose line search fails restarts from steepest
+    descent with an empty memory. A row stops when max |gradient| <= gtol,
+    when an iteration lowers its value by at most ftol * max(|f_old|, |f|,
+    1), after maxiter iterations, or when a line search from steepest
+    descent fails; a stopped row stays frozen. Returns the final points
+    (R, d) and each row's iteration count."""
+    out = np.array(x0, dtype=float)
+    nit_out = np.zeros(len(out), dtype=int)
+    f, g = fun(out, *args)
+    rows = [j for j, top in enumerate(np.abs(g).max(axis=1).tolist()) if top > gtol]
+    x, g, f = out[rows], g[rows], f[rows].tolist()
+    memory = _PairMemory(*x.shape)
+    nit = [0] * len(rows)
+    while rows:
+        d = memory.direction(g)
+        slope = _rowdot(g, d).tolist()
+        steps = [1.0] * len(rows)
+        if not all(memory.filled):
+            norms = np.sqrt(_rowdot(d, d)).tolist()
+            steps = [1.0 / nd if not full and nd > 0.0 else 1.0
+                     for full, nd in zip(memory.filled, norms)]
+        x_new, f_new, g_new, taken = _line_search(fun, args, x, f, g, d, slope, steps)
+        top = np.abs(g_new).max(axis=1).tolist()
+        keep, reset = [], []
+        for j in range(len(rows)):
+            if taken[j] == 0.0:
+                if memory.filled[j]:
+                    reset.append(len(keep))
+                    keep.append(j)
+                continue
+            nit[j] += 1
+            if (top[j] > gtol and nit[j] < maxiter
+                    and f[j] - f_new[j] > ftol * max(abs(f[j]), abs(f_new[j]), 1.0)):
+                keep.append(j)
+        if len(keep) < len(rows):
+            done = sorted(set(range(len(rows))) - set(keep))
+            out[[rows[j] for j in done]] = x_new[done]
+            nit_out[[rows[j] for j in done]] = [nit[j] for j in done]
+            rows, nit, taken, slope, f_new = (
+                [seq[j] for j in keep] for seq in (rows, nit, taken, slope, f_new))
+            x, x_new, g, g_new = x[keep], x_new[keep], g[keep], g_new[keep]
+            memory.keep(keep)
+            if not rows:
+                break
+        memory.push(x_new, x, g_new, g, [-EPS * t * sl for t, sl in zip(taken, slope)])
+        for j in reset:
+            memory.clear(j)
+        x, f, g = x_new, f_new, g_new
+    return out, nit_out
 
 
 def _restore_feasibility(a: HermitianMatrix, g: np.ndarray):
@@ -346,9 +613,12 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32,
     Minimizes sum ||g_k||_1^2 + rho ||A - sum g g*||_Fr^2 over k^2 + 1
     vectors g = B c (enough for the optimum), with B the k eigenvectors
     above the numerical_rank cut, so the search stays in range(A) (B = I at
-    full rank, k = n). The search runs on real stacked coordinates [Re c | Im c],
-    ramping rho across RHO_ROUNDS with up to 150 L-BFGS-B iterations per
-    round, then restores exact feasibility and reduces the term count.
+    full rank, k = n). The first starts are the greedy, LDL and eigen
+    families plus small noise, the rest random. All starts are searched
+    together: each is one row of the real coordinates (Re, Im pairs of c)
+    handed to minimize once for each rho in RHO_ROUNDS, with up to 150
+    L-BFGS iterations per start and round. Each result is then restored to
+    exact feasibility, and the cheapest family is reduced in term count.
     Guarded to n <= 6.
     """
     if a.n > ORACLE_MAX_N:
@@ -371,31 +641,29 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32,
         k = numerical_rank(a)
         m = k * k + 1
         range_basis = a.eigensystem.eigenvectors[:, n - k:]
-        basis = None if k == n else _real_form(range_basis.conj().T)
-        a_block = _real_form(a_arr)
+        basis = None if k == n else _real_map(range_basis.T)
         tr = float(np.diagonal(a_arr).real.sum())
         sigma = np.sqrt(max(tr, 1e-12) / (m * k))
-    for r in range(0 if closed else max(restarts, 1)):
-        rng = np.random.default_rng(seed + r)
-        noise = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
-        if r < len(warm):
-            start = warm[r][:m] if basis is None else warm[r][:m] @ range_basis.conj()
-            c0 = 1e-3 * sigma * noise
-            c0[:len(start)] += start
-        else:
-            c0 = sigma * noise
-        theta = np.concatenate([c0.real, c0.imag], axis=1).ravel()
+        starts = []
+        for r in range(max(restarts, 1)):
+            rng = np.random.default_rng(seed + r)
+            noise = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+            if r < len(warm):
+                start = warm[r][:m] if basis is None else warm[r][:m] @ range_basis.conj()
+                c0 = 1e-3 * sigma * noise
+                c0[:len(start)] += start
+            else:
+                c0 = sigma * noise
+            starts.append(c0.view(np.float64).ravel())
+        theta = np.array(starts)
         for rho in RHO_ROUNDS:
-            res = minimize(
-                _oracle_objective, theta, args=(a_block, basis, m, rho, 1e-8),
-                jac=True, method="L-BFGS-B",
-                options={"maxiter": 150, "ftol": 1e-14, "gtol": 1e-10},
-            )
-            theta = res.x
-        g = theta.reshape(m, 2 * k)
+            theta = minimize(_oracle_objective, theta, args=(a_arr, basis, m, rho, 1e-8),
+                             maxiter=150, ftol=1e-14, gtol=1e-10)[0]
+        g = theta.reshape(len(starts) * m, 2 * k)
         if basis is not None:
             g = g @ basis
-        restored.append(_restore_feasibility(a, g[:, :n] + 1j * g[:, n:]))
+        restored += [_restore_feasibility(a, family)
+                     for family in g.reshape(len(starts), m, -1).view(np.complex128)]
     dec = RankOneDecomposition.build(a, cheapest_family(restored), METHOD_ORACLE)
     return reduce_decomposition(dec, a)
 

@@ -1,6 +1,9 @@
 """CLI contract: commands, JSON/CSV formats, stable exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -403,3 +406,31 @@ class TestJsonFormats:
             jsonio.matrix_from_obj({"n": 1, "entries": [["x"]]})
         with pytest.raises(ValueError):
             jsonio.matrix_from_obj({"n": 2, "entries": [[1, 2]]})
+
+
+# Every strategy of a thorough bracket runs on this matrix, the oracle included.
+ORACLE_3X3 = {"n": 3, "entries": [[4, [1, 1], -1], [[1, -1], 3, [0, 2]], [-1, [0, -2], 5]]}
+
+NO_SCIPY = """
+import contextlib, io, json, sys
+import l1rankone
+from l1rankone import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["gamma", sys.argv[1], "--functional", "plus", "--effort", "thorough",
+                     "--restarts", "2"])
+report = json.loads(out.getvalue())
+print(json.dumps({"code": code, "methods": sorted(report["per_method"]),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_thorough_gamma_never_imports_scipy(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(ORACLE_3X3))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0 and "oracle" in result["methods"]
+    assert result["scipy"] == []

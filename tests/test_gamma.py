@@ -166,6 +166,13 @@ class TestGammaPlusBounds:
         assert not report.certified
         assert report.skipped == ()
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-9])
+    def test_scaled_down_remark_matrix_not_certified(self, scale):
+        # The gap upper / lower = 8/7 is scale-free; its absolute width is not.
+        report = gm.gamma_plus_bounds(hermitian(REMARK_4X4 * scale))
+        assert report.upper > report.lower * (1.0 + 1e-3)
+        assert not report.certified
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):
             gm.gamma_plus_bounds(hermitian(FLIP))
@@ -277,12 +284,17 @@ def _complex_objective(theta, a_arr, m, n, rho, eps):
 
 
 def _search_space(a):
-    """The oracle's search setup: (a_block, basis, m, B) with B the range
-    eigenvectors, basis None at full rank."""
+    """The oracle's search setup: (A, basis, m, B) with B the range
+    eigenvectors and basis the real map of B^T, None at full rank."""
     k = dc.numerical_rank(a)
     vecs = a.eigensystem.eigenvectors[:, a.n - k:]
-    basis = None if k == a.n else gm._real_form(vecs.conj().T)
-    return gm._real_form(np.asarray(a.entries)), basis, k * k + 1, vecs
+    basis = None if k == a.n else gm._real_map(vecs.T)
+    return np.asarray(a.entries), basis, k * k + 1, vecs
+
+
+def _theta(c):
+    """Search coordinates of the complex (m, k) c: one row of (Re, Im) pairs."""
+    return np.ascontiguousarray(c).view(np.float64).reshape(1, -1)
 
 
 RANKS = [(3, 3), (4, 4), (3, 2), (4, 3), (4, 1)]
@@ -292,32 +304,46 @@ class TestOracleObjective:
     @pytest.mark.parametrize("n, rank", RANKS)
     def test_value_matches_complex_formula(self, rng, n, rank):
         a = random_psd(rng, n, rank)
-        a_block, basis, m, vecs = _search_space(a)
+        a_arr, basis, m, vecs = _search_space(a)
         k = vecs.shape[1]
         for rho in gm.RHO_ROUNDS:
             c = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
             g = c if basis is None else c @ vecs.T
-            f, _ = gm._oracle_objective(np.concatenate([c.real, c.imag], axis=1).ravel(),
-                                        a_block, basis, m, rho, 1e-8)
+            f, _ = gm._oracle_objective(_theta(c), a_arr, basis, m, rho, 1e-8)
             ref, _ = _complex_objective(np.concatenate([g.real.ravel(), g.imag.ravel()]),
-                                        np.asarray(a.entries), m, n, rho, 1e-8)
-            assert f == pytest.approx(ref, rel=1e-12, abs=0.0)
+                                        a_arr, m, n, rho, 1e-8)
+            assert f.shape == (1,)
+            assert f[0] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n, rank", RANKS)
     def test_gradient_matches_central_differences(self, rng, n, rank):
         a = random_psd(rng, n, rank)
-        a_block, basis, m, vecs = _search_space(a)
-        theta = rng.standard_normal(2 * m * vecs.shape[1])
-        _, grad = gm._oracle_objective(theta, a_block, basis, m, 1e2, 1e-8)
+        a_arr, basis, m, vecs = _search_space(a)
+        theta = rng.standard_normal((1, 2 * m * vecs.shape[1]))
+        _, grad = gm._oracle_objective(theta, a_arr, basis, m, 1e2, 1e-8)
+        assert grad.shape == theta.shape
         step = 1e-6
         diffs = np.empty_like(theta)
         for i in range(theta.size):
             e = np.zeros_like(theta)
-            e[i] = step
-            up = gm._oracle_objective(theta + e, a_block, basis, m, 1e2, 1e-8)[0]
-            down = gm._oracle_objective(theta - e, a_block, basis, m, 1e2, 1e-8)[0]
-            diffs[i] = (up - down) / (2.0 * step)
+            e[0, i] = step
+            up = gm._oracle_objective(theta + e, a_arr, basis, m, 1e2, 1e-8)[0][0]
+            down = gm._oracle_objective(theta - e, a_arr, basis, m, 1e2, 1e-8)[0][0]
+            diffs[0, i] = (up - down) / (2.0 * step)
         np.testing.assert_allclose(grad, diffs, rtol=0.0, atol=1e-6 * np.abs(grad).max())
+
+    @pytest.mark.parametrize("n, rank", [(4, 4), (4, 2)])
+    def test_each_start_of_a_batch_matches_its_single_call(self, rng, n, rank):
+        a = random_psd(rng, n, rank)
+        a_arr, basis, m, vecs = _search_space(a)
+        batch = rng.standard_normal((5, 2 * m * vecs.shape[1]))
+        f, grad = gm._oracle_objective(batch, a_arr, basis, m, 1e4, 1e-8)
+        assert f.shape == (5,) and grad.shape == batch.shape
+        for j in range(5):
+            f1, grad1 = gm._oracle_objective(batch[j:j + 1], a_arr, basis, m, 1e4, 1e-8)
+            assert f[j] == pytest.approx(f1[0], rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(grad[j], grad1[0], rtol=0.0,
+                                       atol=1e-12 * np.abs(grad1).max())
 
     def test_beats_its_greedy_warm_start_on_rank_deficient_input(self):
         # A planted rank-3 4x4 on which the search in range(A) finds a
@@ -336,6 +362,107 @@ class TestOracleObjective:
         assert lr.verify_reconstruction(a, dec.vectors).ok
         assert dec.cost >= lr.norm_l11(a) * (1.0 - 1e-12)
         assert dec.cost <= dc.ldl_decompose(a).cost
+
+
+def _quadratic(a, centre):
+    """f(x) = (x - centre) A (x - centre) / 2 for each row of x, with gradient."""
+    def fun(x):
+        grad = (x - centre) @ a
+        return 0.5 * np.einsum("ij,ij->i", grad, x - centre), grad
+    return fun
+
+
+STOP = {"maxiter": 150, "ftol": 1e-14, "gtol": 1e-10}  # the oracle's stopping rule
+
+
+def _conditioned(rng, dim, cond):
+    """A random symmetric matrix with eigenvalues from 1 to cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return (q * np.logspace(0.0, np.log10(cond), dim)) @ q.T
+
+
+class TestMinimize:
+    def test_reaches_gtol_at_condition_1e6(self, rng):
+        fun = _quadratic(_conditioned(rng, 6, 1e6), 0.0)
+        x, nit = gm.minimize(fun, rng.standard_normal((4, 6)), **dict(STOP, ftol=0.0))
+        assert np.all(nit < 150)
+        assert np.abs(fun(x)[1]).max() <= 1e-10
+
+    def test_row_at_the_minimizer_is_untouched_and_rows_are_independent(self, rng):
+        centre = rng.standard_normal(6)
+        fun = _quadratic(_conditioned(rng, 6, 1e3), centre)
+        x0 = np.vstack([rng.standard_normal((2, 6)), centre, rng.standard_normal((2, 6))])
+        x, nit = gm.minimize(fun, x0, **STOP)
+        assert nit[2] == 0 and np.array_equal(x[2], x0[2])
+        for j in (0, 1, 3, 4):
+            solo, _ = gm.minimize(fun, x0[j:j + 1], **STOP)
+            np.testing.assert_allclose(x[j], solo[0], rtol=0.0, atol=1e-10)
+
+    def test_iteration_cap_holds_per_row(self, rng):
+        # Rows 0 and 1 need many iterations; row 2, an eigenvector, needs two.
+        q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        fun = _quadratic((q * np.logspace(0.0, 4.0, 20)) @ q.T, 0.0)
+        x0 = np.vstack([rng.standard_normal((2, 20)), q[:, 5]])
+        x, nit = gm.minimize(fun, x0, **dict(STOP, maxiter=7))
+        assert list(nit[:2]) == [7, 7] and nit[2] < 7
+        for j in range(2):
+            more, _ = gm.minimize(fun, x0[j:j + 1], **dict(STOP, maxiter=8))
+            assert fun(more)[0][0] < fun(x[j:j + 1])[0][0]
+
+    def test_line_search_meets_strong_wolfe(self):
+        # From x = 0 towards the minimizer 1 of (x - 1)^2 / 2, step 1.95 has
+        # sufficient decrease but slope 0.95 > 0.9 |slope(0)|: not accepted.
+        fun = _quadratic(np.eye(1), 1.0)
+        x, d = np.zeros((2, 1)), np.ones((2, 1))
+        f0, g = fun(x)
+        x_new, f_new, g_new, taken = gm._line_search(fun, (), x, f0.tolist(), g, d,
+                                                     [-1.0, -1.0], [1.95, 1.0])
+        assert taken[0] != 1.95 and taken[1] == 1.0
+        assert np.all(np.abs(g_new * d) <= gm.WOLFE_C2)
+        assert f_new[0] <= f0[0] - gm.WOLFE_C1 * taken[0]
+
+    def test_non_finite_trial_stays_in_its_row(self, rng):
+        # Beyond the wall x_0 > 0.3 the value is inf and the gradient nan. Row
+        # 0 starts 0.5 left of the minimizer 0, so its first trial, a unit
+        # step from an empty memory, lands past the wall.
+        quad = _quadratic(np.eye(5), 0.0)
+        walls = []
+
+        def fun(x):
+            f, grad = quad(x)
+            wall = x[:, 0] > 0.3
+            walls.append(wall.copy())
+            f[wall], grad[wall] = np.inf, np.nan
+            return f, grad
+
+        x0 = np.vstack([[-0.5, 0.01, 0.0, 0.0, 0.0], rng.standard_normal((2, 5)) * 0.1])
+        x, nit = gm.minimize(fun, x0, **STOP)
+        assert walls[1][0]  # the first trials of all rows, row 0 past the wall
+        assert np.all(np.isfinite(x)) and fun(x[:1])[0][0] < 1e-20
+        for j in (1, 2):
+            solo, _ = gm.minimize(fun, x0[j:j + 1], **STOP)
+            np.testing.assert_allclose(x[j], solo[0], rtol=0.0, atol=1e-10)
+
+
+    def test_row_without_a_finite_trial_stops_where_it_started(self, rng):
+        # Row 0 starts at p; every other point with x_0 > 5 is non-finite, so
+        # its one line search fails after LINE_SEARCH_EVALS trials.
+        quad = _quadratic(np.eye(4), 0.0)
+        p = np.full(4, 10.0)
+        trials = []
+
+        def fun(x):
+            f, grad = quad(x)
+            blocked = (x[:, 0] > 5.0) & ~np.all(x == p, axis=1)
+            trials.append(int(blocked.sum()))
+            f[blocked], grad[blocked] = np.nan, np.nan
+            return f, grad
+
+        x0 = np.vstack([p, rng.standard_normal((1, 4))])
+        x, nit = gm.minimize(fun, x0, **STOP)
+        assert nit[0] == 0 and np.array_equal(x[0], p)
+        assert sum(trials) == gm.LINE_SEARCH_EVALS
+        assert nit[1] > 0 and np.abs(x[1]).max() < 1e-8
 
 
 def _bisection_restore(a, g):

@@ -16,13 +16,15 @@ the library comes from --repo's src/. Lines:
                     winning method and the certificate vector bytes
     bracket-methods the same records' per_method costs and skipped names
     thorough        `gamma --effort thorough` exit code and stdout,
-                    seeds 1 and 2, ops 0-119
+                    seeds 1 and 2, ops 0-119 (perfbench's --restarts 1)
+    thorough-restarts  the same for seed 1, ops 0-20, at --restarts 8, so
+                    that the oracle searches many starts at once
     experiment      the CSV of each EXPERIMENTS command
 
 --drop-method NAME removes NAME from per_method and skipped before hashing,
 so an output that differs only by a retired strategy hashes the same.
 
---compare OTHER_CHECKOUT runs the bracket and thorough ops above on both
+--compare OTHER_CHECKOUT runs the bracket and both thorough streams on both
 libraries (--repo's and OTHER's) and prints, per input kind, how many uppers
 are better (lower), worse or equal than OTHER's, the largest relative move,
 the certified flags that flipped and the winning strategies that changed, then
@@ -45,8 +47,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 BRACKET_SEEDS = (1, 2, 3001)
 BRACKET_OPS = 350
-THOROUGH_SEEDS = (1, 2)
-THOROUGH_OPS = 120
+# (stream, seeds, ops, oracle restarts; None for perfbench's own)
+THOROUGH_STREAMS = (("thorough", (1, 2), 120, None),
+                    ("thorough-restarts", (1,), 21, 8))
 EXPERIMENTS = (
     ("--dims", "8,16,32,64", "--realizations", "30", "--seed", "0"),
     ("--dims", "3,4,6,8", "--realizations", "10", "--seed", "0",
@@ -77,10 +80,23 @@ def bracket_records(wl, seed: int, drop: str | None):
                json.dumps([index, costs, skipped]).encode())
 
 
-def thorough_records(wl, seed: int, drop: str | None, workdir: str):
-    for index in range(THOROUGH_OPS):
+def thorough_call(wl, cli, inp, restarts: int | None):
+    """perfbench's thorough op on inp, with `restarts` oracle starts unless
+    None: (exit code, stdout bytes, stderr), the result format of wl.call."""
+    if restarts is None:
+        return wl.call("thorough", inp)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["gamma", inp.path, "--functional", "plus", "--effort", "thorough",
+                         "--restarts", str(restarts), "--seed", str(inp.seed)])
+    return code, out.getvalue().encode(), err.getvalue()
+
+
+def thorough_records(wl, cli, seed: int, ops: int, restarts: int | None,
+                     drop: str | None, workdir: str):
+    for index in range(ops):
         inp = wl.write_matrix(wl.make_input("thorough", seed, index), workdir)
-        code, stdout, _ = wl.call("thorough", inp)
+        code, stdout, _ = thorough_call(wl, cli, inp, restarts)
         if drop is not None and code == 0:
             obj = json.loads(stdout)
             obj["per_method"].pop(drop, None)
@@ -113,18 +129,21 @@ def load(src: Path):
     return wl, cli
 
 
-def outcomes(wl, workdir: str) -> dict:
+def outcomes(wl, cli, workdir: str) -> dict:
     """(stream, seed, index) -> (kind, checked Outcome) of every bracket and
     thorough op."""
     out = {}
-    for stream, seeds, ops in (("bracket", BRACKET_SEEDS, BRACKET_OPS),
-                               ("thorough", THOROUGH_SEEDS, THOROUGH_OPS)):
+    for seed in BRACKET_SEEDS:
+        for index in range(BRACKET_OPS):
+            inp = wl.make_input("bracket", seed, index)
+            result = wl.call("bracket", inp)
+            out["bracket", seed, index] = (inp.kind, wl.check("bracket", inp, result))
+    for stream, seeds, ops, restarts in THOROUGH_STREAMS:
         for seed in seeds:
             for index in range(ops):
-                inp = wl.make_input(stream, seed, index)
-                if stream == "thorough":
-                    inp = wl.write_matrix(inp, workdir)
-                out[stream, seed, index] = (inp.kind, wl.check(stream, inp, wl.call(stream, inp)))
+                inp = wl.write_matrix(wl.make_input("thorough", seed, index), workdir)
+                out[stream, seed, index] = (inp.kind, wl.check(
+                    "thorough", inp, thorough_call(wl, cli, inp, restarts)))
     return out
 
 
@@ -143,11 +162,11 @@ def compare(this: dict, other: dict) -> None:
         row[5] += new.winner != old.winner
         excess.setdefault(key[0], []).append((old.excess, new.excess))
     for (stream, kind), (better, worse, equal, largest, flips, winners) in rows.items():
-        print(f"{stream:9} {kind:13} better {better:3} worse {worse:3} equal {equal:3} "
+        print(f"{stream:17} {kind:13} better {better:3} worse {worse:3} equal {equal:3} "
               f"largest move {largest:+.3%} certified flips {flips} winner changes {winners}")
     for stream, pairs in excess.items():
         old, new = (sum(p[i] for p in pairs) / len(pairs) for i in (0, 1))
-        print(f"{stream:9} mean upper/lower - 1 over {len(pairs)} ops: {old:.5f} -> {new:.5f}")
+        print(f"{stream:17} mean upper/lower - 1 over {len(pairs)} ops: {old:.5f} -> {new:.5f}")
 
 
 def main(argv=None) -> int:
@@ -165,7 +184,7 @@ def main(argv=None) -> int:
             raise SystemExit(f"error: no l1rankone sources under {src}")
     if args.compare:
         with tempfile.TemporaryDirectory() as workdir:
-            this, other = (outcomes(load(src)[0], workdir) for src in srcs)
+            this, other = (outcomes(*load(src), workdir) for src in srcs)
             compare(this, other)
         return 0
     wl, cli = load(srcs[0])
@@ -176,9 +195,10 @@ def main(argv=None) -> int:
         print(f"bracket-core    seed={seed} {digest(core for core, _ in records)}")
         print(f"bracket-methods seed={seed} {digest(m for _, m in records)}")
     with tempfile.TemporaryDirectory() as workdir:
-        for seed in THOROUGH_SEEDS:
-            print(f"thorough        seed={seed} "
-                  f"{digest(thorough_records(wl, seed, drop, workdir))}")
+        for stream, seeds, ops, restarts in THOROUGH_STREAMS:
+            for seed in seeds:
+                records = thorough_records(wl, cli, seed, ops, restarts, drop, workdir)
+                print(f"{stream:15} seed={seed} {digest(records)}")
         for exp in EXPERIMENTS:
             print(f"experiment      {' '.join(exp)} "
                   f"{digest([experiment_csv(cli, exp, workdir)])}")
