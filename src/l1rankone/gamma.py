@@ -63,6 +63,9 @@ TIE_TOL = 1e-12            # relative; bound candidates closer than this tie
 ORACLE_MAX_N = 6
 RHO_ROUNDS = (1e2, 10 ** (10 / 3), 10 ** (14 / 3), 1e6)  # oracle penalty ramp
 LBFGS_MEMORY = 10          # (s, y) pairs per L-BFGS row
+LBFGS_MAXITER = 150        # iterations per row and call of minimize
+LBFGS_FTOL = 1e-14         # relative decrease below which a row stops
+LBFGS_GTOL = 1e-10         # max |gradient| at which a row stops
 WOLFE_C1, WOLFE_C2 = 1e-3, 0.9  # sufficient decrease and curvature, as in L-BFGS-B
 LINE_SEARCH_EVALS = 20     # trials per line search
 EPS = float(np.finfo(float).eps)
@@ -316,7 +319,7 @@ def _oracle_objective(theta: np.ndarray, a: np.ndarray, basis, m: int,
     smooth = np.hypot(np.abs(g), eps)
     l1 = smooth.sum(axis=2)
     flat = r.reshape(starts, -1).view(np.float64)
-    f = _rowdot(l1, l1) + rho * _rowdot(flat, flat)
+    f = np.vecdot(l1, l1) + rho * np.vecdot(flat, flat)
     grad = g @ r.transpose(0, 2, 1)  # conj(r) = r^T: r is Hermitian
     grad *= -4.0 * rho
     grad += g * ((2.0 * l1)[:, :, None] / smooth)
@@ -324,11 +327,6 @@ def _oracle_objective(theta: np.ndarray, a: np.ndarray, basis, m: int,
     if basis is not None:
         grad = grad @ basis.T
     return f, grad.reshape(starts, -1)
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of a with the same row of b."""
-    return (a[:, None, :] @ b[:, :, None]).reshape(len(a))
 
 
 def _cubic_step(a, fa, sa, b, fb, sb):
@@ -364,9 +362,9 @@ def _line_search(fun, args, x, f0, g, d, slope, steps):
     of its far end, after LINE_SEARCH_EVALS trials, or at once when d is
     not a descent direction. Returns the new points, values and gradients,
     and the step each row took (0.0 when it stayed)."""
-    xt = x + d if steps.count(1.0) == len(steps) else x + np.array(steps)[:, None] * d
+    xt = x + np.array(steps)[:, None] * d
     ft, gt = fun(xt, *args)
-    f_new, st = ft.tolist(), _rowdot(gt, d).tolist()
+    f_new, st = ft.tolist(), np.vecdot(gt, d).tolist()
     taken = list(steps)
     search = [j for j in range(len(f0)) if not (
         f_new[j] <= f0[j] + WOLFE_C1 * steps[j] * slope[j]
@@ -408,7 +406,7 @@ def _line_search(fun, args, x, f0, g, d, slope, steps):
         at = {j: i for i, j in enumerate(search)}
         xe = x[search] + np.array([taken[j] for j in search])[:, None] * d[search]
         fe, ge = fun(xe, *args)
-        fe, st = fe.tolist(), _rowdot(ge, d[search]).tolist()
+        fe, st = fe.tolist(), np.vecdot(ge, d[search]).tolist()
     for j, (t, f, _) in lo.items():
         taken[j], f_new[j] = t, f
         if t == 0.0:
@@ -516,7 +514,7 @@ class _PairMemory:
         self._views()
 
 
-def minimize(fun, x0, args=(), *, maxiter: int, ftol: float, gtol: float):
+def minimize(fun, x0, args=()):
     """Minimize fun from every row of x0 with one batched L-BFGS.
 
     fun(x, *args) maps an (r, d) array of points to their values (r,) and
@@ -525,24 +523,23 @@ def minimize(fun, x0, args=(), *, maxiter: int, ftol: float, gtol: float):
     strong-Wolfe line search (_line_search). As in L-BFGS-B, a pair whose
     s . y is not positive is skipped, the first step from an empty memory
     is 1 / ||d||, and a row whose line search fails restarts from steepest
-    descent with an empty memory. A row stops when max |gradient| <= gtol,
-    when an iteration lowers its value by at most ftol * max(|f_old|, |f|,
-    1), after maxiter iterations, or when a line search from steepest
-    descent fails; a stopped row stays frozen. Returns the final points
-    (R, d) and each row's iteration count."""
+    descent with an empty memory. A row stops when max |gradient| <=
+    LBFGS_GTOL, when an iteration lowers its value by at most LBFGS_FTOL *
+    max(|f_old|, |f|, 1), after LBFGS_MAXITER iterations, or when a line
+    search from steepest descent fails; a stopped row stays frozen. Returns
+    the final points (R, d)."""
     out = np.array(x0, dtype=float)
-    nit_out = np.zeros(len(out), dtype=int)
     f, g = fun(out, *args)
-    rows = [j for j, top in enumerate(np.abs(g).max(axis=1).tolist()) if top > gtol]
+    rows = [j for j, top in enumerate(np.abs(g).max(axis=1).tolist()) if top > LBFGS_GTOL]
     x, g, f = out[rows], g[rows], f[rows].tolist()
     memory = _PairMemory(*x.shape)
     nit = [0] * len(rows)
     while rows:
         d = memory.direction(g)
-        slope = _rowdot(g, d).tolist()
+        slope = np.vecdot(g, d).tolist()
         steps = [1.0] * len(rows)
         if not all(memory.filled):
-            norms = np.sqrt(_rowdot(d, d)).tolist()
+            norms = np.sqrt(np.vecdot(d, d)).tolist()
             steps = [1.0 / nd if not full and nd > 0.0 else 1.0
                      for full, nd in zip(memory.filled, norms)]
         x_new, f_new, g_new, taken = _line_search(fun, args, x, f, g, d, slope, steps)
@@ -555,13 +552,12 @@ def minimize(fun, x0, args=(), *, maxiter: int, ftol: float, gtol: float):
                     keep.append(j)
                 continue
             nit[j] += 1
-            if (top[j] > gtol and nit[j] < maxiter
-                    and f[j] - f_new[j] > ftol * max(abs(f[j]), abs(f_new[j]), 1.0)):
+            if (top[j] > LBFGS_GTOL and nit[j] < LBFGS_MAXITER
+                    and f[j] - f_new[j] > LBFGS_FTOL * max(abs(f[j]), abs(f_new[j]), 1.0)):
                 keep.append(j)
         if len(keep) < len(rows):
             done = sorted(set(range(len(rows))) - set(keep))
             out[[rows[j] for j in done]] = x_new[done]
-            nit_out[[rows[j] for j in done]] = [nit[j] for j in done]
             rows, nit, taken, slope, f_new = (
                 [seq[j] for j in keep] for seq in (rows, nit, taken, slope, f_new))
             x, x_new, g, g_new = x[keep], x_new[keep], g[keep], g_new[keep]
@@ -572,7 +568,7 @@ def minimize(fun, x0, args=(), *, maxiter: int, ftol: float, gtol: float):
         for j in reset:
             memory.clear(j)
         x, f, g = x_new, f_new, g_new
-    return out, nit_out
+    return out
 
 
 def _restore_feasibility(a: HermitianMatrix, g: np.ndarray):
@@ -616,9 +612,10 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32,
     full rank, k = n). The first starts are the greedy, LDL and eigen
     families plus small noise, the rest random. All starts are searched
     together: each is one row of the real coordinates (Re, Im pairs of c)
-    handed to minimize once for each rho in RHO_ROUNDS, with up to 150
-    L-BFGS iterations per start and round. Each result is then restored to
-    exact feasibility, and the cheapest family is reduced in term count.
+    handed to minimize once for each rho in RHO_ROUNDS, with up to
+    LBFGS_MAXITER L-BFGS iterations per start and round. Each result is
+    then restored to exact feasibility, and the cheapest family is reduced
+    in term count.
     Guarded to n <= 6.
     """
     if a.n > ORACLE_MAX_N:
@@ -657,8 +654,7 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32,
             starts.append(c0.view(np.float64).ravel())
         theta = np.array(starts)
         for rho in RHO_ROUNDS:
-            theta = minimize(_oracle_objective, theta, args=(a_arr, basis, m, rho, 1e-8),
-                             maxiter=150, ftol=1e-14, gtol=1e-10)[0]
+            theta = minimize(_oracle_objective, theta, args=(a_arr, basis, m, rho, 1e-8))
         g = theta.reshape(len(starts) * m, 2 * k)
         if basis is not None:
             g = g @ basis

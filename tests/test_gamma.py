@@ -372,9 +372,6 @@ def _quadratic(a, centre):
     return fun
 
 
-STOP = {"maxiter": 150, "ftol": 1e-14, "gtol": 1e-10}  # the oracle's stopping rule
-
-
 def _conditioned(rng, dim, cond):
     """A random symmetric matrix with eigenvalues from 1 to cond."""
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -382,32 +379,50 @@ def _conditioned(rng, dim, cond):
 
 
 class TestMinimize:
-    def test_reaches_gtol_at_condition_1e6(self, rng):
+    def test_reaches_gtol_at_condition_1e6(self, rng, monkeypatch):
+        # Without the ftol test only gtol stops a row inside the cap.
+        monkeypatch.setattr(gm, "LBFGS_FTOL", 0.0)
         fun = _quadratic(_conditioned(rng, 6, 1e6), 0.0)
-        x, nit = gm.minimize(fun, rng.standard_normal((4, 6)), **dict(STOP, ftol=0.0))
-        assert np.all(nit < 150)
-        assert np.abs(fun(x)[1]).max() <= 1e-10
+        x = gm.minimize(fun, rng.standard_normal((4, 6)))
+        assert np.abs(fun(x)[1]).max() <= gm.LBFGS_GTOL
 
     def test_row_at_the_minimizer_is_untouched_and_rows_are_independent(self, rng):
         centre = rng.standard_normal(6)
         fun = _quadratic(_conditioned(rng, 6, 1e3), centre)
         x0 = np.vstack([rng.standard_normal((2, 6)), centre, rng.standard_normal((2, 6))])
-        x, nit = gm.minimize(fun, x0, **STOP)
-        assert nit[2] == 0 and np.array_equal(x[2], x0[2])
+        x = gm.minimize(fun, x0)
+        assert np.array_equal(x[2], x0[2])
         for j in (0, 1, 3, 4):
-            solo, _ = gm.minimize(fun, x0[j:j + 1], **STOP)
+            solo = gm.minimize(fun, x0[j:j + 1])
             np.testing.assert_allclose(x[j], solo[0], rtol=0.0, atol=1e-10)
 
-    def test_iteration_cap_holds_per_row(self, rng):
-        # Rows 0 and 1 need many iterations; row 2, an eigenvector, needs two.
+    def test_iteration_cap_holds_per_row(self, rng, monkeypatch):
+        # Rows 0 and 1 need many iterations; row 2, an eigenvector, needs few.
+        # Each iteration runs one line search over the rows still going, so
+        # at a cap of 7 there are 7 of them, the last over rows 0 and 1 only.
+        # Those rows end where their solo runs end, below where a cap of 6
+        # leaves them and above where a cap of 8 does.
         q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
         fun = _quadratic((q * np.logspace(0.0, 4.0, 20)) @ q.T, 0.0)
         x0 = np.vstack([rng.standard_normal((2, 20)), q[:, 5]])
-        x, nit = gm.minimize(fun, x0, **dict(STOP, maxiter=7))
-        assert list(nit[:2]) == [7, 7] and nit[2] < 7
+        line_search, batches = gm._line_search, []
+
+        def counted(fun, args, x, *rest):
+            batches.append(len(x))
+            return line_search(fun, args, x, *rest)
+
+        def capped(cap, start):
+            monkeypatch.setattr(gm, "LBFGS_MAXITER", cap)
+            return gm.minimize(fun, start)
+
+        monkeypatch.setattr(gm, "_line_search", counted)
+        x = capped(7, x0)
+        assert len(batches) == 7 and batches[0] == 3 and batches[-1] == 2
+        assert np.abs(fun(x[2:])[1]).max() <= gm.LBFGS_GTOL
         for j in range(2):
-            more, _ = gm.minimize(fun, x0[j:j + 1], **dict(STOP, maxiter=8))
-            assert fun(more)[0][0] < fun(x[j:j + 1])[0][0]
+            value = fun(x[j:j + 1])[0][0]
+            np.testing.assert_allclose(x[j], capped(7, x0[j:j + 1])[0], rtol=0.0, atol=1e-12)
+            assert fun(capped(8, x0[j:j + 1]))[0][0] < value < fun(capped(6, x0[j:j + 1]))[0][0]
 
     def test_line_search_meets_strong_wolfe(self):
         # From x = 0 towards the minimizer 1 of (x - 1)^2 / 2, step 1.95 has
@@ -436,11 +451,11 @@ class TestMinimize:
             return f, grad
 
         x0 = np.vstack([[-0.5, 0.01, 0.0, 0.0, 0.0], rng.standard_normal((2, 5)) * 0.1])
-        x, nit = gm.minimize(fun, x0, **STOP)
+        x = gm.minimize(fun, x0)
         assert walls[1][0]  # the first trials of all rows, row 0 past the wall
         assert np.all(np.isfinite(x)) and fun(x[:1])[0][0] < 1e-20
         for j in (1, 2):
-            solo, _ = gm.minimize(fun, x0[j:j + 1], **STOP)
+            solo = gm.minimize(fun, x0[j:j + 1])
             np.testing.assert_allclose(x[j], solo[0], rtol=0.0, atol=1e-10)
 
 
@@ -459,10 +474,10 @@ class TestMinimize:
             return f, grad
 
         x0 = np.vstack([p, rng.standard_normal((1, 4))])
-        x, nit = gm.minimize(fun, x0, **STOP)
-        assert nit[0] == 0 and np.array_equal(x[0], p)
+        x = gm.minimize(fun, x0)
+        assert np.array_equal(x[0], p)
         assert sum(trials) == gm.LINE_SEARCH_EVALS
-        assert nit[1] > 0 and np.abs(x[1]).max() < 1e-8
+        assert np.abs(x[1]).max() < 1e-8
 
 
 def _bisection_restore(a, g):

@@ -80,23 +80,22 @@ def bracket_records(wl, seed: int, drop: str | None):
                json.dumps([index, costs, skipped]).encode())
 
 
-def thorough_call(wl, cli, inp, restarts: int | None):
+def thorough_call(wl, inp, restarts: int | None):
     """perfbench's thorough op on inp, with `restarts` oracle starts unless
-    None: (exit code, stdout bytes, stderr), the result format of wl.call."""
-    if restarts is None:
+    None (perfbench's own THOROUGH_RESTARTS, set back afterwards)."""
+    own = wl.THOROUGH_RESTARTS
+    wl.THOROUGH_RESTARTS = own if restarts is None else restarts
+    try:
         return wl.call("thorough", inp)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["gamma", inp.path, "--functional", "plus", "--effort", "thorough",
-                         "--restarts", str(restarts), "--seed", str(inp.seed)])
-    return code, out.getvalue().encode(), err.getvalue()
+    finally:
+        wl.THOROUGH_RESTARTS = own
 
 
-def thorough_records(wl, cli, seed: int, ops: int, restarts: int | None,
+def thorough_records(wl, seed: int, ops: int, restarts: int | None,
                      drop: str | None, workdir: str):
     for index in range(ops):
         inp = wl.write_matrix(wl.make_input("thorough", seed, index), workdir)
-        code, stdout, _ = thorough_call(wl, cli, inp, restarts)
+        code, stdout, _ = thorough_call(wl, inp, restarts)
         if drop is not None and code == 0:
             obj = json.loads(stdout)
             obj["per_method"].pop(drop, None)
@@ -129,7 +128,7 @@ def load(src: Path):
     return wl, cli
 
 
-def outcomes(wl, cli, workdir: str) -> dict:
+def outcomes(wl, workdir: str) -> dict:
     """(stream, seed, index) -> (kind, checked Outcome) of every bracket and
     thorough op."""
     out = {}
@@ -143,7 +142,7 @@ def outcomes(wl, cli, workdir: str) -> dict:
             for index in range(ops):
                 inp = wl.write_matrix(wl.make_input("thorough", seed, index), workdir)
                 out[stream, seed, index] = (inp.kind, wl.check(
-                    "thorough", inp, thorough_call(wl, cli, inp, restarts)))
+                    "thorough", inp, thorough_call(wl, inp, restarts)))
     return out
 
 
@@ -184,7 +183,7 @@ def main(argv=None) -> int:
             raise SystemExit(f"error: no l1rankone sources under {src}")
     if args.compare:
         with tempfile.TemporaryDirectory() as workdir:
-            this, other = (outcomes(*load(src), workdir) for src in srcs)
+            this, other = (outcomes(load(src)[0], workdir) for src in srcs)
             compare(this, other)
         return 0
     wl, cli = load(srcs[0])
@@ -197,7 +196,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for stream, seeds, ops, restarts in THOROUGH_STREAMS:
             for seed in seeds:
-                records = thorough_records(wl, cli, seed, ops, restarts, drop, workdir)
+                records = thorough_records(wl, seed, ops, restarts, drop, workdir)
                 print(f"{stream:15} seed={seed} {digest(records)}")
         for exp in EXPERIMENTS:
             print(f"experiment      {' '.join(exp)} "
