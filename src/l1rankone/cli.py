@@ -78,8 +78,7 @@ def cmd_decompose(args) -> int:
     elif args.method == "dd":
         dec = dc.dd_decompose(a)
     elif args.method == "greedy":
-        dec = dc.greedy_decompose(
-            a, dc.GreedyConfig(restarts=args.restarts, seed=args.seed))
+        dec = dc.greedy_decompose(a)
     else:
         dec = gm.numeric_gamma_plus_oracle(
             a, restarts=args.restarts, seed=args.seed)
@@ -221,8 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
             *matrix, "--recon-tol")
     p.add_argument("--method", required=True,
                    choices=("ldl", "eigen", "dd", "greedy", "oracle"))
-    p.add_argument("--restarts", type=_int_from(1), default=16)
-    p.add_argument("--seed", type=_int_from(0), default=0)
+    p.add_argument("--restarts", type=_int_from(1), default=16,
+                   help="oracle starts; greedy is deterministic and does not read it")
+    p.add_argument("--seed", type=_int_from(0), default=0,
+                   help="oracle seed; greedy is deterministic and does not read it")
 
     p = add("gamma", "functional bounds report", cmd_gamma, *matrix)
     p.add_argument("--functional", required=True, choices=("plus", "zero", "exact"))

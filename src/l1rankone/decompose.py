@@ -234,18 +234,11 @@ def numerical_rank(a: HermitianMatrix) -> int:
 class GreedyConfig:
     """Search budget for greedy_decompose.
 
-    restarts: independent runs mixing random directions into the pivot
-              candidates (run 0 is fully deterministic). A run that reaches
-              a residual already visited in the same call reuses that peel
-              step; the output is unchanged.
     max_iter: budget of scored trial moves per refined peel direction; a
               sweep scores 4n of them.
-    seed:     base seed; run r uses seed + r.
     """
 
-    restarts: int = 16
     max_iter: int = 200
-    seed: int = 0
 
 
 def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float, node_cap: int):
@@ -418,15 +411,12 @@ def _peel_step(r: np.ndarray, x0: np.ndarray, cfg: GreedyConfig, peel_floor: flo
     return best
 
 
-def _greedy_run(a_arr: np.ndarray, cfg: GreedyConfig, tol_p: float,
-                rng: np.random.Generator | None, max_steps: int, memo: dict):
+def _greedy_run(a_arr: np.ndarray, cfg: GreedyConfig, tol_p: float, max_steps: int):
     """One greedy peeling pass; returns the list of peeled vectors.
 
-    memo maps (residual bytes, peel floor) to that residual's pivot
-    candidates, their quick scores and the peel step taken from each start
-    direction so far. Every entry is a pure function of its key, so runs
-    sharing one memo return what they would alone; only the random
-    candidates, drawn from rng, are scored afresh.
+    Each step starts from the pivot direction with the best quick score and
+    peels along it or its refinement (_peel_step). The residual trace
+    strictly falls, so no residual is visited twice.
     """
     n = a_arr.shape[0]
     r = a_arr.copy()
@@ -439,31 +429,14 @@ def _greedy_run(a_arr: np.ndarray, cfg: GreedyConfig, tol_p: float,
             break
         # Any rank-counted eigendirection peels at least RANK_TOL * tr / n.
         peel_floor = RANK_TOL * trace_prev / n
-        key = (r.tobytes(), peel_floor)
-        if key not in memo:
-            memo[key] = (*_pivot_candidates(r, tol_p, peel_floor), {})
-        pivots, pivot_quick, steps = memo[key]
-        cands, quick = list(pivots), list(pivot_quick)
-        if rng is not None:
-            # One draw of (2, 2, n) normals is the stream of four draws of n.
-            g = rng.standard_normal((2, 2, n))
-            ys = []
-            for z in g[:, 0] + 1j * g[:, 1]:
-                q = float(np.vdot(z, r @ z).real)
-                if q > 1e-12 * scale:
-                    cands.append(z / np.sqrt(q))
-                    ys.append(r @ cands[-1])
-            quick += _quick_scores(r, np.array(ys).reshape(-1, n), peel_floor)
+        cands, quick = _pivot_candidates(r, tol_p, peel_floor)
         best = min(quick, default=np.inf)  # its first index is the pick
         if not np.isfinite(best):
             break
-        x0 = cands[quick.index(best)]
-        start = x0.tobytes()
-        if start not in steps:
-            steps[start] = _peel_step(r, x0, cfg, peel_floor)
-        if steps[start] is None:
+        step = _peel_step(r, cands[quick.index(best)], cfg, peel_floor)
+        if step is None:
             break
-        y, r = steps[start]
+        y, r = step
         vectors.append(y)
         trace_now = float(np.diagonal(r).real.sum())
         if trace_now > trace_prev - 1e-15 * scale:
@@ -478,13 +451,11 @@ def greedy_decompose(a: HermitianMatrix,
                      config: GreedyConfig | None = None) -> RankOneDecomposition:
     """Greedy peeling over <Ax, x> = 1 directions with permuted-LDL search.
 
-    The candidate space contains every LDL pivot order (searched exactly for
-    small n, pruned beyond PIVOT_SEARCH_NODES), pivot seeds refined by
-    coordinate descent, and random restart directions; so the result never
-    loses to plain LDL. Restarts merge deterministically: lowest cost, ties
-    broken lexicographically. A restart that reaches a residual already
-    visited in this call reuses its pivot scores and, from the same start
-    direction, its peel step; the output is what independent runs give.
+    Returns the cheaper of two families: the best LDL pivot order (searched
+    exactly for small n, pruned beyond PIVOT_SEARCH_NODES), so the result
+    never loses to plain LDL, and one peel pass from pivot seeds refined by
+    coordinate descent. Ties go to the lexicographically smaller family.
+    Nothing is random: the result is a function of A and the config alone.
     """
     cfg = config or GreedyConfig()
     if not is_psd(a):
@@ -495,24 +466,14 @@ def greedy_decompose(a: HermitianMatrix,
     tol_p = PIVOT_TOL * scale
     node_cap = PIVOT_SEARCH_NODES if a.n <= PIVOT_SEARCH_MAX_N else 0
     _, pivot_vecs = _best_pivot_order_ldl(a_arr, tol_p, node_cap)
-    candidates = [pivot_vecs]
-    max_steps = numerical_rank(a) + 2
-    memo: dict = {}
-    for run in range(max(cfg.restarts, 1)):
-        rng = None if run == 0 else np.random.default_rng(cfg.seed + run)
-        try:
-            candidates.append(_greedy_run(a_arr, cfg, tol_p, rng, max_steps, memo))
-        except ZeroDirectionError:
-            continue
-    # Check each distinct family once (restarts often repeat one). Skip
-    # incomplete runs (e.g. all peel directions filtered) and families
-    # that meet A only within RECON_TOL yet cost less than the lower bound
-    # ||A||_1,1, which no exact decomposition does.
-    distinct = {tuple(v.tobytes() for v in vecs): vecs for vecs in candidates}
+    peeled = _greedy_run(a_arr, cfg, tol_p, numerical_rank(a) + 2)
+    # Skip an incomplete pass (e.g. all peel directions filtered) and
+    # families that meet A only within RECON_TOL yet cost less than the
+    # lower bound ||A||_1,1, which no exact decomposition does.
     floor = norm_l11(a) * (1.0 - 1e-12)
-    complete = [vecs for vecs in distinct.values()
+    complete = [vecs for vecs in (pivot_vecs, peeled)
                 if verify_reconstruction(a, vecs).ok and decomposition_cost(vecs) >= floor]
-    # If every run degenerated, natural order always completes.
+    # If both degenerated, natural order always completes.
     best = cheapest_family(complete) if complete else ldl_factor(a)
     return RankOneDecomposition.build(a, best, METHOD_GREEDY)
 

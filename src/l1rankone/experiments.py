@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import GreedyConfig, eigen_decompose, greedy_decompose, ldl_decompose
+from .decompose import eigen_decompose, greedy_decompose, ldl_decompose
 from .errors import EigenFailureError, InsufficientDataError
 from .hermitian import HermitianMatrix, ingest_matrix, norm_l11
 
@@ -119,13 +119,13 @@ class ExperimentReport:
     fit: FitResult | None
 
 
-def _method_cost(a: HermitianMatrix, method: str, seed: int) -> float:
+def _method_cost(a: HermitianMatrix, method: str) -> float:
     if method == "ldl":
         return ldl_decompose(a).cost
     if method == "eigen":
         return eigen_decompose(a).cost
     if method == "greedy":
-        return greedy_decompose(a, GreedyConfig(restarts=4, seed=seed)).cost
+        return greedy_decompose(a).cost
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -142,7 +142,7 @@ def run_ensemble(config: EnsembleConfig) -> ExperimentReport:
             den = norm_l11(a)
             for method in config.methods:
                 try:
-                    ratio = _method_cost(a, method, seed) / den
+                    ratio = _method_cost(a, method) / den
                 except EigenFailureError as exc:
                     raise EigenFailureError(
                         f"eigensolver failed at dim {n}, realization {r}: {exc}"

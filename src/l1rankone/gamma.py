@@ -173,10 +173,11 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
                       seed_decompositions=()) -> GammaReport:
     """Two-sided bracket for gamma_plus: lower = ||A||_1,1, upper = best of
     the constructive strategies (plus the numeric oracle at thorough effort
-    for n <= 4). Greedy runs 4 restarts at fast effort, 16 at thorough.
-    seed_decompositions are externally supplied certificates (vector
-    families for this same matrix) joined into the candidate pool after
-    re-validation.
+    for n <= 4). Every strategy but the oracle is deterministic, so seed and
+    oracle_restarts act only at thorough effort, and thorough differs from
+    fast only by the oracle. seed_decompositions are externally supplied
+    certificates (vector families for this same matrix) joined into the
+    candidate pool after re-validation.
 
     Strategies run in order (ldl, dd when A is diagonally dominant, greedy,
     oracle) and stop once the preferred certificate costs at most
@@ -187,13 +188,12 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     if not is_psd(a):
         raise NotPSDError("gamma_plus is defined on PSD matrices only")
     lower = norm_l11(a)
-    greedy_config = GreedyConfig(restarts=16 if effort == EFFORT_THOROUGH else 4, seed=seed)
     seeds = [(METHOD_EXTERNAL, RankOneDecomposition.build(a, dec.vectors, METHOD_EXTERNAL))
              for dec in seed_decompositions]
     strategies = [(METHOD_LDL, ldl_decompose)]
     if is_diagonally_dominant(a)[0]:
         strategies.append((METHOD_DD, dd_decompose))
-    strategies.append((METHOD_GREEDY, lambda m: greedy_decompose(m, greedy_config)))
+    strategies.append((METHOD_GREEDY, greedy_decompose))
     if effort == EFFORT_THOROUGH and a.n <= 4:
         strategies.append((METHOD_ORACLE, lambda m: numeric_gamma_plus_oracle(
             m, restarts=oracle_restarts, seed=seed)))
@@ -624,8 +624,7 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32,
         raise NotPSDError("oracle requires a PSD matrix")
     n = a.n
     a_arr = np.asarray(a.entries)
-    greedy_seed = greedy_decompose(
-        a, GreedyConfig(restarts=2, max_iter=80, seed=seed)).vectors
+    greedy_seed = greedy_decompose(a, GreedyConfig(max_iter=80)).vectors
     warm = [np.array(vecs)
             for vecs in (greedy_seed, ldl_factor(a), eigen_decompose(a).vectors)]
 

@@ -60,7 +60,7 @@ def test_criterion_02_lipschitz_two_tightness():
 def test_criterion_03_2x2_exactness():
     rng = np.random.default_rng(3)
     t0 = time.perf_counter()
-    greedy_cfg = dc.GreedyConfig(restarts=2, max_iter=60)
+    greedy_cfg = dc.GreedyConfig(max_iter=60)
     for k in range(200):
         a = random_psd(rng, 2, complex_entries=bool(k % 2))
         l11 = lr.norm_l11(a)

@@ -93,6 +93,14 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["cost"] == pytest.approx(6.0, abs=1e-6)
 
+    def test_greedy_does_not_read_restarts_or_seed(self, files, capsys):
+        p = files["dir"] / "remark.json"
+        p.write_text(json.dumps({"n": 4, "entries": REMARK_4X4.tolist()}))
+        outs = {run(capsys, "decompose", str(p), "--method", "greedy", *flags)
+                for flags in ([], ["--restarts", "1", "--seed", "9"],
+                              ["--restarts", "40", "--seed", "2"])}
+        assert len(outs) == 1 and next(iter(outs))[0] == 0
+
 
 class TestGamma:
     def test_zero_flip(self, files, capsys):
@@ -203,7 +211,8 @@ class TestFlags:
                                          ["gamma", "--functional", "plus"]])
     def test_negative_seed_is_rejected(self, files, capsys, command):
         # LDL closes the 2x2 bracket at once; on the 4x4 Wishart greedy runs
-        # its restarts. Both are refused before any strategy runs.
+        # too. Both are refused before any strategy runs, although no method
+        # but the oracle reads the seed.
         rng = np.random.default_rng(8)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         wishart = files["dir"] / "wishart.json"

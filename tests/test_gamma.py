@@ -77,7 +77,7 @@ class TestGammaPlusBounds:
         # the bracket first, so greedy is checked on its own.
         b = -1.793732557878405 + 0.4255125394149487j
         a = hermitian([[3.392696142714512, b], [np.conj(b), 1.0017217184894072]])
-        greedy = dc.greedy_decompose(a, dc.GreedyConfig(restarts=16, seed=122))
+        greedy = dc.greedy_decompose(a)
         assert greedy.cost >= lr.norm_l11(a) * (1.0 - 1e-12)
         report = gm.gamma_plus_bounds(a, gm.EFFORT_THOROUGH, seed=122, oracle_restarts=1)
         assert report.lower <= report.upper
@@ -102,8 +102,8 @@ class TestGammaPlusBounds:
         named = [("ldl", dc.ldl_decompose(a))]
         if dc.is_diagonally_dominant(a)[0]:
             named.append(("dd", dc.dd_decompose(a)))
-        # The fast bracket's greedy: 4 restarts from seed 0.
-        named.append(("greedy", dc.greedy_decompose(a, dc.GreedyConfig(restarts=4))))
+        # The bracket's greedy, at its default budget.
+        named.append(("greedy", dc.greedy_decompose(a)))
         full = gm.GammaReport.pick(gm.FUNCTIONAL_GAMMA_PLUS, lower, named)
         report = gm.gamma_plus_bounds(a)
         assert report.upper == full.upper
@@ -349,7 +349,7 @@ class TestOracleObjective:
         # A planted rank-3 4x4 on which the search in range(A) finds a
         # cheaper family than every warm start.
         a = random_psd(np.random.default_rng(2), 4, 3)
-        greedy = dc.greedy_decompose(a, dc.GreedyConfig(restarts=2, max_iter=80, seed=0))
+        greedy = dc.greedy_decompose(a, dc.GreedyConfig(max_iter=80))
         dec = gm.numeric_gamma_plus_oracle(a, restarts=1, seed=0)
         assert dec.cost < greedy.cost * (1.0 - 1e-3)
 
@@ -609,7 +609,7 @@ class TestFunctionalProperties:
         for scale in (0.5, 4.0):
             a = random_psd(rng, 3)
             sa = lr.ingest_matrix(scale * a.entries)
-            cfg = dc.GreedyConfig(restarts=2, seed=3)
+            cfg = dc.GreedyConfig()
             assert dc.greedy_decompose(sa, cfg).cost == pytest.approx(
                 scale * dc.greedy_decompose(a, cfg).cost, rel=1e-9)
 
