@@ -9,6 +9,7 @@ diagonally dominant, 5 certification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -191,7 +192,9 @@ def _int_from(minimum: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once and shared by every main call: do not modify."""
     parser = argparse.ArgumentParser(
         prog="l1rankone",
         description="Rank-one l1-optimal decompositions of PSD matrices",
@@ -205,19 +208,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--out": {"default": None, "help": "output path (default stdout)"},
     }
 
-    def add(name, help_text, func, *flags):
-        """Subcommand `name` with the shared flags it reads, and --out."""
+    def add(name, help_text, *flags):
+        """Subcommand `name`, run by cmd_<name>, with the shared flags it
+        reads, and --out."""
         p = sub.add_parser(name, help=help_text)
         for flag in (*flags, "--out"):
             p.add_argument(flag, **shared[flag])
-        p.set_defaults(func=func)
         return p
 
     matrix = ("input", "--hermitian-tol")
-    add("norms", "all four matrix norms", cmd_norms, *matrix)
+    add("norms", "all four matrix norms", *matrix)
 
-    p = add("decompose", "rank-one decomposition by one strategy", cmd_decompose,
-            *matrix, "--recon-tol")
+    p = add("decompose", "rank-one decomposition by one strategy", *matrix, "--recon-tol")
     p.add_argument("--method", required=True,
                    choices=("ldl", "eigen", "dd", "greedy", "oracle"))
     p.add_argument("--restarts", type=_int_from(1), default=16,
@@ -225,21 +227,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_from(0), default=0,
                    help="oracle seed; greedy is deterministic and does not read it")
 
-    p = add("gamma", "functional bounds report", cmd_gamma, *matrix)
+    p = add("gamma", "functional bounds report", *matrix)
     p.add_argument("--functional", required=True, choices=("plus", "zero", "exact"))
     p.add_argument("--effort", choices=(gm.EFFORT_FAST, gm.EFFORT_THOROUGH),
                    default=gm.EFFORT_FAST)
     p.add_argument("--restarts", type=_int_from(1), default=32)
     p.add_argument("--seed", type=_int_from(0), default=0)
 
-    p = add("certify", "verify a decomposition against a matrix", cmd_certify,
-            *matrix, "--recon-tol")
+    p = add("certify", "verify a decomposition against a matrix", *matrix, "--recon-tol")
     p.add_argument("decomposition", help="decomposition JSON file")
 
-    p = add("reduce", "Caratheodory-reduce a decomposition", cmd_reduce)
+    p = add("reduce", "Caratheodory-reduce a decomposition")
     p.add_argument("decomposition", help="decomposition JSON file")
 
-    p = add("experiment", "seeded Monte-Carlo ratio curves", cmd_experiment)
+    p = add("experiment", "seeded Monte-Carlo ratio curves")
     p.add_argument("--dims", required=True, help="comma-separated dimensions")
     p.add_argument("--realizations", type=_int_from(1), required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -255,7 +256,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # Looked up per call, so a rebound cmd_<name> runs, not the one cached.
+        return globals()[f"cmd_{args.command}"](args)
     except NotPSDError as exc:
         print(f"error: not positive semidefinite: {exc}", file=sys.stderr)
         return EXIT_NOT_PSD

@@ -28,11 +28,13 @@ from .hermitian import (
     PSD_TOL,
     RECON_TOL,
     HermitianMatrix,
+    _readonly,
     eigenvalue_cut,
     eigh,  # noqa: F401  (kept in this namespace: perfbench's tracer rebinds it here)
     is_psd,
     ldl_factor,
     norm_l11,
+    stack_family,
     verify_reconstruction,
 )
 
@@ -68,11 +70,22 @@ def decomposition_cost(vectors) -> float:
     return float(sum(l1 ** 2 for l1 in _row_l1(vectors)))
 
 
-def drop_null_vectors(target: HermitianMatrix, vectors) -> list[np.ndarray]:
-    """The vectors with ||v||_1^2 above NULL_TOL * target.scale()."""
+def _kept_family(target: HermitianMatrix, vectors) -> tuple[np.ndarray, float]:
+    """(kept, cost): the family stacked once (see stack_family), less its
+    rows with ||v||_1^2 at or below NULL_TOL * target.scale(), as one
+    read-only copy, and the cost of those kept rows. One row sum gives both."""
+    stack = stack_family(vectors, target.n)
     floor = NULL_TOL * target.scale()
-    vecs = [np.asarray(v, dtype=np.complex128) for v in vectors]
-    return [v for v, l1 in zip(vecs, _row_l1(vecs)) if l1 ** 2 > floor]
+    squares = [l1 ** 2 for l1 in _row_l1(stack)]
+    keep = [sq > floor for sq in squares]
+    cost = float(sum(sq for sq, k in zip(squares, keep) if k))
+    return _readonly(stack[np.array(keep, dtype=bool)]), cost
+
+
+def drop_null_vectors(target: HermitianMatrix, vectors) -> list[np.ndarray]:
+    """The vectors with ||v||_1^2 above NULL_TOL * target.scale(), as the
+    read-only rows of one stack."""
+    return list(_kept_family(target, vectors)[0])
 
 
 def _lex_key(vectors) -> tuple:
@@ -85,15 +98,12 @@ def cheapest_family(families) -> list:
     return min(families, key=lambda vecs: (decomposition_cost(vecs), _lex_key(vecs)))
 
 
-def _frozen(v: np.ndarray) -> np.ndarray:
-    v = np.array(v, dtype=np.complex128, copy=True)
-    v.flags.writeable = False
-    return v
-
-
 @dataclass(frozen=True)
 class RankOneDecomposition:
-    """Vectors g_k with A = sum g_k g_k* and cost = sum ||g_k||_1^2."""
+    """Vectors g_k with A = sum g_k g_k* and cost = sum ||g_k||_1^2.
+
+    `vectors` holds the rows of one read-only, C-contiguous (r, n) complex
+    array: the family is stored once, as one stack."""
 
     target_n: int
     vectors: tuple
@@ -104,13 +114,7 @@ class RankOneDecomposition:
     def build(cls, target: HermitianMatrix, vectors,
               method: str) -> "RankOneDecomposition":
         """Drop null vectors, compute the cost, and verify reconstruction."""
-        vecs = [np.asarray(v, dtype=np.complex128) for v in vectors]
-        for v in vecs:
-            if v.shape != (target.n,):
-                raise DimensionMismatchError(
-                    f"vector of shape {v.shape} does not fit n={target.n}"
-                )
-        kept = [_frozen(v) for v in drop_null_vectors(target, vecs)]
+        kept, cost = _kept_family(target, vectors)
         report = verify_reconstruction(target, kept)
         if not report.ok:
             raise ReconstructionError(
@@ -120,7 +124,7 @@ class RankOneDecomposition:
         return cls(
             target_n=target.n,
             vectors=tuple(kept),
-            cost=decomposition_cost(kept),
+            cost=cost,
             method=method,
         )
 
@@ -166,23 +170,16 @@ def dd_decompose(a: HermitianMatrix) -> RankOneDecomposition:
             row=worst,
             margin=float(margins[worst]),
         )
-    n = a.n
-    tol = PSD_TOL * a.scale()
-    vectors = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = a.entries[i, j]
-            if x != 0.0:
-                root = np.sqrt(x)
-                u = np.zeros(n, dtype=np.complex128)
-                u[i] = root
-                u[j] = root.conjugate()
-                vectors.append(u)
-    for i in range(n):
-        if margins[i] > tol:
-            v = np.zeros(n, dtype=np.complex128)
-            v[i] = np.sqrt(margins[i])
-            vectors.append(v)
+    # The family is one stack: pair rows in row-major (i, j) order, then
+    # one row per diagonal remainder.
+    i, j = np.nonzero(np.triu(a.entries, 1))
+    singles = np.flatnonzero(margins > PSD_TOL * a.scale())
+    m = len(i)
+    vectors = np.zeros((m + len(singles), a.n), dtype=np.complex128)
+    roots = np.sqrt(a.entries[i, j])
+    vectors[np.arange(m), i] = roots
+    vectors[np.arange(m), j] = roots.conj()
+    vectors[m + np.arange(len(singles)), singles] = np.sqrt(margins[singles])
     return RankOneDecomposition.build(a, vectors, METHOD_DD)
 
 
@@ -216,7 +213,7 @@ def rank_one_peel(a: HermitianMatrix, x):
         raise ZeroDirectionError(f"<Ax, x> = {quad:.3e} is not positive")
     residual = a.entries - np.outer(y, y.conj())
     residual = (residual + residual.conj().T) / 2.0
-    return PeelStep(_frozen(x), _frozen(y), quad), HermitianMatrix(residual)
+    return PeelStep(_readonly(x.copy()), _readonly(y), quad), HermitianMatrix(residual)
 
 
 def numerical_rank(a: HermitianMatrix) -> int:
@@ -506,24 +503,19 @@ def caratheodory_reduce(weights, unit_vectors):
     """
     tol = 1e-9
     w = np.asarray(weights, dtype=float).copy()
-    xs = [np.asarray(x, dtype=np.complex128) for x in unit_vectors]
-    if w.ndim != 1 or len(xs) != w.shape[0]:
+    if w.ndim != 1 or len(unit_vectors) != w.shape[0]:
         raise DimensionMismatchError("one weight per vector required")
     if w.size == 0:
         return w, []
-    n = xs[0].shape[0]
-    for x in xs:
-        if x.shape != (n,):
-            raise DimensionMismatchError("vectors must share one dimension")
-        if abs(vector_l1(x) - 1.0) > tol:
-            raise NormalizationError(
-                f"vector l1 norm {vector_l1(x):.12g} is not 1 within {tol:g}"
-            )
+    xs = stack_family(unit_vectors)
+    for l1 in _row_l1(xs):
+        if abs(l1 - 1.0) > tol:
+            raise NormalizationError(f"vector l1 norm {l1:.12g} is not 1 within {tol:g}")
     if np.any(w <= 0.0):
         raise NormalizationError("weights must be strictly positive")
     if float(w.sum()) > 1.0 + tol:
         raise NormalizationError(f"total weight {w.sum():.12g} exceeds 1")
-    cap = n * n + 1
+    cap = xs.shape[1] ** 2 + 1
     while w.size > cap:
         phi = np.stack([np.append(_vec_real(x), 1.0) for x in xs], axis=1)
         _, svals, vt = np.linalg.svd(phi, full_matrices=True)
@@ -548,8 +540,8 @@ def caratheodory_reduce(weights, unit_vectors):
         w[drop] = 0.0
         keep = np.flatnonzero(w > 1e-15 * max(1.0, float(w.max())))
         w = w[keep]
-        xs = [xs[int(i)] for i in keep]
-    return w, xs
+        xs = xs[keep]
+    return w, list(xs)
 
 
 def reduce_decomposition(dec: RankOneDecomposition,
@@ -559,9 +551,9 @@ def reduce_decomposition(dec: RankOneDecomposition,
     if len(dec.vectors) <= cap:
         return dec
     total = dec.cost
-    w = np.array([vector_l1(v) ** 2 / total for v in dec.vectors])
-    xs = [v / vector_l1(v) for v in dec.vectors]
-    w2, xs2 = caratheodory_reduce(w, xs)
+    l1 = _row_l1(dec.vectors)
+    w2, xs2 = caratheodory_reduce([x ** 2 / total for x in l1],
+                                  [v / x for v, x in zip(dec.vectors, l1)])
     vectors = [np.sqrt(total * wk) * xk for wk, xk in zip(w2, xs2)]
     return RankOneDecomposition.build(target, vectors, dec.method)
 

@@ -31,7 +31,7 @@ from .decompose import (
     METHOD_ORACLE,
     GreedyConfig,
     RankOneDecomposition,
-    _frozen,
+    _kept_family,
     cheapest_family,
     decomposition_cost,
     dd_decompose,
@@ -84,7 +84,8 @@ UNDECIDED = "undecided"
 
 @dataclass(frozen=True)
 class SignedDecomposition:
-    """A = sum g g* - sum h h* with cost = sum ||g||_1^2 + sum ||h||_1^2."""
+    """A = sum g g* - sum h h* with cost = sum ||g||_1^2 + sum ||h||_1^2;
+    each side holds the rows of one read-only (r, n) stack."""
 
     target_n: int
     positive: tuple
@@ -93,8 +94,8 @@ class SignedDecomposition:
 
     @classmethod
     def build(cls, target: HermitianMatrix, positive, negative) -> "SignedDecomposition":
-        pos = [_frozen(v) for v in drop_null_vectors(target, positive)]
-        neg = [_frozen(v) for v in drop_null_vectors(target, negative)]
+        pos, pos_cost = _kept_family(target, positive)
+        neg, neg_cost = _kept_family(target, negative)
         report = verify_reconstruction(target, pos, negative=neg)
         if not report.ok:
             raise ReconstructionError(
@@ -105,7 +106,7 @@ class SignedDecomposition:
             target_n=target.n,
             positive=tuple(pos),
             negative=tuple(neg),
-            cost=decomposition_cost(pos) + decomposition_cost(neg),
+            cost=pos_cost + neg_cost,
         )
 
 

@@ -199,16 +199,18 @@ def ldl_factor(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> list[np.ndarray]
     """Lagrangian (LDL-style) rank-one elimination in natural pivot order.
 
     Returns vectors v_k, each zero on positions before its pivot, with
-    sum_k v_k v_k* = A. A pivot that PSD-ness forces to vanish is skipped
-    and emits no vector; a skipped pivot with a non-negligible row, or a
-    Schur complement gone negative beyond tolerance, raises NotPSD.
+    sum_k v_k v_k* = A: the read-only rows of one (r, n) array. A pivot
+    that PSD-ness forces to vanish is skipped and emits no vector; a
+    skipped pivot with a non-negligible row, or a Schur complement gone
+    negative beyond tolerance, raises NotPSD.
     """
     n = a.n
     w = np.array(a.entries, dtype=np.complex128, copy=True)
     scale = max([1.0, *w.real.diagonal().tolist()])  # beats ndarray.max at small n
     tol_p = PIVOT_TOL * scale
     neg_tol = psd_tol * scale
-    vectors: list[np.ndarray] = []
+    out = np.zeros((n, n), dtype=np.complex128)
+    r = 0
     # Row and column k are never read after step k, so only the trailing
     # block w[k+1:, k+1:] is kept up to date.
     for k in range(n):
@@ -233,25 +235,37 @@ def ldl_factor(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> list[np.ndarray]
                         f"pivot {k} vanished but its row has magnitude {row_max:.3e}"
                     )
             continue
-        v = np.zeros(n, dtype=np.complex128)
+        v = out[r]
         v[k:] = w[k:, k] / math.sqrt(d)
-        vectors.append(_readonly(v))
+        r += 1
+        # np.outer, not a broadcast product: the two round differently.
         w[k + 1:, k + 1:] -= np.outer(v[k + 1:], v[k + 1:].conj())
-    return vectors
+    return list(_readonly(out)[:r])
+
+
+def stack_family(vectors, n: int | None = None) -> np.ndarray:
+    """A family of vectors as one C-contiguous (r, n) complex array (such an
+    array comes back as it is). Raises DimensionMismatchError unless every
+    vector is 1-D of one length, n when given; an empty family needs n."""
+    if len(vectors) == 0:
+        if n is None:
+            raise DimensionMismatchError("cannot reconstruct from zero vectors")
+        return np.empty((0, n), dtype=np.complex128)
+    try:
+        stack = np.ascontiguousarray(vectors, dtype=np.complex128)
+    except ValueError as exc:  # ragged: NumPy refuses the inhomogeneous shape
+        raise DimensionMismatchError(f"vectors of unequal shapes: {exc}") from exc
+    if stack.ndim != 2 or (n is not None and stack.shape[1] != n):
+        raise DimensionMismatchError(
+            f"vectors stack to shape {stack.shape}, not (r, {'n' if n is None else n})"
+        )
+    return stack
 
 
 def reconstruct(vectors) -> HermitianMatrix:
-    """Sum of outer products g_k g_k* for a family of same-length vectors."""
-    vecs = [np.asarray(v, dtype=np.complex128) for v in vectors]
-    if not vecs:
-        raise DimensionMismatchError("cannot reconstruct from zero vectors")
-    n = vecs[0].shape[0]
-    for v in vecs:
-        if v.ndim != 1 or v.shape[0] != n:
-            raise DimensionMismatchError(
-                f"vector of length {v.shape} does not match dimension {n}"
-            )
-    stack = np.array(vecs)
+    """Sum of outer products g_k g_k* over the rows of a family, taken as
+    one (r, n) stack (see stack_family)."""
+    stack = stack_family(vectors)
     out = stack.T @ stack.conj()
     return HermitianMatrix((out + out.conj().T) / 2.0)
 
@@ -263,25 +277,17 @@ class ReconstructionReport:
     ok: bool
 
 
-def _outer_sum(a: HermitianMatrix, family) -> np.ndarray:
-    rec = reconstruct(family)
-    if rec.n != a.n:
-        raise DimensionMismatchError(
-            f"decomposition dimension {rec.n} != matrix dimension {a.n}"
-        )
-    return rec.entries
-
-
 def verify_reconstruction(a: HermitianMatrix, vectors, recon_tol: float = RECON_TOL,
                           negative=()) -> ReconstructionReport:
     """Max-entry residual |A - sum g g* + sum h h*| against recon_tol * scale,
-    with g over `vectors` and h over `negative`. This is the one residual
-    check: every decomposition builder and the CLI go through it."""
+    with g over the rows of `vectors` and h over those of `negative`, each
+    family taken as one (r, n) stack (see stack_family). This is the one
+    residual check: every decomposition builder and the CLI go through it."""
     resid = a.entries
     if len(vectors):
-        resid = resid - _outer_sum(a, vectors)
+        resid = resid - reconstruct(stack_family(vectors, a.n)).entries
     if len(negative):
-        resid = resid + _outer_sum(a, negative)
+        resid = resid + reconstruct(stack_family(negative, a.n)).entries
     worst = float(np.abs(resid).max()) if a.n else 0.0
     tol = recon_tol * a.scale()
     return ReconstructionReport(worst, tol, worst <= tol)

@@ -239,6 +239,17 @@ class TestFlags:
         assert run(capsys, "norms", files["a"]) == (2, "")
 
 
+    def test_shared_parser_still_parses_after_a_call(self, files, capsys):
+        """The parser is built once; after a successful call a bad flag is
+        still refused and another subcommand still parses."""
+        assert run(capsys, "norms", files["a"])[0] == 0
+        assert cli.build_parser() is cli.build_parser()
+        assert run(capsys, "norms", files["a"], "--method", "ldl") == (2, "")
+        code, out = run(capsys, "decompose", files["a"], "--method", "ldl")
+        assert code == 0
+        assert json.loads(out)["method"] == "ldl"
+
+
 class TestCertify:
     def _decompose_to_file(self, files, capsys, name="dec.json"):
         _, out = run(capsys, "decompose", files["a"], "--method", "ldl")

@@ -42,6 +42,22 @@ class TestBuild:
             with pytest.raises(ReconstructionError):
                 dc.RankOneDecomposition.build(target, vectors, "external")
 
+    @pytest.mark.parametrize("family", [
+        [np.ones(3)],
+        [np.ones(2), np.ones(3)],
+        [np.ones((2, 2))],
+        [np.ones(2), np.ones((1, 2))],
+    ], ids=["wrong-length", "ragged", "2-D", "mixed-rank"])
+    def test_shape_errors_are_dimension_mismatches(self, family):
+        """Both builds raise DimensionMismatchError, not NumPy's ValueError,
+        for a family that does not stack to (r, n), on either signed side."""
+        target = hermitian(np.eye(2))
+        with pytest.raises(DimensionMismatchError):
+            dc.RankOneDecomposition.build(target, family, "external")
+        for pos, neg in ((family, []), ([], family)):
+            with pytest.raises(DimensionMismatchError):
+                lr.SignedDecomposition.build(target, pos, neg)
+
 
 class TestLdlDecompose:
     def test_2x2(self):

@@ -1,5 +1,7 @@
 """Core matrix type: ingestion, norms, eigensolver, LDL, reconstruction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from l1rankone.errors import (
     NotSquareError,
     ScaleOverflowError,
 )
+from l1rankone.hermitian import PIVOT_TOL, PSD_TOL
 
 from conftest import hermitian, random_hermitian, random_psd
 
@@ -229,7 +232,64 @@ class TestIsPsd:
         assert lr.is_psd(hermitian(np.zeros((2, 2))))
 
 
+def _ldl_factor_reference(a, psd_tol=PSD_TOL):
+    """ldl_factor as a per-vector loop: a fresh array for each vector."""
+    n = a.n
+    w = np.array(a.entries, dtype=np.complex128, copy=True)
+    scale = max([1.0, *w.real.diagonal().tolist()])
+    tol_p = PIVOT_TOL * scale
+    neg_tol = psd_tol * scale
+    vectors = []
+    for k in range(n):
+        d = float(w[k, k].real)
+        if d < -neg_tol:
+            raise NotPSDError(f"pivot {k}")
+        if d <= tol_p:
+            slack = tol_p + neg_tol
+            rest = w[k, k + 1:]
+            if float(np.vdot(rest, rest).real) > slack * slack:
+                row_max = float(np.abs(rest).max())
+                diag_rest = np.abs(np.diagonal(w)[k + 1:].real)
+                cap = np.sqrt((max(d, 0.0) + slack) * (diag_rest.max() + slack))
+                if row_max > cap + slack:
+                    raise NotPSDError(f"pivot {k} row")
+            continue
+        v = np.zeros(n, dtype=np.complex128)
+        v[k:] = w[k:, k] / math.sqrt(d)
+        vectors.append(v)
+        w[k + 1:, k + 1:] -= np.outer(v[k + 1:], v[k + 1:].conj())
+    return vectors
+
+
+def _with_zero_line(b, p):
+    """b with a zero row and column inserted at index p."""
+    n = b.shape[0] + 1
+    out = np.zeros((n, n), dtype=np.complex128)
+    keep = [i for i in range(n) if i != p]
+    out[np.ix_(keep, keep)] = b
+    return hermitian(out)
+
+
 class TestLdlFactor:
+    def test_matches_per_vector_loop(self, rng):
+        """Byte for byte against the per-vector loop, on real and complex
+        PSD matrices n = 2..64, rank-deficient ones and ones with vanished
+        pivots; every returned row is read-only."""
+        cases = [random_psd(rng, n, complex_entries=cplx)
+                 for n in range(2, 65) for cplx in (False, True)]
+        cases += [random_psd(rng, n, rank=k, complex_entries=cplx)
+                  for n in (3, 5, 8, 13, 21, 34) for k in (1, n // 2, n - 1)
+                  for cplx in (False, True)]
+        cases += [_with_zero_line(random_psd(rng, n).entries, p)
+                  for n in (1, 4, 9) for p in (0, n // 2, n)]
+        cases += [hermitian([[1e-13, off], [off, 1]]) for off in (1e-11, 1e-6)]
+        cases += [hermitian(np.zeros((3, 3)))]
+        for a in cases:
+            got, want = lr.ldl_factor(a), _ldl_factor_reference(a)
+            assert [v.shape for v in got] == [(a.n,)] * len(want)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+            assert not any(v.flags.writeable for v in got)
+
     def test_2x2_closed_form(self):
         # [[a, c], [conj(c), b]] -> (sqrt(a), conj(c)/sqrt(a)), (0, sqrt(b - |c|^2/a))
         a, c, b = 2.0, 1.0 + 1.0j, 3.0

@@ -20,6 +20,9 @@ the library comes from --repo's src/. Lines:
     thorough-restarts  the same for seed 1, ops 0-20, at --restarts 8, so
                     that the oracle searches many starts at once
     experiment      the CSV of each EXPERIMENTS command
+    ensemble-vectors  cost and certificate vector bytes of ldl_decompose and
+                    eigen_decompose on random_psd(n, seed), n in 8, 16, 32,
+                    64 and seeds 0-29 (the experiment CSV holds only ratios)
 
 --drop-method NAME removes NAME from per_method and skipped before hashing,
 so an output that differs only by a retired strategy hashes the same.
@@ -50,6 +53,8 @@ BRACKET_OPS = 350
 # (stream, seeds, ops, oracle restarts; None for perfbench's own)
 THOROUGH_STREAMS = (("thorough", (1, 2), 120, None),
                     ("thorough-restarts", (1,), 21, 8))
+ENSEMBLE_DIMS = (8, 16, 32, 64)
+ENSEMBLE_SEEDS = range(30)
 EXPERIMENTS = (
     ("--dims", "8,16,32,64", "--realizations", "30", "--seed", "0"),
     ("--dims", "3,4,6,8", "--realizations", "10", "--seed", "0",
@@ -102,6 +107,15 @@ def thorough_records(wl, seed: int, ops: int, restarts: int | None,
             obj["skipped"] = [k for k in obj["skipped"] if k != drop]
             stdout = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
         yield f"{index} {code}\n".encode() + stdout
+
+
+def ensemble_vector_records(lr):
+    for n in ENSEMBLE_DIMS:
+        for seed in ENSEMBLE_SEEDS:
+            a = lr.random_psd(n, seed)
+            for dec in (lr.ldl_decompose(a), lr.eigen_decompose(a)):
+                head = f"{n} {seed} {dec.method} {dec.cost!r}\n".encode()
+                yield head + b"".join(v.tobytes() for v in dec.vectors)
 
 
 def experiment_csv(cli, args, workdir: str) -> bytes:
@@ -201,6 +215,7 @@ def main(argv=None) -> int:
         for exp in EXPERIMENTS:
             print(f"experiment      {' '.join(exp)} "
                   f"{digest([experiment_csv(cli, exp, workdir)])}")
+    print(f"ensemble-vectors {digest(ensemble_vector_records(wl.lr))}")
     return 0
 
 
