@@ -10,7 +10,6 @@ term reduction, and a seeded Monte-Carlo benchmark harness.
 
 from . import errors
 from .decompose import (
-    GreedyConfig,
     PeelStep,
     RankOneDecomposition,
     caratheodory_reduce,

@@ -54,6 +54,11 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _cost_matches(declared: float, recomputed: float) -> bool:
+    """Within 1e-9 of the recomputed cost, relative above 1; NaN never matches."""
+    return abs(recomputed - declared) <= 1e-9 * max(1.0, recomputed)
+
+
 def _load_matrix(args):
     return jsonio.matrix_from_obj(_load_json(args.input), args.hermitian_tol)
 
@@ -113,7 +118,7 @@ def cmd_certify(args) -> int:
         )
     report = verify_reconstruction(a, vectors, args.recon_tol)
     recomputed = dc.decomposition_cost(vectors)
-    cost_ok = abs(recomputed - declared_cost) <= 1e-9 * max(1.0, recomputed)
+    cost_ok = _cost_matches(declared_cost, recomputed)
     obj = {
         "pass": bool(report.ok and cost_ok),
         "max_residual": report.max_residual,
@@ -134,7 +139,7 @@ def cmd_reduce(args) -> int:
     method, declared_cost, vectors = jsonio.decomposition_from_obj(
         _load_json(args.decomposition))
     recomputed = dc.decomposition_cost(vectors)
-    if abs(recomputed - declared_cost) > 1e-9 * max(1.0, recomputed):
+    if not _cost_matches(declared_cost, recomputed):
         raise CertificationFailure(
             f"declared cost {declared_cost!r} does not match vectors "
             f"({recomputed!r})"
@@ -148,7 +153,7 @@ def cmd_reduce(args) -> int:
     # reduce_decomposition rebuilds through RankOneDecomposition.build, which
     # checks the residual; only the cost can still drift.
     reduced = dc.reduce_decomposition(dec, target)
-    if abs(reduced.cost - dec.cost) > 1e-9 * max(1.0, dec.cost):
+    if not _cost_matches(reduced.cost, dec.cost):
         raise CertificationFailure(
             f"reduction drifted: cost {dec.cost!r} -> {reduced.cost!r}"
         )

@@ -43,6 +43,7 @@ NULL_TOL = 1e-14  # times A.scale(); vectors with ||v||_1^2 at or below it are d
 SMOOTHING_EPS = 1e-8  # epsilon of the smoothed |.| in greedy's l1 objective
 PIVOT_SEARCH_MAX_N = 6  # largest n whose LDL pivot orders are searched with pruning
 PIVOT_SEARCH_NODES = 4000  # past this many nodes each node keeps only its best child
+GREEDY_MAX_ITER = 200  # scored trial moves per refined peel direction; a sweep scores 4n
 
 METHOD_LDL = "ldl"
 METHOD_EIGEN = "eigen"
@@ -227,17 +228,6 @@ def numerical_rank(a: HermitianMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GreedyConfig:
-    """Search budget for greedy_decompose.
-
-    max_iter: budget of scored trial moves per refined peel direction; a
-              sweep scores 4n of them.
-    """
-
-    max_iter: int = 200
-
-
 def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float, node_cap: int):
     """Search LDL pivot orders for the cheapest total cost.
 
@@ -288,8 +278,7 @@ def _smoothed_l1sq(y: np.ndarray, eps: float) -> float:
 _REFINE_DIRS = np.array([1.0, -1.0, 1.0j, -1.0j])
 
 
-def _refine_direction(r_arr: np.ndarray, x: np.ndarray, cfg: GreedyConfig,
-                      peel_floor: float) -> np.ndarray:
+def _refine_direction(r_arr: np.ndarray, x: np.ndarray, peel_floor: float) -> np.ndarray:
     """Coordinate search for ||Rx||_1^2 on the surface <Rx, x> = 1.
 
     Each sweep scores all 4n single-coordinate moves x_j += h * {1, -1, i, -i}
@@ -297,7 +286,7 @@ def _refine_direction(r_arr: np.ndarray, x: np.ndarray, cfg: GreedyConfig,
     improvement; h halves when no move helps. Moves whose peel mass
     ||Rx||_2^2 / q drops below peel_floor are rejected: they ride
     numerical-dust null directions of a rank-deficient residual and peel
-    nothing. cfg.max_iter caps the scored trials, 4n per sweep; the search
+    nothing. GREEDY_MAX_ITER caps the scored trials, 4n per sweep; the search
     usually ends on it before h falls to 1e-6. y is kept as (Re y | Im y): a
     step h * {1, -1, i, -i} times column c is exactly (+-h c_re, +-h c_im) or
     (-+h c_im, +-h c_re), so the scores keep the bits of complex arithmetic.
@@ -323,7 +312,7 @@ def _refine_direction(r_arr: np.ndarray, x: np.ndarray, cfg: GreedyConfig,
     h = 0.25
     moves_h = None
     trials = 0
-    while h > 1e-6 and trials < cfg.max_iter:
+    while h > 1e-6 and trials < GREEDY_MAX_ITER:
         if moves_h != h:
             moves_h = h
             step = h * _REFINE_DIRS
@@ -382,13 +371,13 @@ def _pivot_candidates(r: np.ndarray, tol_p: float, peel_floor: float):
     return list(cands), _quick_scores(r, ys, peel_floor)
 
 
-def _peel_step(r: np.ndarray, x0: np.ndarray, cfg: GreedyConfig, peel_floor: float):
+def _peel_step(r: np.ndarray, x0: np.ndarray, peel_floor: float):
     """Peel along x0 or its refinement, whichever costs less counting the
     natural-order LDL of the residual; (y, residual), or None when neither
     trial peels at least peel_floor and leaves a PSD residual."""
     trial_xs = [x0]
     try:
-        trial_xs.append(_refine_direction(r, x0, cfg, peel_floor))
+        trial_xs.append(_refine_direction(r, x0, peel_floor))
     except ZeroDirectionError:
         pass
     best, best_total = None, np.inf
@@ -408,7 +397,7 @@ def _peel_step(r: np.ndarray, x0: np.ndarray, cfg: GreedyConfig, peel_floor: flo
     return best
 
 
-def _greedy_run(a_arr: np.ndarray, cfg: GreedyConfig, tol_p: float, max_steps: int):
+def _greedy_run(a_arr: np.ndarray, tol_p: float, max_steps: int):
     """One greedy peeling pass; returns the list of peeled vectors.
 
     Each step starts from the pivot direction with the best quick score and
@@ -430,7 +419,7 @@ def _greedy_run(a_arr: np.ndarray, cfg: GreedyConfig, tol_p: float, max_steps: i
         best = min(quick, default=np.inf)  # its first index is the pick
         if not np.isfinite(best):
             break
-        step = _peel_step(r, cands[quick.index(best)], cfg, peel_floor)
+        step = _peel_step(r, cands[quick.index(best)], peel_floor)
         if step is None:
             break
         y, r = step
@@ -444,17 +433,17 @@ def _greedy_run(a_arr: np.ndarray, cfg: GreedyConfig, tol_p: float, max_steps: i
     return vectors
 
 
-def greedy_decompose(a: HermitianMatrix,
-                     config: GreedyConfig | None = None) -> RankOneDecomposition:
+def greedy_decompose(a: HermitianMatrix) -> RankOneDecomposition:
     """Greedy peeling over <Ax, x> = 1 directions with permuted-LDL search.
 
-    Returns the cheaper of two families: the best LDL pivot order (searched
-    exactly for small n, pruned beyond PIVOT_SEARCH_NODES), so the result
-    never loses to plain LDL, and one peel pass from pivot seeds refined by
-    coordinate descent. Ties go to the lexicographically smaller family.
-    Nothing is random: the result is a function of A and the config alone.
+    Returns the cheaper of the best LDL pivot order found and one peel pass
+    from pivot seeds refined by coordinate descent; ties go to the
+    lexicographically smaller family. For n <= PIVOT_SEARCH_MAX_N the pivot
+    search covers every order (pruned only within 1e-12), so the result
+    costs no more than ldl_decompose beyond that slack and rounding; for
+    larger n each node keeps only its cheapest child, and it can cost more.
+    Nothing is random: the result is a function of A alone.
     """
-    cfg = config or GreedyConfig()
     if not is_psd(a):
         raise NotPSDError("greedy_decompose requires a PSD matrix")
     a_arr = np.asarray(a.entries)
@@ -463,7 +452,7 @@ def greedy_decompose(a: HermitianMatrix,
     tol_p = PIVOT_TOL * scale
     node_cap = PIVOT_SEARCH_NODES if a.n <= PIVOT_SEARCH_MAX_N else 0
     _, pivot_vecs = _best_pivot_order_ldl(a_arr, tol_p, node_cap)
-    peeled = _greedy_run(a_arr, cfg, tol_p, numerical_rank(a) + 2)
+    peeled = _greedy_run(a_arr, tol_p, numerical_rank(a) + 2)
     # Skip an incomplete pass (e.g. all peel directions filtered) and
     # families that meet A only within RECON_TOL yet cost less than the
     # lower bound ||A||_1,1, which no exact decomposition does.

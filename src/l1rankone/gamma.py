@@ -13,7 +13,7 @@ The oracle is a penalized search over k^2 + 1 vectors in range(A), k the
 numerical rank, from many starts at once: minimize, a batched L-BFGS in
 NumPy, runs every start as one row of an (R, d) array of real coordinates,
 and _oracle_objective evaluates all rows with stacked matrix products. Its
-results are restored to exact feasibility.
+exact starts join its pool as they are; search results are made exact.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ from .decompose import (
     METHOD_GREEDY,
     METHOD_LDL,
     METHOD_ORACLE,
-    GreedyConfig,
     RankOneDecomposition,
     _kept_family,
     cheapest_family,
-    decomposition_cost,
     dd_decompose,
     drop_null_vectors,
     eigen_decompose,
@@ -184,8 +182,9 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     oracle) and stop once the preferred certificate costs at most
     lower * (1 + TIE_TOL): no exact decomposition costs less than the lower
     bound, so no later strategy could replace it. The report lists the
-    strategies left out in `skipped`. Scaled eigenvectors are not a
-    candidate: they never set the upper bound on the seeded bracket streams."""
+    strategies left out in `skipped`. The oracle starts from the greedy and
+    ldl certificates built here. Scaled eigenvectors never set the upper
+    bound on the seeded bracket streams, so they are not a candidate."""
     if not is_psd(a):
         raise NotPSDError("gamma_plus is defined on PSD matrices only")
     lower = norm_l11(a)
@@ -195,10 +194,12 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     if is_diagonally_dominant(a)[0]:
         strategies.append((METHOD_DD, dd_decompose))
     strategies.append((METHOD_GREEDY, greedy_decompose))
-    if effort == EFFORT_THOROUGH and a.n <= 4:
-        strategies.append((METHOD_ORACLE, lambda m: numeric_gamma_plus_oracle(
-            m, restarts=oracle_restarts, seed=seed)))
     named, skipped = [], ()
+    if effort == EFFORT_THOROUGH and a.n <= 4:
+        # dd never gets here: its certificate sits on the lower bound.
+        strategies.append((METHOD_ORACLE, lambda m: numeric_gamma_plus_oracle(
+            m, restarts=oracle_restarts, seed=seed,
+            warm=[dict(named)[name] for name in (METHOD_GREEDY, METHOD_LDL)])))
     for k, (name, strategy) in enumerate(strategies):
         named.append((name, strategy(a)))
         if _cheapest(named).cost <= lower * (1.0 + TIE_TOL):
@@ -603,19 +604,20 @@ def _restore_feasibility(a: HermitianMatrix, g: np.ndarray):
     return [np.sqrt(lam) * v for v in keep] + list(tail)
 
 
-def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32,
-                              seed: int = 0) -> RankOneDecomposition:
+def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32, seed: int = 0, *,
+                              warm=None) -> RankOneDecomposition:
     """Multi-start penalized search for a cheap exact decomposition.
 
     Minimizes sum ||g_k||_1^2 + rho ||A - sum g g*||_Fr^2 over k^2 + 1
     vectors g = B c (enough for the optimum), with B the k eigenvectors
     above the numerical_rank cut, so the search stays in range(A) (B = I at
-    full rank, k = n). The first starts are the greedy, LDL and eigen
-    families plus small noise, the rest random. All starts are searched
-    together: each is one row of the real coordinates (Re, Im pairs of c)
-    handed to minimize once for each rho in RHO_ROUNDS, with up to
-    LBFGS_MAXITER L-BFGS iterations per start and round. Each result is
-    then restored to exact feasibility, and the cheapest family is reduced
+    full rank, k = n). The first starts are the exact decompositions in warm
+    (default: greedy_decompose, then ldl_decompose) and eigen_decompose,
+    plus small noise; the rest are random. All starts are searched together:
+    each is one row of the real coordinates (Re, Im pairs of c) handed to
+    minimize once for each rho in RHO_ROUNDS, with up to LBFGS_MAXITER
+    L-BFGS iterations per start and round. Each result is then restored to
+    exact feasibility, and the cheapest family, start or result, is reduced
     in term count.
     Guarded to n <= 6.
     """
@@ -625,16 +627,15 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32,
         raise NotPSDError("oracle requires a PSD matrix")
     n = a.n
     a_arr = np.asarray(a.entries)
-    greedy_seed = greedy_decompose(a, GreedyConfig(max_iter=80)).vectors
-    warm = [np.array(vecs)
-            for vecs in (greedy_seed, ldl_factor(a), eigen_decompose(a).vectors)]
+    if warm is None:
+        warm = (greedy_decompose(a), ldl_decompose(a))
+    warm = [*warm, eigen_decompose(a)]
 
-    # Restored starts join the pool, so the result is never worse than one.
-    # When one already sits on the lower bound ||A||_1,1 the search cannot
-    # improve it, and the restarts are skipped.
-    restored = [_restore_feasibility(a, g0) for g0 in warm]
-    closed = min(map(decomposition_cost, restored)) <= norm_l11(a) * (1.0 + TIE_TOL)
-    if not closed:
+    # Exact starts join the pool as they are, so the result is never worse
+    # than one. When one already sits on the lower bound ||A||_1,1 the
+    # search cannot improve it, and the restarts are skipped.
+    pool = [dec.vectors for dec in warm]
+    if min(dec.cost for dec in warm) > norm_l11(a) * (1.0 + TIE_TOL):
         k = numerical_rank(a)
         m = k * k + 1
         range_basis = a.eigensystem.eigenvectors[:, n - k:]
@@ -646,9 +647,9 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32,
             rng = np.random.default_rng(seed + r)
             noise = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
             if r < len(warm):
-                start = warm[r][:m] if basis is None else warm[r][:m] @ range_basis.conj()
+                start = np.array(warm[r].vectors[:m])
                 c0 = 1e-3 * sigma * noise
-                c0[:len(start)] += start
+                c0[:len(start)] += start if basis is None else start @ range_basis.conj()
             else:
                 c0 = sigma * noise
             starts.append(c0.view(np.float64).ravel())
@@ -658,9 +659,9 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32,
         g = theta.reshape(len(starts) * m, 2 * k)
         if basis is not None:
             g = g @ basis
-        restored += [_restore_feasibility(a, family)
-                     for family in g.reshape(len(starts), m, -1).view(np.complex128)]
-    dec = RankOneDecomposition.build(a, cheapest_family(restored), METHOD_ORACLE)
+        pool += [_restore_feasibility(a, family)
+                 for family in g.reshape(len(starts), m, -1).view(np.complex128)]
+    dec = RankOneDecomposition.build(a, cheapest_family(pool), METHOD_ORACLE)
     return reduce_decomposition(dec, a)
 
 

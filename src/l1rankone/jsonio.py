@@ -20,11 +20,16 @@ from .gamma import GammaReport, SignedDecomposition
 from .hermitian import HERMITIAN_TOL, HermitianMatrix, ingest_matrix
 
 
+def _is_number(x) -> bool:
+    """A JSON number: true and false are not numbers, though bool is an int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _entry_to_complex(entry) -> complex:
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         return complex(entry, 0.0)
     if isinstance(entry, (list, tuple)) and len(entry) == 2 \
-            and all(isinstance(p, (int, float)) for p in entry):
+            and all(_is_number(p) for p in entry):
         return complex(entry[0], entry[1])
     raise ValueError(f"matrix entry must be a number or [re, im], got {entry!r}")
 
@@ -38,7 +43,7 @@ def matrix_from_obj(obj, hermitian_tol: float = HERMITIAN_TOL) -> HermitianMatri
         raise ValueError("matrix JSON must be an object")
     n = obj["n"]
     entries = obj["entries"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
     if not isinstance(entries, list) or len(entries) != n \
             or any(not isinstance(row, list) or len(row) != n for row in entries):
@@ -80,7 +85,7 @@ def decomposition_from_obj(obj) -> tuple:
         raise ValueError("decomposition JSON must be an object")
     method = obj.get("method", "external")
     cost = obj["cost"]
-    if not isinstance(cost, (int, float)):
+    if not _is_number(cost):
         raise ValueError(f"'cost' must be a number, got {cost!r}")
     vectors = vectors_from_obj(obj["vectors"])
     if any(v.shape != vectors[0].shape for v in vectors):

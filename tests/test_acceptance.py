@@ -60,12 +60,11 @@ def test_criterion_02_lipschitz_two_tightness():
 def test_criterion_03_2x2_exactness():
     rng = np.random.default_rng(3)
     t0 = time.perf_counter()
-    greedy_cfg = dc.GreedyConfig(max_iter=60)
     for k in range(200):
         a = random_psd(rng, 2, complex_entries=bool(k % 2))
         l11 = lr.norm_l11(a)
         assert abs(dc.ldl_decompose(a).cost - l11) <= 1e-9 * max(1.0, l11)
-        assert dc.greedy_decompose(a, greedy_cfg).cost >= l11 - 1e-9
+        assert dc.greedy_decompose(a).cost >= l11 - 1e-9
         oracle = gm.numeric_gamma_plus_oracle(a, restarts=1, seed=k)
         assert oracle.cost >= l11 - 1e-9
     elapsed = time.perf_counter() - t0

@@ -118,9 +118,9 @@ class TestGamma:
         received = []
         oracle = cli.gm.numeric_gamma_plus_oracle
 
-        def record(a, restarts, seed):
+        def record(a, restarts, seed, warm=None):
             received.append(restarts)
-            return oracle(a, restarts=restarts, seed=seed)
+            return oracle(a, restarts=restarts, seed=seed, warm=warm)
 
         monkeypatch.setattr(cli.gm, "numeric_gamma_plus_oracle", record)
         null = np.array([1.0, -1.0, -1.0, 0.0])  # REMARK_4X4 @ null == 0
@@ -357,6 +357,13 @@ class TestReduce:
                                     "vectors": vectors}))
         assert run(capsys, "reduce", str(path))[0] == 5
 
+    def test_nan_cost_rejected(self, capsys, tmp_path):
+        # NaN compares false with everything, so it must fail the cost check.
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"method": "external", "cost": float("nan"),
+                                    "vectors": [[[1.0, 0], [0, 0]]]}))
+        assert run(capsys, "reduce", str(path)) == (5, "")
+
 
 class TestExperiment:
     def test_f_ldl_dim2_is_one(self, capsys, tmp_path):
@@ -426,6 +433,18 @@ class TestJsonFormats:
             jsonio.matrix_from_obj({"n": 1, "entries": [["x"]]})
         with pytest.raises(ValueError):
             jsonio.matrix_from_obj({"n": 2, "entries": [[1, 2]]})
+
+    @pytest.mark.parametrize("command, obj", [
+        ("norms", {"n": 1, "entries": [[True]]}),
+        ("norms", {"n": 1, "entries": [[[1, False]]]}),
+        ("norms", {"n": True, "entries": [[1]]}),
+        ("reduce", {"method": "external", "cost": True, "vectors": [[1.0]]}),
+        ("reduce", {"method": "external", "cost": 1.0, "vectors": [[True]]}),
+    ])
+    def test_booleans_are_not_numbers(self, capsys, tmp_path, command, obj):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(obj))
+        assert run(capsys, command, str(path)) == (2, "")
 
 
 # Every strategy of a thorough bracket runs on this matrix, the oracle included.

@@ -25,9 +25,6 @@ from l1rankone.hermitian import RECON_TOL, HermitianMatrix
 
 from conftest import hermitian, random_dd, random_psd
 
-LIGHT = dc.GreedyConfig(max_iter=80)
-
-
 class TestBuild:
     @pytest.mark.parametrize("miss", [0.5, 2.0])
     def test_reconstruction_checked_against_recon_tol(self, miss):
@@ -170,21 +167,21 @@ class TestRankOnePeel:
 
 class TestGreedy:
     def test_certified_2x2(self):
-        d = dc.greedy_decompose(hermitian([[2, 1], [1, 2]]), LIGHT)
+        d = dc.greedy_decompose(hermitian([[2, 1], [1, 2]]))
         assert d.cost == pytest.approx(6.0, abs=1e-6)
 
     def test_rank_one(self):
         u = np.array([1.0, 2.0])
-        d = dc.greedy_decompose(hermitian(np.outer(u, u)), LIGHT)
+        d = dc.greedy_decompose(hermitian(np.outer(u, u)))
         assert d.cost == pytest.approx(9.0, abs=1e-9)
 
     def test_diagonal(self):
-        d = dc.greedy_decompose(hermitian(np.diag([1.0, 2.0, 3.0])), LIGHT)
+        d = dc.greedy_decompose(hermitian(np.diag([1.0, 2.0, 3.0])))
         assert d.cost == pytest.approx(6.0, abs=1e-9)
 
     def test_not_psd(self):
         with pytest.raises(NotPSDError):
-            dc.greedy_decompose(hermitian([[0, 1], [1, 0]]), LIGHT)
+            dc.greedy_decompose(hermitian([[0, 1], [1, 0]]))
 
     def test_beats_all_pivot_permutations(self, rng):
         # exhaustive permuted-LDL floor for n <= 4
@@ -196,7 +193,7 @@ class TestGreedy:
                 p = np.array(perm)
                 pa = lr.ingest_matrix(a.entries[np.ix_(p, p)])
                 best = min(best, dc.ldl_decompose(pa).cost)
-            d = dc.greedy_decompose(a, LIGHT)
+            d = dc.greedy_decompose(a)
             assert d.cost <= best + 1e-6
 
     def test_draws_no_random_numbers(self, monkeypatch):
@@ -213,15 +210,14 @@ class TestGreedy:
 
     def test_deterministic(self, rng):
         a = random_psd(rng, 4)
-        cfg = dc.GreedyConfig()
-        d1 = dc.greedy_decompose(a, cfg)
-        d2 = dc.greedy_decompose(a, cfg)
+        d1 = dc.greedy_decompose(a)
+        d2 = dc.greedy_decompose(a)
         assert d1.cost == d2.cost
         for v1, v2 in zip(d1.vectors, d2.vectors):
             np.testing.assert_array_equal(v1, v2)
 
 
-def _greedy_run_reference(a_arr, cfg, tol_p, max_steps):
+def _greedy_run_reference(a_arr, tol_p, max_steps):
     """One greedy pass, per candidate and with nothing batched.
     greedy_decompose's pass must reproduce it bit for bit."""
     n = a_arr.shape[0]
@@ -257,7 +253,7 @@ def _greedy_run_reference(a_arr, cfg, tol_p, max_steps):
         if order:
             trial_xs.append(cands[order[0]])
             try:
-                trial_xs.append(dc._refine_direction(r, cands[order[0]], cfg, peel_floor))
+                trial_xs.append(dc._refine_direction(r, cands[order[0]], peel_floor))
             except ZeroDirectionError:
                 pass
         for x in trial_xs:
@@ -303,9 +299,9 @@ class TestGreedyPass:
         seen = []
         refine = dc._refine_direction
 
-        def recording(r_arr, x, cfg, peel_floor):
+        def recording(r_arr, x, peel_floor):
             seen.append((r_arr.tobytes(), x.tobytes()))
-            return refine(r_arr, x, cfg, peel_floor)
+            return refine(r_arr, x, peel_floor)
 
         monkeypatch.setattr(dc, "_refine_direction", recording)
         dc.greedy_decompose(a)
@@ -319,7 +315,7 @@ class TestGreedyPass:
 _REFINE_DIRS_REFERENCE = np.array([1.0, -1.0, 1.0j, -1.0j])
 
 
-def _refine_direction_reference(r_arr, x, cfg, peel_floor):
+def _refine_direction_reference(r_arr, x, max_iter, peel_floor):
     n = r_arr.shape[0]
     eps = dc.SMOOTHING_EPS
     cols_t = np.ascontiguousarray(r_arr.T)
@@ -334,7 +330,7 @@ def _refine_direction_reference(r_arr, x, cfg, peel_floor):
     f_cur = dc._smoothed_l1sq(y, eps)
     h = 0.25
     trials = 0
-    while h > 1e-6 and trials < cfg.max_iter:
+    while h > 1e-6 and trials < max_iter:
         step = h * _REFINE_DIRS_REFERENCE
         y2 = y[None, None, :] + step[:, None, None] * cols_t[None, :, :]
         q2 = q + 2.0 * (step[:, None] * np.conj(y)[None, :]).real \
@@ -462,18 +458,19 @@ class TestBatchedParity:
     @given(r=_psd_arrays(), max_iter=st.sampled_from([80, 200]))
     @example(r=_RANK_ONE, max_iter=200)
     def test_refine_direction_matches_reference(self, r, max_iter):
-        cfg = dc.GreedyConfig(max_iter=max_iter)
+        # 200 is GREEDY_MAX_ITER; 80 keeps a shorter budget covered.
         tol_p, peel_floor = _greedy_floors(r)
         starts, _ = dc._pivot_candidates(r, tol_p, peel_floor)
-        for x in starts + _random_directions(r, r.shape[0]):
-            try:
-                want = _refine_direction_reference(r, x, cfg, peel_floor)
-            except ZeroDirectionError:
-                with pytest.raises(ZeroDirectionError):
-                    dc._refine_direction(r, x, cfg, peel_floor)
-                continue
-            got = dc._refine_direction(r, x, cfg, peel_floor)
-            assert got.tobytes() == want.tobytes()
+        with mock.patch.object(dc, "GREEDY_MAX_ITER", max_iter):
+            for x in starts + _random_directions(r, r.shape[0]):
+                try:
+                    want = _refine_direction_reference(r, x, max_iter, peel_floor)
+                except ZeroDirectionError:
+                    with pytest.raises(ZeroDirectionError):
+                        dc._refine_direction(r, x, peel_floor)
+                    continue
+                got = dc._refine_direction(r, x, peel_floor)
+                assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(r=_psd_arrays())
@@ -654,7 +651,7 @@ class TestStrategyInvariants:
             a = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
             l11 = lr.norm_l11(a)
             decs = [dc.ldl_decompose(a), dc.eigen_decompose(a),
-                    dc.greedy_decompose(a, LIGHT)]
+                    dc.greedy_decompose(a)]
             if dc.is_diagonally_dominant(a)[0]:
                 decs.append(dc.dd_decompose(a))
             for d in decs:

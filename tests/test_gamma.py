@@ -267,6 +267,29 @@ class TestOracle:
             assert dec.cost >= lr.norm_l11(a) - 1e-9
             assert lr.verify_reconstruction(a, dec.vectors).ok
 
+    def test_never_costs_more_than_its_warm_starts(self, rng):
+        # The standalone oracle starts from greedy and ldl, which join its
+        # pool as they are.
+        for k in range(8):
+            n = int(rng.integers(2, 5))
+            a = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+            dec = gm.numeric_gamma_plus_oracle(a, restarts=1, seed=k)
+            assert dec.cost <= dc.ldl_decompose(a).cost
+            assert dec.cost <= dc.greedy_decompose(a).cost
+
+    def test_thorough_bracket_hands_the_oracle_its_certificates(self, monkeypatch):
+        calls = {}
+        for name in ("greedy_decompose", "ldl_decompose", "numeric_gamma_plus_oracle"):
+            def counting(*args, _name=name, _f=getattr(gm, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(gm, name, counting)
+        report = gm.gamma_plus_bounds(hermitian(REMARK_4X4), gm.EFFORT_THOROUGH,
+                                      oracle_restarts=1)
+        assert "oracle" in report.per_method
+        assert calls == {"greedy_decompose": 1, "ldl_decompose": 1,
+                         "numeric_gamma_plus_oracle": 1}
+
 
 def _complex_objective(theta, a_arr, m, n, rho, eps):
     """Reference: the penalized objective on full complex coordinates, theta =
@@ -349,7 +372,7 @@ class TestOracleObjective:
         # A planted rank-3 4x4 on which the search in range(A) finds a
         # cheaper family than every warm start.
         a = random_psd(np.random.default_rng(2), 4, 3)
-        greedy = dc.greedy_decompose(a, dc.GreedyConfig(max_iter=80))
+        greedy = dc.greedy_decompose(a)
         dec = gm.numeric_gamma_plus_oracle(a, restarts=1, seed=0)
         assert dec.cost < greedy.cost * (1.0 - 1e-3)
 
@@ -609,9 +632,8 @@ class TestFunctionalProperties:
         for scale in (0.5, 4.0):
             a = random_psd(rng, 3)
             sa = lr.ingest_matrix(scale * a.entries)
-            cfg = dc.GreedyConfig()
-            assert dc.greedy_decompose(sa, cfg).cost == pytest.approx(
-                scale * dc.greedy_decompose(a, cfg).cost, rel=1e-9)
+            assert dc.greedy_decompose(sa).cost == pytest.approx(
+                scale * dc.greedy_decompose(a).cost, rel=1e-9)
 
     def test_gamma_is_a_norm(self, rng):
         for _ in range(40):

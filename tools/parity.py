@@ -30,8 +30,9 @@ so an output that differs only by a retired strategy hashes the same.
 --compare OTHER_CHECKOUT runs the bracket and both thorough streams on both
 libraries (--repo's and OTHER's) and prints, per input kind, how many uppers
 are better (lower), worse or equal than OTHER's, the largest relative move,
-the certified flags that flipped and the winning strategies that changed, then
-each stream's mean upper / lower - 1.
+the certified flags that flipped, the winning strategies that changed and the
+ops whose per_method costs moved (so a strategy that never wins still shows),
+then each stream's mean upper / lower - 1.
 """
 
 from __future__ import annotations
@@ -143,40 +144,45 @@ def load(src: Path):
 
 
 def outcomes(wl, workdir: str) -> dict:
-    """(stream, seed, index) -> (kind, checked Outcome) of every bracket and
-    thorough op."""
+    """(stream, seed, index) -> (kind, checked Outcome, per_method costs) of
+    every bracket and thorough op: a bracket op's costs come from its report,
+    a thorough op's from its stdout."""
     out = {}
     for seed in BRACKET_SEEDS:
         for index in range(BRACKET_OPS):
             inp = wl.make_input("bracket", seed, index)
             result = wl.call("bracket", inp)
-            out["bracket", seed, index] = (inp.kind, wl.check("bracket", inp, result))
+            out["bracket", seed, index] = (inp.kind, wl.check("bracket", inp, result),
+                                           result.per_method)
     for stream, seeds, ops, restarts in THOROUGH_STREAMS:
         for seed in seeds:
             for index in range(ops):
                 inp = wl.write_matrix(wl.make_input("thorough", seed, index), workdir)
-                out[stream, seed, index] = (inp.kind, wl.check(
-                    "thorough", inp, thorough_call(wl, inp, restarts)))
+                outcome = wl.check("thorough", inp, thorough_call(wl, inp, restarts))
+                costs = json.loads(outcome.stdout)["per_method"] if outcome.ok else None
+                out[stream, seed, index] = (inp.kind, outcome, costs)
     return out
 
 
 def compare(this: dict, other: dict) -> None:
     """Print per-kind upper moves of `this` against `other`."""
     rows, excess = {}, {}
-    for key, (kind, new) in this.items():
-        old = other[key][1]
+    for key, (kind, new, new_costs) in this.items():
+        _, old, old_costs = other[key]
         if not (new.ok and old.ok):
             raise SystemExit(f"error: {key} failed: {new.reason or old.reason}")
         move = (1.0 + new.excess) / (1.0 + old.excess) - 1.0
-        row = rows.setdefault((key[0], kind), [0, 0, 0, 0.0, 0, 0])
+        row = rows.setdefault((key[0], kind), [0, 0, 0, 0.0, 0, 0, 0])
         row[0 if move < 0.0 else 1 if move > 0.0 else 2] += 1
         row[3] = max(row[3], move, key=abs)
         row[4] += new.certified != old.certified
         row[5] += new.winner != old.winner
+        row[6] += new_costs != old_costs
         excess.setdefault(key[0], []).append((old.excess, new.excess))
-    for (stream, kind), (better, worse, equal, largest, flips, winners) in rows.items():
+    for (stream, kind), (better, worse, equal, largest, flips, winners, costs) in rows.items():
         print(f"{stream:17} {kind:13} better {better:3} worse {worse:3} equal {equal:3} "
-              f"largest move {largest:+.3%} certified flips {flips} winner changes {winners}")
+              f"largest move {largest:+.3%} certified flips {flips} winner changes {winners} "
+              f"per_method moved {costs}")
     for stream, pairs in excess.items():
         old, new = (sum(p[i] for p in pairs) / len(pairs) for i in (0, 1))
         print(f"{stream:17} mean upper/lower - 1 over {len(pairs)} ops: {old:.5f} -> {new:.5f}")
