@@ -88,7 +88,7 @@ def cmd_decompose(args) -> int:
     else:
         dec = gm.numeric_gamma_plus_oracle(
             a, restarts=args.restarts, seed=args.seed)
-    residual = verify_reconstruction(a, dec.vectors, args.recon_tol).max_residual
+    residual = verify_reconstruction(a, dec.vectors).max_residual
     _emit(jsonio.dumps(jsonio.decomposition_to_obj(dec, residual=residual)), args.out)
     return EXIT_OK
 
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix = ("input", "--hermitian-tol")
     add("norms", "all four matrix norms", *matrix)
 
-    p = add("decompose", "rank-one decomposition by one strategy", *matrix, "--recon-tol")
+    p = add("decompose", "rank-one decomposition by one strategy", *matrix)
     p.add_argument("--method", required=True,
                    choices=("ldl", "eigen", "dd", "greedy", "oracle"))
     p.add_argument("--restarts", type=_int_from(1), default=16,

@@ -41,8 +41,7 @@ from .hermitian import (
 RANK_TOL = 1e-8  # times ||A||_op; eigenvalues above it count toward rank
 NULL_TOL = 1e-14  # times A.scale(); vectors with ||v||_1^2 at or below it are dropped
 SMOOTHING_EPS = 1e-8  # epsilon of the smoothed |.| in greedy's l1 objective
-PIVOT_SEARCH_MAX_N = 6  # largest n whose LDL pivot orders are searched with pruning
-PIVOT_SEARCH_NODES = 4000  # past this many nodes each node keeps only its best child
+PIVOT_SEARCH_MAX_N = 6  # largest n whose LDL pivot orders are all searched (with pruning)
 GREEDY_MAX_ITER = 200  # scored trial moves per refined peel direction; a sweep scores 4n
 
 METHOD_LDL = "ldl"
@@ -50,7 +49,6 @@ METHOD_EIGEN = "eigen"
 METHOD_DD = "dd"
 METHOD_GREEDY = "greedy"
 METHOD_ORACLE = "oracle"
-METHOD_EXTERNAL = "external"
 
 
 def vector_l1(v: np.ndarray) -> float:
@@ -95,8 +93,12 @@ def _lex_key(vectors) -> tuple:
 
 def cheapest_family(families) -> list:
     """The vector family of least cost; equal costs go to the smaller
-    coordinates in lexicographic order, so the pick ignores input order."""
-    return min(families, key=lambda vecs: (decomposition_cost(vecs), _lex_key(vecs)))
+    coordinates in lexicographic order, so the pick ignores input order.
+    Only families of equal least cost build that order's key."""
+    costs = [decomposition_cost(vecs) for vecs in families]
+    low = min(costs)
+    tied = [vecs for vecs, cost in zip(families, costs) if cost == low]
+    return tied[0] if len(tied) == 1 else min(tied, key=_lex_key)
 
 
 @dataclass(frozen=True)
@@ -228,21 +230,20 @@ def numerical_rank(a: HermitianMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float, node_cap: int):
-    """Search LDL pivot orders for the cheapest total cost.
+def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float) -> list[np.ndarray]:
+    """The vectors of the cheapest LDL pivot order found.
 
-    Exhaustive up to the node budget, pruned with the entrywise-l1 lower
-    bound on any completion; beyond the budget each node keeps only its
-    cheapest child, which degenerates to steepest-descent pivot choice.
-    Returns (cost, vectors).
+    For n <= PIVOT_SEARCH_MAX_N every order is searched, pruned with the
+    entrywise-l1 lower bound on any completion (a full n = 6 tree has 1,957
+    nodes); for larger n each node keeps only its cheapest child, which is
+    steepest-descent pivot choice.
     """
+    exhaustive = a_arr.shape[0] <= PIVOT_SEARCH_MAX_N
     best_cost = np.inf
     best_vecs: list[np.ndarray] = []
-    nodes = 0
 
     def descend(w: np.ndarray, acc: float, vecs: list[np.ndarray]):
-        nonlocal best_cost, best_vecs, nodes
-        nodes += 1
+        nonlocal best_cost, best_vecs
         diag = np.diagonal(w).real
         active = np.flatnonzero(diag > tol_p)
         if active.size == 0:
@@ -256,7 +257,7 @@ def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float, node_cap: int):
         l1 = _row_l1(w.T[active])
         scored = sorted((c ** 2 / d, i) for c, d, i
                         in zip(l1, diag[active].tolist(), active.tolist()))
-        if nodes > node_cap:
+        if not exhaustive:
             scored = scored[:1]
         for step, i in scored:
             v = w[:, i] / np.sqrt(diag[i])
@@ -268,7 +269,7 @@ def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float, node_cap: int):
             vecs.pop()
 
     descend(a_arr.copy(), 0.0, [])
-    return best_cost, best_vecs
+    return best_vecs
 
 
 def _smoothed_l1sq(y: np.ndarray, eps: float) -> float:
@@ -436,32 +437,30 @@ def _greedy_run(a_arr: np.ndarray, tol_p: float, max_steps: int):
 def greedy_decompose(a: HermitianMatrix) -> RankOneDecomposition:
     """Greedy peeling over <Ax, x> = 1 directions with permuted-LDL search.
 
-    Returns the cheaper of the best LDL pivot order found and one peel pass
-    from pivot seeds refined by coordinate descent; ties go to the
-    lexicographically smaller family. For n <= PIVOT_SEARCH_MAX_N the pivot
-    search covers every order (pruned only within 1e-12), so the result
-    costs no more than ldl_decompose beyond that slack and rounding; for
-    larger n each node keeps only its cheapest child, and it can cost more.
-    Nothing is random: the result is a function of A alone.
+    Builds three families: the best LDL pivot order found, one peel pass
+    from pivot seeds refined by coordinate descent, and natural-order LDL.
+    Of those that reconstruct A and cost at least ||A||_1,1 (no exact
+    decomposition costs less; a family that meets A only within RECON_TOL
+    can), it returns the cheapest, ties going to the lexicographically
+    smaller family. It thus never costs more than ldl_decompose. Nothing is
+    random: the result is a function of A alone.
     """
     if not is_psd(a):
         raise NotPSDError("greedy_decompose requires a PSD matrix")
     a_arr = np.asarray(a.entries)
-    diag = np.diagonal(a_arr).real
-    scale = max(1.0, float(diag.max(initial=0.0)))
-    tol_p = PIVOT_TOL * scale
-    node_cap = PIVOT_SEARCH_NODES if a.n <= PIVOT_SEARCH_MAX_N else 0
-    _, pivot_vecs = _best_pivot_order_ldl(a_arr, tol_p, node_cap)
-    peeled = _greedy_run(a_arr, tol_p, numerical_rank(a) + 2)
-    # Skip an incomplete pass (e.g. all peel directions filtered) and
-    # families that meet A only within RECON_TOL yet cost less than the
-    # lower bound ||A||_1,1, which no exact decomposition does.
+    tol_p = PIVOT_TOL * a.scale()
     floor = norm_l11(a) * (1.0 - 1e-12)
-    complete = [vecs for vecs in (pivot_vecs, peeled)
-                if verify_reconstruction(a, vecs).ok and decomposition_cost(vecs) >= floor]
-    # If both degenerated, natural order always completes.
-    best = cheapest_family(complete) if complete else ldl_factor(a)
-    return RankOneDecomposition.build(a, best, METHOD_GREEDY)
+    complete = []
+    for vecs in (_best_pivot_order_ldl(a_arr, tol_p),
+                 _greedy_run(a_arr, tol_p, numerical_rank(a) + 2),
+                 ldl_factor(a)):
+        family, cost = _kept_family(a, vecs)
+        if cost >= floor and verify_reconstruction(a, family).ok:
+            complete.append(family)
+    if not complete:
+        raise ReconstructionError("no greedy family reconstructs A at or above ||A||_1,1")
+    best = cheapest_family(complete)
+    return RankOneDecomposition(a.n, tuple(best), decomposition_cost(best), METHOD_GREEDY)
 
 
 # ---------------------------------------------------------------------------

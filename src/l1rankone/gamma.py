@@ -25,7 +25,6 @@ import numpy as np
 
 from .decompose import (
     METHOD_DD,
-    METHOD_EXTERNAL,
     METHOD_GREEDY,
     METHOD_LDL,
     METHOD_ORACLE,
@@ -168,15 +167,12 @@ def gamma_exact_certificate(a: HermitianMatrix):
 
 
 def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
-                      seed: int = 0, oracle_restarts: int = 32,
-                      seed_decompositions=()) -> GammaReport:
+                      seed: int = 0, oracle_restarts: int = 32) -> GammaReport:
     """Two-sided bracket for gamma_plus: lower = ||A||_1,1, upper = best of
     the constructive strategies (plus the numeric oracle at thorough effort
     for n <= 4). Every strategy but the oracle is deterministic, so seed and
     oracle_restarts act only at thorough effort, and thorough differs from
-    fast only by the oracle. seed_decompositions are externally supplied
-    certificates (vector families for this same matrix) joined into the
-    candidate pool after re-validation.
+    fast only by the oracle.
 
     Strategies run in order (ldl, dd when A is diagonally dominant, greedy,
     oracle) and stop once the preferred certificate costs at most
@@ -188,8 +184,6 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     if not is_psd(a):
         raise NotPSDError("gamma_plus is defined on PSD matrices only")
     lower = norm_l11(a)
-    seeds = [(METHOD_EXTERNAL, RankOneDecomposition.build(a, dec.vectors, METHOD_EXTERNAL))
-             for dec in seed_decompositions]
     strategies = [(METHOD_LDL, ldl_decompose)]
     if is_diagonally_dominant(a)[0]:
         strategies.append((METHOD_DD, dd_decompose))
@@ -205,7 +199,7 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
         if _cheapest(named).cost <= lower * (1.0 + TIE_TOL):
             skipped = tuple(later for later, _ in strategies[k + 1:])
             break
-    return GammaReport.pick(FUNCTIONAL_GAMMA_PLUS, lower, named + seeds, skipped)
+    return GammaReport.pick(FUNCTIONAL_GAMMA_PLUS, lower, named, skipped)
 
 
 def _half_sum_signed(a: HermitianMatrix) -> SignedDecomposition:
@@ -257,13 +251,9 @@ def gamma0_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     within TIE_TOL keep the half-sum certificate, whose cost avoids the
     eigensolver entirely.
     """
-    lower = norm_l11(a)
-    if a.n and not np.any(a.entries != 0.0):
-        half = split = SignedDecomposition.build(a, [], [])
-    else:
-        half = _half_sum_signed(a)
-        split = _eigen_split_signed(a, effort, seed, oracle_restarts)
-    return GammaReport.pick(FUNCTIONAL_GAMMA_ZERO, lower,
+    half = _half_sum_signed(a)
+    split = _eigen_split_signed(a, effort, seed, oracle_restarts)
+    return GammaReport.pick(FUNCTIONAL_GAMMA_ZERO, norm_l11(a),
                             [("half_sum", half), ("eigen_split", split)])
 
 

@@ -194,6 +194,7 @@ class TestGamma:
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["norms", "{a}", "--recon-tol", "1e-9"],
+        ["decompose", "{a}", "--method", "ldl", "--recon-tol", "1e-9"],
         ["gamma", "{a}", "--functional", "plus", "--recon-tol", "1e-9"],
         ["reduce", "{dec}", "--recon-tol", "1e-9"],
         ["reduce", "{dec}", "--hermitian-tol", "1e-10"],

@@ -208,6 +208,15 @@ class TestGreedy:
         assert dc.greedy_decompose(a).cost >= lr.norm_l11(a) * (1.0 - 1e-12)
         assert "greedy" in lr.gamma_plus_bounds(a).per_method
 
+    def test_cheapest_family_breaks_ties_lexicographically(self):
+        # Costs 2, 2, 4 and 8: the two orders of the unit basis tie, and the
+        # reversed one is lexicographically smaller.
+        e = np.eye(2, dtype=np.complex128)
+        families = [e, e[::-1], np.ones((1, 2), dtype=np.complex128), 2 * e]
+        for perm in itertools.permutations(families):
+            assert dc.cheapest_family(list(perm)) is families[1]
+        assert dc.cheapest_family([families[3], families[2]]) is families[2]
+
     def test_deterministic(self, rng):
         a = random_psd(rng, 4)
         d1 = dc.greedy_decompose(a)
@@ -424,6 +433,15 @@ def _build_reference(target, vectors, method):
 _RANK_ONE = np.outer(np.array([1, 2j, -1, 0, 3]), np.array([1, 2j, -1, 0, 3]).conj())
 
 
+def _wishart_7_rank_3():
+    """perfbench bracket seed 3001 op 191 (half_rank, n = 7): steepest-descent
+    pivot order and the peel pass both cost at least 2.2 % more than natural
+    order here."""
+    rng = np.random.default_rng([3001, 191])
+    g = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    return g @ g.conj().T
+
+
 @st.composite
 def _psd_arrays(draw):
     """Complex Wishart n 2..8 of rank 1..n."""
@@ -491,13 +509,15 @@ class TestBatchedParity:
             _quick_score_reference(r, x, peel_floor) for x in xs]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(a=_psd_arrays(), node_cap=st.sampled_from([0, 50, dc.PIVOT_SEARCH_NODES]))
-    @example(a=_RANK_ONE, node_cap=dc.PIVOT_SEARCH_NODES)
-    def test_pivot_order_search_matches_reference(self, a, node_cap):
+    @given(a=_psd_arrays())
+    @example(a=_RANK_ONE)
+    def test_pivot_order_search_matches_reference(self, a):
+        # A full n = 6 tree has 1,957 nodes, so the reference's 4,000-node
+        # budget never cuts it short; past n = 6 each node keeps one child.
         tol_p, _ = _greedy_floors(a)
-        cost, vecs = dc._best_pivot_order_ldl(a, tol_p, node_cap)
-        want_cost, want_vecs = _best_pivot_order_ldl_reference(a, tol_p, node_cap)
-        assert cost == want_cost
+        node_cap = 4000 if a.shape[0] <= 6 else 0
+        vecs = dc._best_pivot_order_ldl(a, tol_p)
+        _, want_vecs = _best_pivot_order_ldl_reference(a, tol_p, node_cap)
         assert [v.tobytes() for v in vecs] == [v.tobytes() for v in want_vecs]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -644,6 +664,13 @@ class TestSpecial3x3Gap:
 
 
 class TestStrategyInvariants:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(a=_psd_arrays())
+    @example(a=_wishart_7_rank_3())
+    def test_greedy_never_costs_more_than_ldl(self, a):
+        a = lr.ingest_matrix(a)
+        assert dc.greedy_decompose(a).cost <= dc.ldl_decompose(a).cost * (1 + 1e-12)
+
     def test_reconstruction_and_cost_floor(self, rng):
         # every strategy reconstructs its target and never beats ||A||_1,1
         for _ in range(500):

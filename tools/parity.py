@@ -15,6 +15,9 @@ the library comes from --repo's src/. Lines:
     bracket-core    seeds 1, 2, 3001, ops 0-349: lower, upper, certified,
                     winning method and the certificate vector bytes
     bracket-methods the same records' per_method costs and skipped names
+    greedy          greedy_decompose's cost and vector bytes on every PSD
+                    input of the same ops, also where the bracket closes
+                    before greedy runs
     thorough        `gamma --effort thorough` exit code and stdout,
                     seeds 1 and 2, ops 0-119 (perfbench's --restarts 1)
     thorough-restarts  the same for seed 1, ops 0-20, at --restarts 8, so
@@ -32,7 +35,8 @@ libraries (--repo's and OTHER's) and prints, per input kind, how many uppers
 are better (lower), worse or equal than OTHER's, the largest relative move,
 the certified flags that flipped, the winning strategies that changed and the
 ops whose per_method costs moved (so a strategy that never wins still shows),
-then each stream's mean upper / lower - 1.
+then each stream's mean upper / lower - 1. It then prints the greedy stream
+the same way, per input kind, and lists every op whose greedy family moved.
 """
 
 from __future__ import annotations
@@ -84,6 +88,18 @@ def bracket_records(wl, seed: int, drop: str | None):
         skipped = [k for k in report.skipped if k != drop]
         yield (core.encode() + b"".join(v.tobytes() for v in vectors),
                json.dumps([index, costs, skipped]).encode())
+
+
+def greedy_records(wl, seed: int):
+    """(index, kind, greedy_decompose result) of each PSD bracket op."""
+    for index in range(BRACKET_OPS):
+        inp = wl.make_input("bracket", seed, index)
+        if inp.kind != "indefinite":
+            yield index, inp.kind, wl.lr.greedy_decompose(wl.lr.ingest_matrix(inp.matrix))
+
+
+def greedy_bytes(index: int, dec) -> bytes:
+    return f"{index} {dec.cost!r}\n".encode() + b"".join(v.tobytes() for v in dec.vectors)
 
 
 def thorough_call(wl, inp, restarts: int | None):
@@ -164,6 +180,31 @@ def outcomes(wl, workdir: str) -> dict:
     return out
 
 
+def greedy_outcomes(wl) -> dict:
+    """(seed, index) -> (kind, cost, hashed bytes) of the greedy stream."""
+    return {(seed, index): (kind, dec.cost, greedy_bytes(index, dec))
+            for seed in BRACKET_SEEDS for index, kind, dec in greedy_records(wl, seed)}
+
+
+def compare_greedy(this: dict, other: dict) -> None:
+    """Print per-kind greedy cost moves of `this` against `other`, then
+    every op whose cost or vector bytes differ."""
+    rows, moved = {}, []
+    for key, (kind, new, new_bytes) in this.items():
+        _, old, old_bytes = other[key]
+        move = new / old - 1.0
+        row = rows.setdefault(kind, [0, 0, 0, 0.0])
+        row[0 if move < 0.0 else 1 if move > 0.0 else 2] += 1
+        row[3] = max(row[3], move, key=abs)
+        if new_bytes != old_bytes:
+            moved.append(f"greedy moved      seed={key[0]} op={key[1]} {kind}: "
+                         f"{old!r} -> {new!r} ({move:+.3e})")
+    for kind, (better, worse, equal, largest) in rows.items():
+        print(f"greedy            {kind:13} better {better:3} worse {worse:3} equal {equal:3} "
+              f"largest move {largest:+.3%}")
+    print("\n".join(moved) if moved else "greedy            no family moved")
+
+
 def compare(this: dict, other: dict) -> None:
     """Print per-kind upper moves of `this` against `other`."""
     rows, excess = {}, {}
@@ -203,8 +244,10 @@ def main(argv=None) -> int:
             raise SystemExit(f"error: no l1rankone sources under {src}")
     if args.compare:
         with tempfile.TemporaryDirectory() as workdir:
-            this, other = (outcomes(load(src)[0], workdir) for src in srcs)
+            (this, this_greedy), (other, other_greedy) = (
+                (outcomes(wl, workdir), greedy_outcomes(wl)) for wl, _ in map(load, srcs))
             compare(this, other)
+            compare_greedy(this_greedy, other_greedy)
         return 0
     wl, cli = load(srcs[0])
 
@@ -213,6 +256,8 @@ def main(argv=None) -> int:
         records = list(bracket_records(wl, seed, drop))
         print(f"bracket-core    seed={seed} {digest(core for core, _ in records)}")
         print(f"bracket-methods seed={seed} {digest(m for _, m in records)}")
+        print(f"greedy          seed={seed} "
+              f"{digest(greedy_bytes(i, dec) for i, _, dec in greedy_records(wl, seed))}")
     with tempfile.TemporaryDirectory() as workdir:
         for stream, seeds, ops, restarts in THOROUGH_STREAMS:
             for seed in seeds:
