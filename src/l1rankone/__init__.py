@@ -10,7 +10,6 @@ term reduction, and a seeded Monte-Carlo benchmark harness.
 
 from . import errors
 from .decompose import (
-    PeelStep,
     RankOneDecomposition,
     caratheodory_reduce,
     dd_decompose,
@@ -23,7 +22,6 @@ from .decompose import (
     rank_one_peel,
     reduce_decomposition,
     special_3x3_gap,
-    structured_cost_check,
 )
 from .experiments import (
     EnsembleConfig,
@@ -39,7 +37,6 @@ from .gamma import (
     gamma0_bounds,
     gamma_exact,
     gamma_plus_bounds,
-    inequality_report,
     numeric_gamma_plus_oracle,
     omega_membership,
 )

@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("decompose", "rank-one decomposition by one strategy", *matrix)
     p.add_argument("--method", required=True,
                    choices=("ldl", "eigen", "dd", "greedy", "oracle"))
-    p.add_argument("--restarts", type=_int_from(1), default=16,
+    p.add_argument("--restarts", type=_int_from(1), default=gm.ORACLE_RESTARTS,
                    help="oracle starts; greedy is deterministic and does not read it")
     p.add_argument("--seed", type=_int_from(0), default=0,
                    help="oracle seed; greedy is deterministic and does not read it")
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional", required=True, choices=("plus", "zero", "exact"))
     p.add_argument("--effort", choices=(gm.EFFORT_FAST, gm.EFFORT_THOROUGH),
                    default=gm.EFFORT_FAST)
-    p.add_argument("--restarts", type=_int_from(1), default=32)
+    p.add_argument("--restarts", type=_int_from(1), default=gm.ORACLE_RESTARTS)
     p.add_argument("--seed", type=_int_from(0), default=0)
 
     p = add("certify", "verify a decomposition against a matrix", *matrix, "--recon-tol")

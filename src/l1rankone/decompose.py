@@ -43,6 +43,7 @@ NULL_TOL = 1e-14  # times A.scale(); vectors with ||v||_1^2 at or below it are d
 SMOOTHING_EPS = 1e-8  # epsilon of the smoothed |.| in greedy's l1 objective
 PIVOT_SEARCH_MAX_N = 6  # largest n whose LDL pivot orders are all searched (with pruning)
 GREEDY_MAX_ITER = 200  # scored trial moves per refined peel direction; a sweep scores 4n
+TIE_TOL = 1e-12  # relative; costs closer than this tie
 
 METHOD_LDL = "ldl"
 METHOD_EIGEN = "eigen"
@@ -81,10 +82,9 @@ def _kept_family(target: HermitianMatrix, vectors) -> tuple[np.ndarray, float]:
     return _readonly(stack[np.array(keep, dtype=bool)]), cost
 
 
-def drop_null_vectors(target: HermitianMatrix, vectors) -> list[np.ndarray]:
-    """The vectors with ||v||_1^2 above NULL_TOL * target.scale(), as the
-    read-only rows of one stack."""
-    return list(_kept_family(target, vectors)[0])
+def at_lower_bound(cost: float, lower: float) -> bool:
+    """True when cost is within TIE_TOL of the lower bound ||A||_1,1."""
+    return cost <= lower * (1.0 + TIE_TOL)
 
 
 def _lex_key(vectors) -> tuple:
@@ -92,9 +92,9 @@ def _lex_key(vectors) -> tuple:
 
 
 def cheapest_family(families) -> list:
-    """The vector family of least cost; equal costs go to the smaller
-    coordinates in lexicographic order, so the pick ignores input order.
-    Only families of equal least cost build that order's key."""
+    """The vector family of least cost, for greedy's fallback and the
+    oracle; equal costs go to the smaller coordinates in lexicographic
+    order (keyed only for the tied), so the pick ignores input order."""
     costs = [decomposition_cost(vecs) for vecs in families]
     low = min(costs)
     tied = [vecs for vecs, cost in zip(families, costs) if cost == low]
@@ -437,30 +437,40 @@ def _greedy_run(a_arr: np.ndarray, tol_p: float, max_steps: int):
 def greedy_decompose(a: HermitianMatrix) -> RankOneDecomposition:
     """Greedy peeling over <Ax, x> = 1 directions with permuted-LDL search.
 
-    Builds three families: the best LDL pivot order found, one peel pass
-    from pivot seeds refined by coordinate descent, and natural-order LDL.
-    Of those that reconstruct A and cost at least ||A||_1,1 (no exact
-    decomposition costs less; a family that meets A only within RECON_TOL
-    can), it returns the cheapest, ties going to the lexicographically
-    smaller family. It thus never costs more than ldl_decompose. Nothing is
-    random: the result is a function of A alone.
+    Builds up to three families in order: natural-order LDL, the best LDL
+    pivot order found, and one peel pass from pivot seeds refined by
+    coordinate descent. A family is dropped when RankOneDecomposition.build
+    rejects it or it costs less than ||A||_1,1 (1 - 1e-12), which only a
+    family meeting A within RECON_TOL can. The first family at_lower_bound
+    is returned at once (on a 2x2, LDL); otherwise the cheapest, by
+    cheapest_family. So greedy never costs more than ldl_decompose, and its
+    result is a function of A alone.
     """
     if not is_psd(a):
         raise NotPSDError("greedy_decompose requires a PSD matrix")
     a_arr = np.asarray(a.entries)
     tol_p = PIVOT_TOL * a.scale()
-    floor = norm_l11(a) * (1.0 - 1e-12)
+    lower = norm_l11(a)
+
+    def families():
+        yield ldl_factor(a)
+        yield _best_pivot_order_ldl(a_arr, tol_p)
+        yield _greedy_run(a_arr, tol_p, numerical_rank(a) + 2)
+
     complete = []
-    for vecs in (_best_pivot_order_ldl(a_arr, tol_p),
-                 _greedy_run(a_arr, tol_p, numerical_rank(a) + 2),
-                 ldl_factor(a)):
-        family, cost = _kept_family(a, vecs)
-        if cost >= floor and verify_reconstruction(a, family).ok:
-            complete.append(family)
+    for vecs in families():
+        try:
+            dec = RankOneDecomposition.build(a, vecs, METHOD_GREEDY)
+        except ReconstructionError:
+            continue
+        if dec.cost >= lower * (1.0 - 1e-12):
+            if at_lower_bound(dec.cost, lower):
+                return dec
+            complete.append(dec)
     if not complete:
         raise ReconstructionError("no greedy family reconstructs A at or above ||A||_1,1")
-    best = cheapest_family(complete)
-    return RankOneDecomposition(a.n, tuple(best), decomposition_cost(best), METHOD_GREEDY)
+    best = cheapest_family([dec.vectors for dec in complete])
+    return next(dec for dec in complete if dec.vectors is best)
 
 
 # ---------------------------------------------------------------------------
@@ -547,36 +557,8 @@ def reduce_decomposition(dec: RankOneDecomposition,
 
 
 # ---------------------------------------------------------------------------
-# Structure checks and the 3x3 gap
+# The 3x3 gap
 # ---------------------------------------------------------------------------
-
-
-def structured_cost_check(a: HermitianMatrix, dec: RankOneDecomposition) -> bool:
-    """True iff every vector lives on one index or one index pair, with no
-    pair and no singleton used twice; such decompositions cost exactly the
-    entrywise l1 norm, which is verified as a safety net."""
-    pairs = set()
-    singles = set()
-    for v in dec.vectors:
-        support = np.flatnonzero(np.abs(v) > 1e-12 * float(np.abs(v).max(initial=0.0)))
-        if support.size == 1:
-            key = int(support[0])
-            if key in singles:
-                return False
-            singles.add(key)
-        elif support.size == 2:
-            key = (int(support[0]), int(support[1]))
-            if key in pairs:
-                return False
-            pairs.add(key)
-        else:
-            return False
-    l11 = norm_l11(a)
-    if abs(dec.cost - l11) > 1e-9 * max(1.0, l11):
-        raise ReconstructionError(
-            f"structured decomposition costs {dec.cost:.12g} != ||A||_1,1 = {l11:.12g}"
-        )
-    return True
 
 
 def special_3x3_gap(a: HermitianMatrix) -> float:

@@ -1,19 +1,21 @@
 """The three optimality functionals: exact gamma, certified bounds, oracle.
 
 gamma(A) is the entrywise l1 norm and is computed exactly. gamma_plus (PSD
-input) and gamma_zero are bracketed: the lower bound is always ||A||_1,1,
-the upper bound is the cheapest certificate found by the constructive
-strategies: for gamma_plus ldl, dd, greedy and, at thorough effort, the
-oracle (not eigen, which never set the upper bound); for gamma_zero the
-half-sum and eigen-split constructions. A report is CERTIFIED when the
-bracket width upper - lower is at most CERT_TOL * min(1, lower), with
-CERT_TOL = 1e-6: absolute at and above lower = 1, relative below it.
+input) and gamma_zero are bracketed: the lower bound is ||A||_1,1 (or the
+certificate's cost, where that is one rounding below), the upper bound is
+the cheapest certificate found by the constructive strategies: for
+gamma_plus ldl, dd, greedy and, at thorough effort, the oracle (not eigen,
+which never set the upper bound); for gamma_zero the half-sum and
+eigen-split constructions. A report is CERTIFIED when the bracket width
+upper - lower is at most CERT_TOL * min(1, lower), with CERT_TOL = 1e-6:
+absolute at and above lower = 1, relative below it.
 
 The oracle is a penalized search over k^2 + 1 vectors in range(A), k the
-numerical rank, from many starts at once: minimize, a batched L-BFGS in
-NumPy, runs every start as one row of an (R, d) array of real coordinates,
-and _oracle_objective evaluates all rows with stacked matrix products. Its
-exact starts join its pool as they are; search results are made exact.
+numerical rank, from ORACLE_RESTARTS starts at once by default: minimize, a
+batched L-BFGS in NumPy, runs every start as one row of an (R, d) array of
+real coordinates, and _oracle_objective evaluates all rows with stacked
+matrix products. Its exact starts join its pool as they are; search
+results are made exact, or dropped when they cannot be.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from .decompose import (
     METHOD_GREEDY,
     METHOD_LDL,
     METHOD_ORACLE,
+    TIE_TOL,
     RankOneDecomposition,
     _kept_family,
+    at_lower_bound,
     cheapest_family,
     dd_decompose,
-    drop_null_vectors,
     eigen_decompose,
     greedy_decompose,
     is_diagonally_dominant,
@@ -51,13 +54,12 @@ from .hermitian import (
     norm_l11,
     operator_norm,
     reconstruct,
-    trace_norm,
     verify_reconstruction,
 )
 
 CERT_TOL = 1e-6            # bracket width for CERTIFIED-OPTIMAL, relative below lower = 1
-TIE_TOL = 1e-12            # relative; bound candidates closer than this tie
 ORACLE_MAX_N = 6
+ORACLE_RESTARTS = 32       # default oracle starts, for the library and the CLI
 RHO_ROUNDS = (1e2, 10 ** (10 / 3), 10 ** (14 / 3), 1e6)  # oracle penalty ramp
 LBFGS_MEMORY = 10          # (s, y) pairs per L-BFGS row
 LBFGS_MAXITER = 150        # iterations per row and call of minimize
@@ -134,15 +136,17 @@ class GammaReport:
         """Bracket over (name, certificate) candidates in order of preference.
 
         Certified when upper - lower <= CERT_TOL * min(1, lower): within
-        CERT_TOL of the lower bound, and within CERT_TOL relative to it when
-        lower < 1, so a scaled-down gap is not certified. A
-        certificate cheaper than the proven lower bound (beyond 1e-12
-        relative) is a numerical failure and raises ReconstructionError."""
+        CERT_TOL of the lower bound, and relative to it when lower < 1, so a
+        scaled-down gap is not certified. A certificate cheaper than lower
+        beyond 1e-12 relative is a numerical failure (ReconstructionError);
+        one cheaper by rounding only becomes the lower bound, so that
+        lower <= upper holds exactly."""
         best = _cheapest(named)
         if best.cost < lower * (1.0 - 1e-12):
             raise ReconstructionError(
                 f"certificate cost {best.cost!r} is below the lower bound {lower!r}"
             )
+        lower = min(lower, best.cost)
         return cls(functional, lower, best.cost, best,
                    {name: cand.cost for name, cand in named},
                    best.cost - lower <= CERT_TOL * min(1.0, lower), tuple(skipped))
@@ -167,7 +171,7 @@ def gamma_exact_certificate(a: HermitianMatrix):
 
 
 def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
-                      seed: int = 0, oracle_restarts: int = 32) -> GammaReport:
+                      seed: int = 0, oracle_restarts: int = ORACLE_RESTARTS) -> GammaReport:
     """Two-sided bracket for gamma_plus: lower = ||A||_1,1, upper = best of
     the constructive strategies (plus the numeric oracle at thorough effort
     for n <= 4). Every strategy but the oracle is deterministic, so seed and
@@ -175,12 +179,12 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     fast only by the oracle.
 
     Strategies run in order (ldl, dd when A is diagonally dominant, greedy,
-    oracle) and stop once the preferred certificate costs at most
-    lower * (1 + TIE_TOL): no exact decomposition costs less than the lower
-    bound, so no later strategy could replace it. The report lists the
-    strategies left out in `skipped`. The oracle starts from the greedy and
-    ldl certificates built here. Scaled eigenvectors never set the upper
-    bound on the seeded bracket streams, so they are not a candidate."""
+    oracle) and stop once the preferred certificate is at_lower_bound (the
+    stop of greedy and the oracle too): no exact decomposition costs less,
+    so no later strategy could replace it. The report lists the strategies
+    left out in `skipped`. The oracle starts from the greedy and ldl
+    certificates built here. Scaled eigenvectors never set the upper bound
+    on the seeded bracket streams, so they are not a candidate."""
     if not is_psd(a):
         raise NotPSDError("gamma_plus is defined on PSD matrices only")
     lower = norm_l11(a)
@@ -196,7 +200,7 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
             warm=[dict(named)[name] for name in (METHOD_GREEDY, METHOD_LDL)])))
     for k, (name, strategy) in enumerate(strategies):
         named.append((name, strategy(a)))
-        if _cheapest(named).cost <= lower * (1.0 + TIE_TOL):
+        if at_lower_bound(_cheapest(named).cost, lower):
             skipped = tuple(later for later, _ in strategies[k + 1:])
             break
     return GammaReport.pick(FUNCTIONAL_GAMMA_PLUS, lower, named, skipped)
@@ -242,7 +246,7 @@ def _eigen_split_signed(a: HermitianMatrix, effort: str, seed: int,
 
 
 def gamma0_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
-                  seed: int = 0, oracle_restarts: int = 32) -> GammaReport:
+                  seed: int = 0, oracle_restarts: int = ORACLE_RESTARTS) -> GammaReport:
     """Bracket for gamma_zero on any Hermitian matrix.
 
     Candidates: the half-sum construction (exact arithmetic, certifies
@@ -572,30 +576,30 @@ def _restore_feasibility(a: HermitianMatrix, g: np.ndarray):
     The condition is A + tau I - lambda S >= 0. With A = V diag(a_k) V* and
     W = V diag((a_k + tau)^(-1/2)) it reads lambda mu <= 1 for the largest
     eigenvalue mu of W* S W, so lambda = min(1, 1/mu): one small eigenvalue
-    solve on A's cached eigensystem. lambda = 0 when A + tau I is not
-    positive definite."""
-    keep = drop_null_vectors(a, g)
+    solve on A's cached eigensystem. Returns None, and the oracle drops the
+    start, when no vector of g clears the null floor, when A + tau I is not
+    positive definite, or when the scaled residual is not PSD."""
+    keep = list(_kept_family(a, g)[0])
     if not keep:
-        return ldl_factor(a)
+        return None
     s = reconstruct(keep).entries
     es = a.eigensystem
     shifted = es.eigenvalues + 1e-13 * max(1.0, operator_norm(a))
     if shifted[0] <= 0.0:
-        lam = 0.0
-    else:
-        w = es.eigenvectors / np.sqrt(shifted)
-        mu = float(np.linalg.eigvalsh(w.conj().T @ s @ w)[-1])
-        lam = 1.0 if mu <= 1.0 else 1.0 / mu
+        return None
+    w = es.eigenvectors / np.sqrt(shifted)
+    mu = float(np.linalg.eigvalsh(w.conj().T @ s @ w)[-1])
+    lam = 1.0 if mu <= 1.0 else 1.0 / mu
     resid = a.entries - lam * s
     try:
         tail = ldl_factor(HermitianMatrix((resid + resid.conj().T) / 2.0), psd_tol=1e-8)
     except NotPSDError:
-        return ldl_factor(a)  # give up on this start; plain LDL is always valid
+        return None
     return [np.sqrt(lam) * v for v in keep] + list(tail)
 
 
-def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32, seed: int = 0, *,
-                              warm=None) -> RankOneDecomposition:
+def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTARTS,
+                              seed: int = 0, *, warm=None) -> RankOneDecomposition:
     """Multi-start penalized search for a cheap exact decomposition.
 
     Minimizes sum ||g_k||_1^2 + rho ||A - sum g g*||_Fr^2 over k^2 + 1
@@ -607,9 +611,8 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32, seed: int 
     each is one row of the real coordinates (Re, Im pairs of c) handed to
     minimize once for each rho in RHO_ROUNDS, with up to LBFGS_MAXITER
     L-BFGS iterations per start and round. Each result is then restored to
-    exact feasibility, and the cheapest family, start or result, is reduced
-    in term count.
-    Guarded to n <= 6.
+    exact feasibility or dropped, and the cheapest family, start or result,
+    is reduced in term count. Guarded to n <= 6.
     """
     if a.n > ORACLE_MAX_N:
         raise BudgetExceededError(f"oracle supports n <= {ORACLE_MAX_N}, got {a.n}")
@@ -625,7 +628,7 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32, seed: int 
     # than one. When one already sits on the lower bound ||A||_1,1 the
     # search cannot improve it, and the restarts are skipped.
     pool = [dec.vectors for dec in warm]
-    if min(dec.cost for dec in warm) > norm_l11(a) * (1.0 + TIE_TOL):
+    if not at_lower_bound(min(dec.cost for dec in warm), norm_l11(a)):
         k = numerical_rank(a)
         m = k * k + 1
         range_basis = a.eigensystem.eigenvectors[:, n - k:]
@@ -649,64 +652,8 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = 32, seed: int 
         g = theta.reshape(len(starts) * m, 2 * k)
         if basis is not None:
             g = g @ basis
-        pool += [_restore_feasibility(a, family)
-                 for family in g.reshape(len(starts), m, -1).view(np.complex128)]
+        restored = (_restore_feasibility(a, family)
+                    for family in g.reshape(len(starts), m, -1).view(np.complex128))
+        pool += [family for family in restored if family is not None]
     dec = RankOneDecomposition.build(a, cheapest_family(pool), METHOD_ORACLE)
     return reduce_decomposition(dec, a)
-
-
-# ---------------------------------------------------------------------------
-# Inequality chain report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    trace_norm: float
-    l11: float
-    gamma0_lower: float
-    gamma0_upper: float
-    gamma_plus_lower: float | None
-    gamma_plus_upper: float | None
-    checks: tuple  # (name, lhs, rhs, ok)
-    all_ok: bool
-
-
-def inequality_report(a: HermitianMatrix) -> InequalityReport:
-    """Evaluate the norm/functional chain and flag any violated inequality,
-    each to a relative slack of 1e-9.
-
-    The chain is checked at the level of computable quantities: the trace
-    norm, the entrywise l1 norm (= gamma), the gamma_zero upper bound, twice
-    gamma, and for PSD input the gamma_plus upper bound.
-    """
-    slack = 1e-9
-    tr = trace_norm(a)
-    l11 = norm_l11(a)
-    g0 = gamma0_bounds(a)
-    checks = [
-        ("trace_le_l11", tr, l11, tr <= l11 + slack * max(1.0, l11)),
-        ("l11_le_gamma0_upper", l11, g0.upper,
-         l11 <= g0.upper + slack * max(1.0, g0.upper)),
-        ("gamma0_upper_le_2gamma", g0.upper, 2.0 * l11,
-         g0.upper <= 2.0 * l11 + slack * max(1.0, l11)),
-    ]
-    gp_lower = gp_upper = None
-    if is_psd(a):
-        gp = gamma_plus_bounds(a)
-        gp_lower, gp_upper = gp.lower, gp.upper
-        checks.append(
-            ("gamma0_upper_le_gamma_plus_upper", g0.upper, gp.upper,
-             g0.upper <= gp.upper + slack * max(1.0, gp.upper))
-        )
-    checks = tuple(checks)
-    return InequalityReport(
-        trace_norm=tr,
-        l11=l11,
-        gamma0_lower=g0.lower,
-        gamma0_upper=g0.upper,
-        gamma_plus_lower=gp_lower,
-        gamma_plus_upper=gp_upper,
-        checks=checks,
-        all_ok=all(c[3] for c in checks),
-    )

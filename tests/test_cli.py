@@ -132,6 +132,22 @@ class TestGamma:
         assert code == 0
         assert received and set(received) == {1}
 
+    def test_oracle_starts_default_to_one_constant(self, files, capsys, monkeypatch):
+        received = []
+        oracle = cli.gm.numeric_gamma_plus_oracle
+
+        def record(a, restarts, seed, warm=None):
+            received.append(restarts)
+            return oracle(a, restarts=1, seed=seed, warm=warm)
+
+        monkeypatch.setattr(cli.gm, "numeric_gamma_plus_oracle", record)
+        p = files["dir"] / "remark.json"
+        p.write_text(json.dumps({"n": 4, "entries": REMARK_4X4.tolist()}))
+        assert run(capsys, "decompose", str(p), "--method", "oracle")[0] == 0
+        assert run(capsys, "gamma", str(p), "--functional", "plus",
+                   "--effort", "thorough")[0] == 0
+        assert received == [cli.gm.ORACLE_RESTARTS] * 2
+
     def test_plus_certified(self, files, capsys):
         code, out = run(capsys, "gamma", files["a"], "--functional", "plus")
         assert code == 0

@@ -183,6 +183,24 @@ class TestGreedy:
         with pytest.raises(NotPSDError):
             dc.greedy_decompose(hermitian([[0, 1], [1, 0]]))
 
+    @pytest.mark.parametrize("entries", [
+        [[1, 2], [2, 5]],
+        # Tridiagonal and diagonally dominant: each LDL step leaves every
+        # off-diagonal entry as it is, so natural-order LDL costs ||A||_1,1.
+        [[3, 1j, 0, 0], [-1j, 3, 1 + 1j, 0], [0, 1 - 1j, 4, -1], [0, 0, -1, 2]],
+    ])
+    def test_stops_at_the_bound(self, entries, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("greedy searched past a family at the bound")
+
+        monkeypatch.setattr(dc, "_best_pivot_order_ldl", refuse)
+        monkeypatch.setattr(dc, "_greedy_run", refuse)
+        a = hermitian(entries)
+        d = dc.greedy_decompose(a)
+        assert d.method == dc.METHOD_GREEDY
+        assert lr.norm_l11(a) <= d.cost <= lr.norm_l11(a) * (1.0 + dc.TIE_TOL)
+        assert lr.verify_reconstruction(a, d.vectors).ok
+
     def test_beats_all_pivot_permutations(self, rng):
         # exhaustive permuted-LDL floor for n <= 4
         for _ in range(25):
@@ -609,28 +627,6 @@ class TestCaratheodory:
                                                 np.array([0.0, 1.0], dtype=complex)])
 
 
-class TestStructuredCostCheck:
-    def test_dd_output_conforms(self):
-        a = hermitian([[2, 1], [1, 2]])
-        assert dc.structured_cost_check(a, dc.dd_decompose(a))
-
-    def test_eigen_output_does_not(self):
-        a = hermitian([[2, 1], [1, 2]])
-        assert not dc.structured_cost_check(a, dc.eigen_decompose(a))
-
-    def test_identity_basis(self):
-        a = hermitian(np.eye(2))
-        d = dc.RankOneDecomposition.build(
-            a, [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)], "external")
-        assert dc.structured_cost_check(a, d)
-
-    def test_repeated_pair_rejected(self):
-        a = hermitian([[2, 0], [0, 2]])
-        d = dc.RankOneDecomposition.build(
-            a, [np.array([1, 1], dtype=complex), np.array([1, -1], dtype=complex)], "external")
-        assert not dc.structured_cost_check(a, d)
-
-
 class TestSpecial3x3Gap:
     def test_zero_gap_b_zero(self):
         a = hermitian([[1, 0, 1], [0, 1, 1], [1, 1, 3]])
@@ -713,6 +709,10 @@ class TestStrategyInvariants:
             a = random_dd(rng, n, complex_off=bool(k % 2), tight_rows=k % 3)
             d = dc.dd_decompose(a)
             assert abs(d.cost - lr.norm_l11(a)) <= 1e-9 * max(1.0, lr.norm_l11(a))
+            # Each vector lies on one index or one index pair, and none repeats.
+            supports = [tuple(np.flatnonzero(v)) for v in d.vectors]
+            assert all(len(s) in (1, 2) for s in supports)
+            assert len(set(supports)) == len(supports)
 
     def test_2x2_ldl_exact(self, rng):
         for _ in range(200):

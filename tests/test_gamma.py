@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import l1rankone as lr
@@ -181,7 +181,7 @@ class TestGammaPlusBounds:
         for _ in range(20):
             a = random_psd(rng, int(rng.integers(2, 6)))
             report = gm.gamma_plus_bounds(a)
-            assert report.lower <= report.upper + 1e-9
+            assert report.lower <= report.upper
             assert report.lower >= lr.norm_l11(a) - 1e-12
             assert report.upper == pytest.approx(report.best.cost, abs=1e-12)
             assert min(report.per_method.values()) >= report.upper - 1e-12
@@ -221,6 +221,46 @@ class TestGamma0Bounds:
         zero = gm.gamma0_bounds(hermitian(np.zeros((2, 2)))).upper
         ratio = abs(upper - zero) / gm.gamma_exact(hermitian(FLIP))
         assert ratio == 2.0
+
+
+@st.composite
+def _matrices(draw, psd: bool):
+    """Entries of a random n x n matrix, n in 1..6: PSD of any rank, or
+    Hermitian."""
+    n = draw(st.integers(1, 6), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if psd:
+        return np.asarray(random_psd(rng, n, draw(st.integers(1, n), label="rank")).entries)
+    return np.asarray(random_hermitian(rng, n).entries)
+
+
+def _assert_bracket_holds(report):
+    assert report.lower <= report.upper
+    if report.certified:
+        assert report.upper - report.lower <= gm.CERT_TOL * min(1.0, report.lower)
+
+
+class TestBracketHolds:
+    """lower <= upper exactly, and certified only on a closed bracket. On
+    [[2.0]] every certificate costs one rounding below ||A||_1,1 = 2."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(entries=_matrices(psd=True))
+    @example(entries=[[2.0]])
+    def test_gamma_plus(self, entries):
+        a = hermitian(entries)
+        report = gm.gamma_plus_bounds(a)
+        _assert_bracket_holds(report)
+        assert report.lower >= lr.norm_l11(a) * (1.0 - 1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(entries=_matrices(psd=False))
+    @example(entries=[[2.0]])
+    def test_gamma0(self, entries):
+        a = hermitian(entries)
+        report = gm.gamma0_bounds(a)
+        _assert_bracket_holds(report)
+        assert report.lower >= lr.norm_l11(a) * (1.0 - 1e-12)
 
 
 class TestOmegaMembership:
@@ -276,6 +316,18 @@ class TestOracle:
             dec = gm.numeric_gamma_plus_oracle(a, restarts=1, seed=k)
             assert dec.cost <= dc.ldl_decompose(a).cost
             assert dec.cost <= dc.greedy_decompose(a).cost
+
+    def test_every_restore_failing_leaves_the_cheapest_warm_start(self, monkeypatch):
+        restores = []
+        monkeypatch.setattr(gm, "_restore_feasibility", lambda a, g: restores.append(g))
+        a = hermitian(REMARK_4X4)
+        warm = [dc.greedy_decompose(a), dc.ldl_decompose(a)]
+        dec = gm.numeric_gamma_plus_oracle(a, restarts=2, seed=0, warm=warm)
+        assert len(restores) == 2  # one per start
+        best = min(warm + [dc.eigen_decompose(a)], key=lambda d: d.cost)
+        assert dec.cost == best.cost
+        for got, want in zip(dec.vectors, best.vectors, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_thorough_bracket_hands_the_oracle_its_certificates(self, monkeypatch):
         calls = {}
@@ -508,7 +560,7 @@ def _bisection_restore(a, g):
     with lambda_min(A - lambda S) >= -1e-13 max(1, ||A - lambda S||_op),
     then peel the residual by LDL, pulling lambda back if that fails.
     Returns (lambda, family)."""
-    keep = dc.drop_null_vectors(a, g)
+    keep = list(dc._kept_family(a, g)[0])
     if not keep:
         return None, lr.ldl_factor(a)
     s = sum(np.outer(v, v.conj()) for v in keep)
@@ -564,12 +616,16 @@ class TestRestoreFeasibility:
         lam_ref, ref = _bisection_restore(a, family)
         assert lam_ref is not None
         if rank == n:
-            kept = dc.drop_null_vectors(a, family)[0]
+            kept = dc._kept_family(a, family)[0][0]
             lam = (dc.vector_l1(out[0]) / dc.vector_l1(kept)) ** 2
             assert lam == pytest.approx(lam_ref, rel=1e-8, abs=0.0)
         else:
             cost, cost_ref = dc.decomposition_cost(out), dc.decomposition_cost(ref)
             assert cost == pytest.approx(cost_ref, rel=1e-6)
+
+    def test_all_null_family_is_dropped(self, rng):
+        a = random_psd(rng, 3)
+        assert gm._restore_feasibility(a, np.zeros((4, 3), dtype=np.complex128)) is None
 
     def test_calls_no_eigh(self, rng, monkeypatch):
         a = random_psd(rng, 4, 2)
@@ -582,29 +638,6 @@ class TestRestoreFeasibility:
         for module in (lr.hermitian, gm):
             monkeypatch.setattr(module, "eigh", fail)
         assert lr.verify_reconstruction(a, gm._restore_feasibility(a, family)).ok
-
-
-class TestInequalityReport:
-    def test_flip(self):
-        rep = gm.inequality_report(hermitian(FLIP))
-        assert rep.trace_norm == pytest.approx(2.0, abs=1e-12)
-        assert rep.l11 == 2.0
-        assert rep.gamma0_upper == pytest.approx(4.0, abs=1e-12)
-        assert rep.gamma_plus_upper is None
-        assert rep.all_ok
-
-    def test_identity(self):
-        rep = gm.inequality_report(hermitian(np.eye(3)))
-        assert rep.trace_norm == pytest.approx(3.0, abs=1e-12)
-        assert rep.l11 == 3.0
-        assert rep.gamma0_upper == pytest.approx(3.0, abs=1e-9)
-        assert rep.gamma_plus_upper == pytest.approx(3.0, abs=1e-9)
-        assert rep.all_ok
-
-    def test_random_gram(self, rng):
-        for _ in range(10):
-            rep = gm.inequality_report(random_psd(rng, int(rng.integers(2, 6))))
-            assert rep.all_ok
 
 
 class TestFunctionalProperties:

@@ -36,7 +36,9 @@ are better (lower), worse or equal than OTHER's, the largest relative move,
 the certified flags that flipped, the winning strategies that changed and the
 ops whose per_method costs moved (so a strategy that never wins still shows),
 then each stream's mean upper / lower - 1. It then prints the greedy stream
-the same way, per input kind, and lists every op whose greedy family moved.
+the same way, per input kind, lists every op whose greedy family moved, and
+ends with the line total of src/l1rankone/*.py in both checkouts (not in
+any hash line, so equal outputs still hash equal).
 """
 
 from __future__ import annotations
@@ -229,6 +231,11 @@ def compare(this: dict, other: dict) -> None:
         print(f"{stream:17} mean upper/lower - 1 over {len(pairs)} ops: {old:.5f} -> {new:.5f}")
 
 
+def src_lines(src: Path) -> int:
+    """Lines of src/l1rankone/*.py, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "l1rankone").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo", default=str(ROOT),
@@ -248,6 +255,9 @@ def main(argv=None) -> int:
                 (outcomes(wl, workdir), greedy_outcomes(wl)) for wl, _ in map(load, srcs))
             compare(this, other)
             compare_greedy(this_greedy, other_greedy)
+        this_lines, other_lines = map(src_lines, srcs)
+        print(f"src lines         {this_lines:,} against {other_lines:,} "
+              f"({this_lines - other_lines:+,})")
         return 0
     wl, cli = load(srcs[0])
 
