@@ -627,6 +627,19 @@ class TestCaratheodory:
                                                 np.array([0.0, 1.0], dtype=complex)])
 
 
+class TestStructuredCostCheck:
+    def test_dd_output_conforms(self, rng):
+        # Each DD vector lies on one index or one index pair, and none repeats.
+        mats = [hermitian([[2, 1], [1, 2]])]
+        for k in range(200):
+            n = int(rng.integers(2, 9))
+            mats.append(random_dd(rng, n, complex_off=bool(k % 2), tight_rows=k % 3))
+        for a in mats:
+            supports = [tuple(np.flatnonzero(v)) for v in dc.dd_decompose(a).vectors]
+            assert all(len(s) in (1, 2) for s in supports)
+            assert len(set(supports)) == len(supports)
+
+
 class TestSpecial3x3Gap:
     def test_zero_gap_b_zero(self):
         a = hermitian([[1, 0, 1], [0, 1, 1], [1, 1, 3]])
@@ -709,10 +722,6 @@ class TestStrategyInvariants:
             a = random_dd(rng, n, complex_off=bool(k % 2), tight_rows=k % 3)
             d = dc.dd_decompose(a)
             assert abs(d.cost - lr.norm_l11(a)) <= 1e-9 * max(1.0, lr.norm_l11(a))
-            # Each vector lies on one index or one index pair, and none repeats.
-            supports = [tuple(np.flatnonzero(v)) for v in d.vectors]
-            assert all(len(s) in (1, 2) for s in supports)
-            assert len(set(supports)) == len(supports)
 
     def test_2x2_ldl_exact(self, rng):
         for _ in range(200):
