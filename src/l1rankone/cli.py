@@ -18,7 +18,7 @@ from . import decompose as dc
 from . import experiments as ex
 from . import gamma as gm
 from . import jsonio
-from .errors import L1RankOneError, NotDiagonallyDominantError, NotPSDError
+from .errors import L1RankOneError, NotDiagonallyDominantError, NotPSDError, ReconstructionError
 from .hermitian import (
     HERMITIAN_TOL,
     RECON_TOL,
@@ -88,6 +88,9 @@ def cmd_decompose(args) -> int:
     else:
         dec = gm.numeric_gamma_plus_oracle(
             a, restarts=args.restarts, seed=args.seed)
+    if dc.below_lower_bound(dec.cost, norm_l11(a)):
+        raise ReconstructionError(f"{dec.method} certificate cost {dec.cost!r} is below "
+                                  f"the lower bound {norm_l11(a)!r}")
     residual = verify_reconstruction(a, dec.vectors).max_residual
     _emit(jsonio.dumps(jsonio.decomposition_to_obj(dec, residual=residual)), args.out)
     return EXIT_OK

@@ -87,18 +87,37 @@ def at_lower_bound(cost: float, lower: float) -> bool:
     return cost <= lower * (1.0 + TIE_TOL)
 
 
-def _lex_key(vectors) -> tuple:
-    return tuple((float(z.real), float(z.imag)) for v in vectors for z in v)
+def below_lower_bound(cost: float, lower: float) -> bool:
+    """True when cost is below ||A||_1,1 beyond 1e-12 relative: a numerical failure."""
+    return cost < lower * (1.0 - 1e-12)
 
 
-def cheapest_family(families) -> list:
-    """The vector family of least cost, for greedy's fallback and the
-    oracle; equal costs go to the smaller coordinates in lexicographic
-    order (keyed only for the tied), so the pick ignores input order."""
-    costs = [decomposition_cost(vecs) for vecs in families]
-    low = min(costs)
-    tied = [vecs for vecs, cost in zip(families, costs) if cost == low]
+def _lex_key(dec) -> tuple:
+    return tuple((float(z.real), float(z.imag)) for v in dec.vectors for z in v)
+
+
+def cheapest_family(decs) -> "RankOneDecomposition":
+    """The built decomposition of least cost, as its check computed it;
+    equal costs go to the smaller vectors in lexicographic order (keyed only
+    for the tied), so the pick ignores input order."""
+    low = min(dec.cost for dec in decs)
+    tied = [dec for dec in decs if dec.cost == low]
     return tied[0] if len(tied) == 1 else min(tied, key=_lex_key)
+
+
+def _checked_family(target: HermitianMatrix, label: str, positive, negative=()):
+    """(positive, negative, cost) less null rows (_kept_family), checked by
+    one verify_reconstruction call: the one check of both builds. A miss
+    raises ReconstructionError naming `label`."""
+    pos, cost = _kept_family(target, positive)
+    neg, neg_cost = _kept_family(target, negative) if len(negative) else ((), 0.0)
+    report = verify_reconstruction(target, pos, negative=neg)
+    if not report.ok:
+        raise ReconstructionError(
+            f"{label} decomposition misses target by {report.max_residual:.3e} "
+            f"(tol {report.tol:.3e})"
+        )
+    return tuple(pos), tuple(neg), cost + neg_cost
 
 
 @dataclass(frozen=True)
@@ -117,19 +136,8 @@ class RankOneDecomposition:
     def build(cls, target: HermitianMatrix, vectors,
               method: str) -> "RankOneDecomposition":
         """Drop null vectors, compute the cost, and verify reconstruction."""
-        kept, cost = _kept_family(target, vectors)
-        report = verify_reconstruction(target, kept)
-        if not report.ok:
-            raise ReconstructionError(
-                f"{method} decomposition misses target by {report.max_residual:.3e} "
-                f"(tol {report.tol:.3e})"
-            )
-        return cls(
-            target_n=target.n,
-            vectors=tuple(kept),
-            cost=cost,
-            method=method,
-        )
+        kept, _, cost = _checked_family(target, method, vectors)
+        return cls(target.n, kept, cost, method)
 
 
 def ldl_decompose(a: HermitianMatrix) -> RankOneDecomposition:
@@ -440,11 +448,11 @@ def greedy_decompose(a: HermitianMatrix) -> RankOneDecomposition:
     Builds up to three families in order: natural-order LDL, the best LDL
     pivot order found, and one peel pass from pivot seeds refined by
     coordinate descent. A family is dropped when RankOneDecomposition.build
-    rejects it or it costs less than ||A||_1,1 (1 - 1e-12), which only a
-    family meeting A within RECON_TOL can. The first family at_lower_bound
-    is returned at once (on a 2x2, LDL); otherwise the cheapest, by
-    cheapest_family. So greedy never costs more than ldl_decompose, and its
-    result is a function of A alone.
+    rejects it or it is below_lower_bound, which only a family meeting A
+    within RECON_TOL can be. The first family at_lower_bound is returned at
+    once (on a 2x2, LDL); otherwise the cheapest by cheapest_family, which
+    compares the costs that build computed. So greedy never costs more than
+    ldl_decompose, and its result is a function of A alone.
     """
     if not is_psd(a):
         raise NotPSDError("greedy_decompose requires a PSD matrix")
@@ -463,14 +471,13 @@ def greedy_decompose(a: HermitianMatrix) -> RankOneDecomposition:
             dec = RankOneDecomposition.build(a, vecs, METHOD_GREEDY)
         except ReconstructionError:
             continue
-        if dec.cost >= lower * (1.0 - 1e-12):
+        if not below_lower_bound(dec.cost, lower):
             if at_lower_bound(dec.cost, lower):
                 return dec
             complete.append(dec)
     if not complete:
         raise ReconstructionError("no greedy family reconstructs A at or above ||A||_1,1")
-    best = cheapest_family([dec.vectors for dec in complete])
-    return next(dec for dec in complete if dec.vectors is best)
+    return cheapest_family(complete)
 
 
 # ---------------------------------------------------------------------------

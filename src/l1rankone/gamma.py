@@ -15,13 +15,13 @@ numerical rank, from ORACLE_RESTARTS starts at once by default: minimize, a
 batched L-BFGS in NumPy, runs every start as one row of an (R, d) array of
 real coordinates, and _oracle_objective evaluates all rows with stacked
 matrix products. Its exact starts join its pool as they are; search
-results are made exact, or dropped when they cannot be.
+results are made exact and checked, or dropped when they cannot be.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,8 +32,10 @@ from .decompose import (
     METHOD_ORACLE,
     TIE_TOL,
     RankOneDecomposition,
+    _checked_family,
     _kept_family,
     at_lower_bound,
+    below_lower_bound,
     cheapest_family,
     dd_decompose,
     eigen_decompose,
@@ -49,12 +51,11 @@ from .hermitian import (
     HermitianMatrix,
     eigenvalue_cut,
     eigh,  # noqa: F401  (kept in this namespace: perfbench's tracer rebinds it here)
+    gram,
     is_psd,
     ldl_factor,
     norm_l11,
     operator_norm,
-    reconstruct,
-    verify_reconstruction,
 )
 
 CERT_TOL = 1e-6            # bracket width for CERTIFIED-OPTIMAL, relative below lower = 1
@@ -93,20 +94,8 @@ class SignedDecomposition:
 
     @classmethod
     def build(cls, target: HermitianMatrix, positive, negative) -> "SignedDecomposition":
-        pos, pos_cost = _kept_family(target, positive)
-        neg, neg_cost = _kept_family(target, negative)
-        report = verify_reconstruction(target, pos, negative=neg)
-        if not report.ok:
-            raise ReconstructionError(
-                f"signed decomposition misses target by {report.max_residual:.3e} "
-                f"(tol {report.tol:.3e})"
-            )
-        return cls(
-            target_n=target.n,
-            positive=tuple(pos),
-            negative=tuple(neg),
-            cost=pos_cost + neg_cost,
-        )
+        """Drop null vectors, compute the cost, and verify reconstruction."""
+        return cls(target.n, *_checked_family(target, "signed", positive, negative))
 
 
 def _cheapest(named):
@@ -137,12 +126,12 @@ class GammaReport:
 
         Certified when upper - lower <= CERT_TOL * min(1, lower): within
         CERT_TOL of the lower bound, and relative to it when lower < 1, so a
-        scaled-down gap is not certified. A certificate cheaper than lower
-        beyond 1e-12 relative is a numerical failure (ReconstructionError);
+        scaled-down gap is not certified. A certificate below_lower_bound
+        is a numerical failure (ReconstructionError);
         one cheaper by rounding only becomes the lower bound, so that
         lower <= upper holds exactly."""
         best = _cheapest(named)
-        if best.cost < lower * (1.0 - 1e-12):
+        if below_lower_bound(best.cost, lower):
             raise ReconstructionError(
                 f"certificate cost {best.cost!r} is below the lower bound {lower!r}"
             )
@@ -240,7 +229,7 @@ def _eigen_split_signed(a: HermitianMatrix, effort: str, seed: int,
         side_mat = (side_mat + side_mat.conj().T) / 2.0
         report = gamma_plus_bounds(HermitianMatrix(side_mat), effort, seed=seed,
                                    oracle_restarts=oracle_restarts)
-        return list(report.best.vectors)
+        return report.best.vectors
 
     return SignedDecomposition.build(a, side(pos_idx, 1.0), side(neg_idx, -1.0))
 
@@ -571,18 +560,18 @@ def _restore_feasibility(a: HermitianMatrix, g: np.ndarray):
     """Scale the optimizer's vectors g by sqrt(lambda), lambda the largest
     value in [0, 1] with lambda_min(A - lambda S) >= -tau for S = sum g g*
     and tau = 1e-13 max(1, ||A||_op); then peel the exact residual with LDL.
-    The result reconstructs A exactly up to floating-point error.
+    Returns the result as a checked RankOneDecomposition (method oracle).
 
     The condition is A + tau I - lambda S >= 0. With A = V diag(a_k) V* and
     W = V diag((a_k + tau)^(-1/2)) it reads lambda mu <= 1 for the largest
     eigenvalue mu of W* S W, so lambda = min(1, 1/mu): one small eigenvalue
     solve on A's cached eigensystem. Returns None, and the oracle drops the
     start, when no vector of g clears the null floor, when A + tau I is not
-    positive definite, or when the scaled residual is not PSD."""
-    keep = list(_kept_family(a, g)[0])
-    if not keep:
+    positive definite, or when the residual is not PSD or the check fails."""
+    keep = _kept_family(a, g)[0]
+    if not len(keep):
         return None
-    s = reconstruct(keep).entries
+    s = gram(keep)
     es = a.eigensystem
     shifted = es.eigenvalues + 1e-13 * max(1.0, operator_norm(a))
     if shifted[0] <= 0.0:
@@ -593,9 +582,9 @@ def _restore_feasibility(a: HermitianMatrix, g: np.ndarray):
     resid = a.entries - lam * s
     try:
         tail = ldl_factor(HermitianMatrix((resid + resid.conj().T) / 2.0), psd_tol=1e-8)
-    except NotPSDError:
+        return RankOneDecomposition.build(a, [*(np.sqrt(lam) * keep), *tail], METHOD_ORACLE)
+    except (NotPSDError, ReconstructionError):
         return None
-    return [np.sqrt(lam) * v for v in keep] + list(tail)
 
 
 def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTARTS,
@@ -610,9 +599,11 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
     plus small noise; the rest are random. All starts are searched together:
     each is one row of the real coordinates (Re, Im pairs of c) handed to
     minimize once for each rho in RHO_ROUNDS, with up to LBFGS_MAXITER
-    L-BFGS iterations per start and round. Each result is then restored to
-    exact feasibility or dropped, and the cheapest family, start or result,
-    is reduced in term count. Guarded to n <= 6.
+    L-BFGS iterations per start and round. Each result is restored to exact
+    feasibility and checked, or dropped (_restore_feasibility), so the pool
+    holds checked certificates only; the cheapest by cheapest_family, start
+    or result, is relabelled oracle and reduced in term count. Guarded to
+    n <= 6.
     """
     if a.n > ORACLE_MAX_N:
         raise BudgetExceededError(f"oracle supports n <= {ORACLE_MAX_N}, got {a.n}")
@@ -627,7 +618,7 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
     # Exact starts join the pool as they are, so the result is never worse
     # than one. When one already sits on the lower bound ||A||_1,1 the
     # search cannot improve it, and the restarts are skipped.
-    pool = [dec.vectors for dec in warm]
+    pool = list(warm)
     if not at_lower_bound(min(dec.cost for dec in warm), norm_l11(a)):
         k = numerical_rank(a)
         m = k * k + 1
@@ -654,6 +645,6 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
             g = g @ basis
         restored = (_restore_feasibility(a, family)
                     for family in g.reshape(len(starts), m, -1).view(np.complex128))
-        pool += [family for family in restored if family is not None]
-    dec = RankOneDecomposition.build(a, cheapest_family(pool), METHOD_ORACLE)
-    return reduce_decomposition(dec, a)
+        pool += [dec for dec in restored if dec is not None]
+    best = replace(cheapest_family(pool), method=METHOD_ORACLE)
+    return reduce_decomposition(best, a)

@@ -262,12 +262,16 @@ def stack_family(vectors, n: int | None = None) -> np.ndarray:
     return stack
 
 
+def gram(stack: np.ndarray) -> np.ndarray:
+    """sum_k g_k g_k* over the rows of an (r, n) stack, symmetrised."""
+    out = stack.T @ stack.conj()
+    return (out + out.conj().T) / 2.0
+
+
 def reconstruct(vectors) -> HermitianMatrix:
     """Sum of outer products g_k g_k* over the rows of a family, taken as
     one (r, n) stack (see stack_family)."""
-    stack = stack_family(vectors)
-    out = stack.T @ stack.conj()
-    return HermitianMatrix((out + out.conj().T) / 2.0)
+    return HermitianMatrix(gram(stack_family(vectors)))
 
 
 @dataclass(frozen=True)
@@ -285,9 +289,9 @@ def verify_reconstruction(a: HermitianMatrix, vectors, recon_tol: float = RECON_
     residual check: every decomposition builder and the CLI go through it."""
     resid = a.entries
     if len(vectors):
-        resid = resid - reconstruct(stack_family(vectors, a.n)).entries
+        resid = resid - gram(stack_family(vectors, a.n))
     if len(negative):
-        resid = resid + reconstruct(stack_family(negative, a.n)).entries
+        resid = resid + gram(stack_family(negative, a.n))
     worst = float(np.abs(resid).max()) if a.n else 0.0
     tol = recon_tol * a.scale()
     return ReconstructionReport(worst, tol, worst <= tol)

@@ -55,14 +55,6 @@ def matrix_from_obj(obj, hermitian_tol: float = HERMITIAN_TOL) -> HermitianMatri
     return ingest_matrix(raw, hermitian_tol)
 
 
-def matrix_to_obj(a: HermitianMatrix) -> dict:
-    return {
-        "n": a.n,
-        "entries": [[_complex_to_entry(a.entries[i, j]) for j in range(a.n)]
-                    for i in range(a.n)],
-    }
-
-
 def vectors_from_obj(obj) -> list:
     if not isinstance(obj, list):
         raise ValueError("'vectors' must be a list")

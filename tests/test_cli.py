@@ -101,6 +101,16 @@ class TestDecompose:
                               ["--restarts", "40", "--seed", "2"])}
         assert len(outs) == 1 and next(iter(outs))[0] == 0
 
+    @pytest.mark.parametrize("method", ["eigen", "dd"])
+    def test_certificate_below_the_lower_bound_exits_2(self, files, capsys, method):
+        # ||A||_1,1 = 5e-11. The absolute eigenvalue cut drops every
+        # eigenvalue (cost 0) and the dd remainder falls under PSD_TOL
+        # (cost 4e-11); both families still pass the absolute RECON_TOL.
+        p = files["dir"] / "tiny.json"
+        p.write_text(json.dumps({"n": 2, "entries": [[1e-11, 1e-11], [1e-11, 2e-11]]}))
+        code, out = run(capsys, "decompose", str(p), "--method", method)
+        assert (code, out) == (2, "")
+
 
 class TestGamma:
     def test_zero_flip(self, files, capsys):
@@ -422,11 +432,11 @@ class TestThinAdapter:
 
 
 class TestJsonFormats:
-    def test_matrix_round_trip(self):
+    def test_matrix_from_obj(self):
         from l1rankone import jsonio
-        a = jsonio.matrix_from_obj(COMPLEX)
-        again = jsonio.matrix_from_obj(jsonio.matrix_to_obj(a))
-        np.testing.assert_array_equal(a.entries, again.entries)
+        obj = {"n": 2, "entries": [[2, [1.5, -0.25]], [[1.5, 0.25], 3.0]]}
+        a = jsonio.matrix_from_obj(obj)
+        np.testing.assert_array_equal(a.entries, [[2, 1.5 - 0.25j], [1.5 + 0.25j, 3]])
 
     def test_decomposition_round_trip(self):
         from l1rankone import decompose as dc, jsonio

@@ -231,9 +231,11 @@ class TestGreedy:
         # reversed one is lexicographically smaller.
         e = np.eye(2, dtype=np.complex128)
         families = [e, e[::-1], np.ones((1, 2), dtype=np.complex128), 2 * e]
-        for perm in itertools.permutations(families):
-            assert dc.cheapest_family(list(perm)) is families[1]
-        assert dc.cheapest_family([families[3], families[2]]) is families[2]
+        decs = [dc.RankOneDecomposition.build(lr.reconstruct(f), f, "external")
+                for f in families]
+        for perm in itertools.permutations(decs):
+            assert dc.cheapest_family(list(perm)) is decs[1]
+        assert dc.cheapest_family([decs[3], decs[2]]) is decs[2]
 
     def test_deterministic(self, rng):
         a = random_psd(rng, 4)

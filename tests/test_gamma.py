@@ -607,11 +607,11 @@ class TestRestoreFeasibility:
             return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
         exact = lr.ldl_factor(a)
-        out = gm._restore_feasibility(a, exact)
+        out = gm._restore_feasibility(a, exact).vectors
         assert all(np.array_equal(u, v) for u, v in zip(out, exact))  # lambda = 1
 
         family = [v + noise() for v in exact] + [noise() for _ in range(extra)]
-        out = gm._restore_feasibility(a, family)
+        out = gm._restore_feasibility(a, family).vectors
         assert lr.verify_reconstruction(a, out).ok
         lam_ref, ref = _bisection_restore(a, family)
         assert lam_ref is not None
@@ -637,7 +637,17 @@ class TestRestoreFeasibility:
 
         for module in (lr.hermitian, gm):
             monkeypatch.setattr(module, "eigh", fail)
-        assert lr.verify_reconstruction(a, gm._restore_feasibility(a, family)).ok
+        assert lr.verify_reconstruction(a, gm._restore_feasibility(a, family).vectors).ok
+
+    def test_family_failing_the_check_is_dropped(self, monkeypatch):
+        # With no LDL tail the restored families miss A by about 5e-5, far
+        # beyond RECON_TOL; dropped, they leave the checked warm starts.
+        a = random_psd(np.random.default_rng(3), 4)
+        monkeypatch.setattr(gm, "ldl_factor", lambda *args, **kwargs: [])
+        dec = gm.numeric_gamma_plus_oracle(a, restarts=8)
+        assert dec.method == dc.METHOD_ORACLE
+        assert lr.verify_reconstruction(a, dec.vectors).ok
+        assert dec.cost <= dc.greedy_decompose(a).cost
 
 
 class TestFunctionalProperties:

@@ -22,6 +22,11 @@ the library comes from --repo's src/. Lines:
                     seeds 1 and 2, ops 0-119 (perfbench's --restarts 1)
     thorough-restarts  the same for seed 1, ops 0-20, at --restarts 8, so
                     that the oracle searches many starts at once
+    decompose       `decompose` exit code and stdout (cost, vectors and the
+                    printed residual): --method ldl, eigen and greedy on the
+                    PSD inputs of bracket seed 1, ops 0-59, dd on that
+                    range's dd ops, and oracle at its default starts and
+                    seed on thorough seed 1, ops 0-13
     experiment      the CSV of each EXPERIMENTS command
     ensemble-vectors  cost and certificate vector bytes of ldl_decompose and
                     eigen_decompose on random_psd(n, seed), n in 8, 16, 32,
@@ -60,6 +65,8 @@ BRACKET_OPS = 350
 # (stream, seeds, ops, oracle restarts; None for perfbench's own)
 THOROUGH_STREAMS = (("thorough", (1, 2), 120, None),
                     ("thorough-restarts", (1,), 21, 8))
+DECOMPOSE_OPS = 60  # bracket seed 1
+ORACLE_OPS = 14     # thorough seed 1
 ENSEMBLE_DIMS = (8, 16, 32, 64)
 ENSEMBLE_SEEDS = range(30)
 EXPERIMENTS = (
@@ -126,6 +133,23 @@ def thorough_records(wl, seed: int, ops: int, restarts: int | None,
             obj["skipped"] = [k for k in obj["skipped"] if k != drop]
             stdout = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
         yield f"{index} {code}\n".encode() + stdout
+
+
+def decompose_records(wl, cli, workdir: str):
+    def run(inp, method: str) -> bytes:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["decompose", inp.path, "--method", method])
+        return f"{inp.index} {method} {code}\n".encode() + out.getvalue().encode()
+
+    for index in range(DECOMPOSE_OPS):
+        inp = wl.make_input("bracket", 1, index)
+        if inp.kind != "indefinite":
+            inp = wl.write_matrix(inp, workdir)
+            for method in ("ldl", "eigen", "greedy", *(("dd",) if inp.kind == "dd" else ())):
+                yield run(inp, method)
+    for index in range(ORACLE_OPS):
+        yield run(wl.write_matrix(wl.make_input("thorough", 1, index), workdir), "oracle")
 
 
 def ensemble_vector_records(lr):
@@ -273,6 +297,7 @@ def main(argv=None) -> int:
             for seed in seeds:
                 records = thorough_records(wl, seed, ops, restarts, drop, workdir)
                 print(f"{stream:15} seed={seed} {digest(records)}")
+        print(f"decompose       seed=1 {digest(decompose_records(wl, cli, workdir))}")
         for exp in EXPERIMENTS:
             print(f"experiment      {' '.join(exp)} "
                   f"{digest([experiment_csv(cli, exp, workdir)])}")
