@@ -40,9 +40,7 @@ from .hermitian import (
 
 RANK_TOL = 1e-8  # times ||A||_op; eigenvalues above it count toward rank
 NULL_TOL = 1e-14  # times A.scale(); vectors with ||v||_1^2 at or below it are dropped
-SMOOTHING_EPS = 1e-8  # epsilon of the smoothed |.| in greedy's l1 objective
 PIVOT_SEARCH_MAX_N = 6  # largest n whose LDL pivot orders are all searched (with pruning)
-GREEDY_MAX_ITER = 200  # scored trial moves per refined peel direction; a sweep scores 4n
 TIE_TOL = 1e-12  # relative; costs closer than this tie
 
 METHOD_LDL = "ldl"
@@ -280,84 +278,6 @@ def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float) -> list[np.ndarray]:
     return best_vecs
 
 
-def _smoothed_l1sq(y: np.ndarray, eps: float) -> float:
-    return float(np.sqrt(np.abs(y) ** 2 + eps * eps).sum()) ** 2
-
-
-_REFINE_DIRS = np.array([1.0, -1.0, 1.0j, -1.0j])
-
-
-def _refine_direction(r_arr: np.ndarray, x: np.ndarray, peel_floor: float) -> np.ndarray:
-    """Coordinate search for ||Rx||_1^2 on the surface <Rx, x> = 1.
-
-    Each sweep scores all 4n single-coordinate moves x_j += h * {1, -1, i, -i}
-    in one batch (y and q updated incrementally) and takes the best
-    improvement; h halves when no move helps. Moves whose peel mass
-    ||Rx||_2^2 / q drops below peel_floor are rejected: they ride
-    numerical-dust null directions of a rank-deficient residual and peel
-    nothing. GREEDY_MAX_ITER caps the scored trials, 4n per sweep; the search
-    usually ends on it before h falls to 1e-6. y is kept as (Re y | Im y): a
-    step h * {1, -1, i, -i} times column c is exactly (+-h c_re, +-h c_im) or
-    (-+h c_im, +-h c_re), so the scores keep the bits of complex arithmetic.
-    """
-    n = r_arr.shape[0]
-    eps = SMOOTHING_EPS
-    diag = np.diagonal(r_arr).real
-    y = r_arr @ x
-    q = float(np.vdot(x, y).real)
-    if q <= 1e-30:
-        raise ZeroDirectionError("refinement started from a null direction")
-    x = x / np.sqrt(q)
-    y = y / np.sqrt(q)
-    q = 1.0
-    f_cur = _smoothed_l1sq(y, eps)
-    y = np.concatenate([y.real, y.imag])
-    re, im = r_arr.real.T, r_arr.imag.T  # row j is column j of R
-    # Row (d, j): step d of {1, -1, i, -i} times column j, as (Re | Im).
-    unit_moves = np.concatenate([[re, -re, -im, im], [im, -im, re, -re]], axis=2)
-    # 2 Re(step * conj(y)) is 2 (+-h) times Re y, Re y, Im y, Im y.
-    parts = np.arange(2 * n).reshape(2, n).repeat(2, axis=0)
-    obj = np.empty((4, n))
-    h = 0.25
-    moves_h = None
-    trials = 0
-    while h > 1e-6 and trials < GREEDY_MAX_ITER:
-        if moves_h != h:
-            moves_h = h
-            step = h * _REFINE_DIRS
-            signed_h = np.array([[h], [-h], [h], [-h]])
-            moves = h * unit_moves
-            curvature = (h * h) * diag
-        y2 = y + moves
-        sq = y2 * y2
-        abs2 = sq[..., :n] + sq[..., n:]
-        mass = np.add.reduce(abs2, axis=-1)
-        f2 = np.add.reduce(np.sqrt(abs2 + eps * eps), axis=-1) ** 2
-        q2 = q + 2.0 * (y[parts] * signed_h) + curvature
-        obj.fill(np.inf)
-        np.divide(f2, q2, out=obj, where=(q2 > 1e-30) & (mass >= peel_floor * q2))
-        trials += 4 * n
-        k = int(obj.argmin())
-        if float(obj.flat[k]) < f_cur - 1e-12 * max(1.0, f_cur):
-            d_idx, j = divmod(k, n)
-            x[j] += step[d_idx]
-            y = y2[d_idx, j]
-            q = float(q2[d_idx, j])
-            f_cur = float(obj.flat[k])
-        else:
-            h *= 0.5
-            yc = r_arr @ x  # resync incremental state
-            q = float(np.vdot(x, yc).real)
-            if q <= 1e-30:
-                break
-            f_cur = _smoothed_l1sq(yc, eps) / q
-            y = np.concatenate([yc.real, yc.imag])
-    q = float(np.vdot(x, r_arr @ x).real)
-    if q <= 1e-30:
-        raise ZeroDirectionError("refinement collapsed to a null direction")
-    return x / np.sqrt(q)
-
-
 def _quick_scores(r: np.ndarray, ys: np.ndarray, peel_floor: float) -> list[float]:
     """||y||_1^2 + ||R - yy*||_1 for each row y = Rx of ys; inf where x peels
     less than peel_floor."""
@@ -380,38 +300,27 @@ def _pivot_candidates(r: np.ndarray, tol_p: float, peel_floor: float):
     return list(cands), _quick_scores(r, ys, peel_floor)
 
 
-def _peel_step(r: np.ndarray, x0: np.ndarray, peel_floor: float):
-    """Peel along x0 or its refinement, whichever costs less counting the
-    natural-order LDL of the residual; (y, residual), or None when neither
-    trial peels at least peel_floor and leaves a PSD residual."""
-    trial_xs = [x0]
-    try:
-        trial_xs.append(_refine_direction(r, x0, peel_floor))
-    except ZeroDirectionError:
-        pass
-    best, best_total = None, np.inf
-    for x in trial_xs:
-        y = r @ x
-        if float((np.abs(y) ** 2).sum()) < peel_floor:
-            continue
-        resid = r - np.outer(y, y.conj())
-        resid = (resid + resid.conj().T) / 2.0
-        try:
-            tail = ldl_factor(HermitianMatrix(resid))
-        except NotPSDError:
-            continue
-        total = vector_l1(y) ** 2 + decomposition_cost(tail)
-        if total < best_total - 1e-15:
-            best, best_total = (y, resid), total
-    return best
+def _peel_step(r: np.ndarray, x: np.ndarray, peel_floor: float):
+    """One LDL step of the peel pass: peel y = Rx, with x the pivot direction
+    e_i / sqrt(R_ii) that _greedy_run picked; (y, residual), or None when
+    y peels less than peel_floor."""
+    y = r @ x
+    if float((np.abs(y) ** 2).sum()) < peel_floor:
+        return None
+    resid = r - np.outer(y, y.conj())
+    return y, (resid + resid.conj().T) / 2.0
+
+
+_refine_direction = _peel_step  # noqa  (kept by name: perfbench's tracer traces it)
 
 
 def _greedy_run(a_arr: np.ndarray, tol_p: float, max_steps: int):
     """One greedy peeling pass; returns the list of peeled vectors.
 
-    Each step starts from the pivot direction with the best quick score and
-    peels along it or its refinement (_peel_step). The residual trace
-    strictly falls, so no residual is visited twice.
+    Each step peels along the pivot direction e_i / sqrt(R_ii) with the best
+    quick score (_peel_step), so the pass is the LDL pivot order that picks
+    each pivot by its quick score. The residual trace strictly falls, so no
+    residual is visited twice.
     """
     n = a_arr.shape[0]
     r = a_arr.copy()
@@ -443,16 +352,20 @@ def _greedy_run(a_arr: np.ndarray, tol_p: float, max_steps: int):
 
 
 def greedy_decompose(a: HermitianMatrix) -> RankOneDecomposition:
-    """Greedy peeling over <Ax, x> = 1 directions with permuted-LDL search.
+    """The best of three LDL pivot orders.
 
     Builds up to three families in order: natural-order LDL, the best LDL
-    pivot order found, and one peel pass from pivot seeds refined by
-    coordinate descent. A family is dropped when RankOneDecomposition.build
-    rejects it or it is below_lower_bound, which only a family meeting A
-    within RECON_TOL can be. The first family at_lower_bound is returned at
-    once (on a 2x2, LDL); otherwise the cheapest by cheapest_family, which
-    compares the costs that build computed. So greedy never costs more than
-    ldl_decompose, and its result is a function of A alone.
+    pivot order found by _best_pivot_order_ldl, and the peel pass
+    (_greedy_run), whose pivots are picked by quick score. Each pivot rule
+    reads only |.| of the residual, so up to rounding the families of
+    D A D* (D diagonal with unit phases) are those of A, each vector v
+    mapped to D v, at the same costs. A family is dropped when
+    RankOneDecomposition.build rejects it or it is below_lower_bound, which
+    only a family meeting A within RECON_TOL can be. The first family
+    at_lower_bound is returned at once (on a 2x2, LDL); otherwise the
+    cheapest by cheapest_family, which compares the costs that build
+    computed. So greedy never costs more than ldl_decompose, and its result
+    is a function of A alone.
     """
     if not is_psd(a):
         raise NotPSDError("greedy_decompose requires a PSD matrix")

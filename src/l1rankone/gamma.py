@@ -596,10 +596,12 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
     above the numerical_rank cut, so the search stays in range(A) (B = I at
     full rank, k = n). The first starts are the exact decompositions in warm
     (default: greedy_decompose, then ldl_decompose) and eigen_decompose,
-    plus small noise; the rest are random. All starts are searched together:
-    each is one row of the real coordinates (Re, Im pairs of c) handed to
-    minimize once for each rho in RHO_ROUNDS, with up to LBFGS_MAXITER
-    L-BFGS iterations per start and round. Each result is restored to exact
+    less any below_lower_bound (a numerical failure, such as eigen's
+    absolute cut on tiny input), plus small noise; the rest are random.
+    All starts are searched together: each is one row of the real
+    coordinates (Re, Im pairs of c) handed to minimize once for each rho in
+    RHO_ROUNDS, with up to LBFGS_MAXITER L-BFGS iterations per start and
+    round. Each result is restored to exact
     feasibility and checked, or dropped (_restore_feasibility), so the pool
     holds checked certificates only; the cheapest by cheapest_family, start
     or result, is relabelled oracle and reduced in term count. Guarded to
@@ -611,15 +613,17 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
         raise NotPSDError("oracle requires a PSD matrix")
     n = a.n
     a_arr = np.asarray(a.entries)
+    lower = norm_l11(a)
     if warm is None:
         warm = (greedy_decompose(a), ldl_decompose(a))
-    warm = [*warm, eigen_decompose(a)]
+    warm = [dec for dec in (*warm, eigen_decompose(a))
+            if not below_lower_bound(dec.cost, lower)]
 
     # Exact starts join the pool as they are, so the result is never worse
     # than one. When one already sits on the lower bound ||A||_1,1 the
     # search cannot improve it, and the restarts are skipped.
     pool = list(warm)
-    if not at_lower_bound(min(dec.cost for dec in warm), norm_l11(a)):
+    if not at_lower_bound(min((dec.cost for dec in warm), default=np.inf), lower):
         k = numerical_rank(a)
         m = k * k + 1
         range_basis = a.eigensystem.eigenvectors[:, n - k:]
@@ -646,5 +650,7 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
         restored = (_restore_feasibility(a, family)
                     for family in g.reshape(len(starts), m, -1).view(np.complex128))
         pool += [dec for dec in restored if dec is not None]
+    if not pool:
+        raise ReconstructionError("no oracle certificate reconstructs A at or above ||A||_1,1")
     best = replace(cheapest_family(pool), method=METHOD_ORACLE)
     return reduce_decomposition(best, a)

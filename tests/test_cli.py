@@ -111,6 +111,17 @@ class TestDecompose:
         code, out = run(capsys, "decompose", str(p), "--method", method)
         assert (code, out) == (2, "")
 
+    def test_oracle_drops_warm_starts_below_the_lower_bound(self, files, capsys):
+        # The same input: eigen's empty family (cost 0.0) must not win the
+        # oracle's pool over the exact greedy and LDL certificates.
+        p = files["dir"] / "tiny.json"
+        p.write_text(json.dumps({"n": 2, "entries": [[1e-11, 1e-11], [1e-11, 2e-11]]}))
+        code, out = run(capsys, "decompose", str(p), "--method", "oracle")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["method"] == "oracle"
+        assert obj["cost"] >= 5e-11 * (1.0 - 1e-12)
+
 
 class TestGamma:
     def test_zero_flip(self, files, capsys):

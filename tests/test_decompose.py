@@ -21,7 +21,7 @@ from l1rankone.errors import (
     StallDetectedError,
     ZeroDirectionError,
 )
-from l1rankone.hermitian import RECON_TOL, HermitianMatrix
+from l1rankone.hermitian import RECON_TOL
 
 from conftest import hermitian, random_dd, random_psd
 
@@ -277,31 +277,14 @@ def _greedy_run_reference(a_arr, tol_p, max_steps):
             quick.append(dc.vector_l1(y) ** 2 + dc.vector_l1(resid))
         order = [int(i) for i in np.argsort(quick, kind="stable")
                  if np.isfinite(quick[int(i)])]
-        best_y, best_r, best_total = None, None, np.inf
-        trial_xs = []
-        if order:
-            trial_xs.append(cands[order[0]])
-            try:
-                trial_xs.append(dc._refine_direction(r, cands[order[0]], peel_floor))
-            except ZeroDirectionError:
-                pass
-        for x in trial_xs:
-            y = r @ x
-            if float((np.abs(y) ** 2).sum()) < peel_floor:
-                continue
-            resid = r - np.outer(y, y.conj())
-            resid = (resid + resid.conj().T) / 2.0
-            try:
-                tail = lr.ldl_factor(HermitianMatrix(resid))
-            except NotPSDError:
-                continue
-            total = dc.vector_l1(y) ** 2 + dc.decomposition_cost(tail)
-            if total < best_total - 1e-15:
-                best_y, best_r, best_total = y, resid, total
-        if best_y is None:
+        if not order:
             break
-        vectors.append(best_y)
-        r = best_r
+        y = r @ cands[order[0]]
+        if float((np.abs(y) ** 2).sum()) < peel_floor:
+            break
+        resid = r - np.outer(y, y.conj())
+        vectors.append(y)
+        r = (resid + resid.conj().T) / 2.0
         trace_now = float(np.diagonal(r).real.sum())
         if trace_now > trace_prev - 1e-15 * scale:
             raise StallDetectedError("residual trace stalled")
@@ -313,83 +296,23 @@ class TestGreedyPass:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
     def test_matches_reference_pass(self, data, n, seed):
-        """The pick between the pivot-order family and the greedy pass equals
-        the pick with the reference pass, family and cost."""
+        """The peel pass equals the reference pass bit for bit, and so does
+        greedy's pick among its families, family and cost."""
         rank = data.draw(st.integers(1, n), label="rank")
         a = random_psd(np.random.default_rng(seed), n, rank)
+        args = (np.asarray(a.entries), lr.hermitian.PIVOT_TOL * a.scale(),
+                dc.numerical_rank(a) + 2)
+        assert ([v.tobytes() for v in dc._greedy_run(*args)]
+                == [v.tobytes() for v in _greedy_run_reference(*args)])
         got = dc.greedy_decompose(a)
         with mock.patch.object(dc, "_greedy_run", _greedy_run_reference):
             want = dc.greedy_decompose(a)
         assert got.cost == want.cost
         assert [v.tobytes() for v in got.vectors] == [v.tobytes() for v in want.vectors]
 
-    def test_no_peel_step_is_refined_twice(self, monkeypatch):
-        a = random_psd(np.random.default_rng(5), 5)
-        seen = []
-        refine = dc._refine_direction
-
-        def recording(r_arr, x, peel_floor):
-            seen.append((r_arr.tobytes(), x.tobytes()))
-            return refine(r_arr, x, peel_floor)
-
-        monkeypatch.setattr(dc, "_refine_direction", recording)
-        dc.greedy_decompose(a)
-        assert seen
-        assert len(seen) - len(set(seen)) == 0  # repeated (residual, start) pairs
-
 
 # Per-candidate and per-vector forms of the batched greedy and build code,
 # kept as references: the batched code must reproduce them bit for bit.
-
-_REFINE_DIRS_REFERENCE = np.array([1.0, -1.0, 1.0j, -1.0j])
-
-
-def _refine_direction_reference(r_arr, x, max_iter, peel_floor):
-    n = r_arr.shape[0]
-    eps = dc.SMOOTHING_EPS
-    cols_t = np.ascontiguousarray(r_arr.T)
-    diag = np.diagonal(r_arr).real
-    y = r_arr @ x
-    q = float(np.vdot(x, y).real)
-    if q <= 1e-30:
-        raise ZeroDirectionError("refinement started from a null direction")
-    x = x / np.sqrt(q)
-    y = y / np.sqrt(q)
-    q = 1.0
-    f_cur = dc._smoothed_l1sq(y, eps)
-    h = 0.25
-    trials = 0
-    while h > 1e-6 and trials < max_iter:
-        step = h * _REFINE_DIRS_REFERENCE
-        y2 = y[None, None, :] + step[:, None, None] * cols_t[None, :, :]
-        q2 = q + 2.0 * (step[:, None] * np.conj(y)[None, :]).real \
-            + (h * h) * diag[None, :]
-        abs2 = y2.real ** 2 + y2.imag ** 2
-        mass = abs2.sum(axis=-1)
-        f2 = np.sqrt(abs2 + eps * eps).sum(axis=-1) ** 2
-        safe_q = np.where(q2 > 1e-30, q2, 1.0)
-        obj = np.where((q2 > 1e-30) & (mass >= peel_floor * safe_q),
-                       f2 / safe_q, np.inf)
-        trials += 4 * n
-        k = int(np.argmin(obj))
-        if float(obj.flat[k]) < f_cur - 1e-12 * max(1.0, f_cur):
-            d_idx, j = divmod(k, n)
-            x = x.copy()
-            x[j] += step[d_idx]
-            y = y2[d_idx, j]
-            q = float(q2[d_idx, j])
-            f_cur = float(obj.flat[k])
-        else:
-            h *= 0.5
-            y = r_arr @ x
-            q = float(np.vdot(x, y).real)
-            if q <= 1e-30:
-                break
-            f_cur = dc._smoothed_l1sq(y, eps) / q
-    q = float(np.vdot(x, r_arr @ x).real)
-    if q <= 1e-30:
-        raise ZeroDirectionError("refinement collapsed to a null direction")
-    return x / np.sqrt(q)
 
 
 def _quick_score_reference(r, x, peel_floor):
@@ -479,7 +402,7 @@ def _greedy_floors(r):
 
 
 def _random_directions(r, seed):
-    """Two random directions scaled to <Rx, x> = 1: refine starts off the
+    """Two random directions scaled to <Rx, x> = 1: quick scores off the
     coordinate axes."""
     rng = np.random.default_rng(seed)
     out = []
@@ -492,24 +415,6 @@ def _random_directions(r, seed):
 
 
 class TestBatchedParity:
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(r=_psd_arrays(), max_iter=st.sampled_from([80, 200]))
-    @example(r=_RANK_ONE, max_iter=200)
-    def test_refine_direction_matches_reference(self, r, max_iter):
-        # 200 is GREEDY_MAX_ITER; 80 keeps a shorter budget covered.
-        tol_p, peel_floor = _greedy_floors(r)
-        starts, _ = dc._pivot_candidates(r, tol_p, peel_floor)
-        with mock.patch.object(dc, "GREEDY_MAX_ITER", max_iter):
-            for x in starts + _random_directions(r, r.shape[0]):
-                try:
-                    want = _refine_direction_reference(r, x, max_iter, peel_floor)
-                except ZeroDirectionError:
-                    with pytest.raises(ZeroDirectionError):
-                        dc._refine_direction(r, x, peel_floor)
-                    continue
-                got = dc._refine_direction(r, x, peel_floor)
-                assert got.tobytes() == want.tobytes()
-
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(r=_psd_arrays())
     @example(r=_RANK_ONE)

@@ -263,6 +263,48 @@ class TestBracketHolds:
         assert report.lower >= lr.norm_l11(a) * (1.0 - 1e-12)
 
 
+@st.composite
+def _wishart_and_phases(draw):
+    """(G, D): complex normal G of shape (n, k), n in 2..7 and k in 1..n,
+    and n unit phases."""
+    n = draw(st.integers(2, 7), label="n")
+    k = draw(st.integers(1, n), label="rank")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    angles = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n), label="angles")
+    return g, np.exp(1j * np.array(angles))
+
+
+def _phase_recipe(draw: int):
+    """The draw-th (G, D) of a fixed recipe: from default_rng(1), n in 2..7,
+    rank k in 1..n, complex normal G (n, k), D = exp(2 pi i U(0, 1)^n)."""
+    rng = np.random.default_rng(1)
+    for _ in range(draw):
+        n = rng.integers(2, 8)
+        k = rng.integers(1, n + 1)
+        g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        d = np.exp(2j * np.pi * rng.uniform(size=n))
+    return g, d
+
+
+class TestPhaseInvariance:
+    """The fast bracket of D A D*, with D diagonal of unit phases, is that
+    of A: every strategy it runs picks from |.| quantities. The entries of
+    D A D* round differently, so lower and upper agree to 1e-12 relative."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pair=_wishart_and_phases())
+    @example(pair=_phase_recipe(5))  # n = 7, rank 6
+    def test_fast_bracket(self, pair):
+        g, d = pair
+        a = g @ g.conj().T
+        plain = gm.gamma_plus_bounds(hermitian(a))
+        turned = gm.gamma_plus_bounds(hermitian(d[:, None] * a * d.conj()))
+        assert turned.certified == plain.certified
+        assert turned.lower == pytest.approx(plain.lower, rel=1e-12)
+        assert turned.upper == pytest.approx(plain.upper, rel=1e-12)
+
+
 class TestOmegaMembership:
     def test_inside_certified(self):
         t = hermitian(np.array([[2, 1], [1, 2]]) / 6.0)
@@ -306,6 +348,13 @@ class TestOracle:
             dec = gm.numeric_gamma_plus_oracle(a, restarts=2, seed=k)
             assert dec.cost >= lr.norm_l11(a) - 1e-9
             assert lr.verify_reconstruction(a, dec.vectors).ok
+
+    def test_no_certificate_at_or_above_the_bound_raises(self):
+        # ||A||_1,1 = 5e-11: eigen's family (cost 0) is dropped as a start,
+        # no other start is given, and no restored search result passes.
+        tiny = hermitian([[1e-11, 1e-11], [1e-11, 2e-11]])
+        with pytest.raises(ReconstructionError):
+            gm.numeric_gamma_plus_oracle(tiny, restarts=4, seed=0, warm=[])
 
     def test_never_costs_more_than_its_warm_starts(self, rng):
         # The standalone oracle starts from greedy and ldl, which join its

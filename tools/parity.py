@@ -41,9 +41,10 @@ are better (lower), worse or equal than OTHER's, the largest relative move,
 the certified flags that flipped, the winning strategies that changed and the
 ops whose per_method costs moved (so a strategy that never wins still shows),
 then each stream's mean upper / lower - 1. It then prints the greedy stream
-the same way, per input kind, lists every op whose greedy family moved, and
-ends with the line total of src/l1rankone/*.py in both checkouts (not in
-any hash line, so equal outputs still hash equal).
+the same way, per input kind, lists every op whose greedy family moved,
+lists every data row of each EXPERIMENTS CSV whose ratio moved, and ends
+with the line total of src/l1rankone/*.py in both checkouts (not in any hash
+line, so equal outputs still hash equal).
 """
 
 from __future__ import annotations
@@ -171,6 +172,26 @@ def experiment_csv(cli, args, workdir: str) -> bytes:
         return fh.read()
 
 
+def experiment_ratios(cli, workdir: str) -> dict:
+    """(EXPERIMENTS args, N, method, realization, seed) -> ratio of every
+    data row of each experiment CSV."""
+    out = {}
+    for exp in EXPERIMENTS:
+        text = experiment_csv(cli, exp, workdir).decode()
+        for line in text.split("SUMMARY")[0].splitlines()[1:]:
+            dim, method, realization, seed, ratio = line.split(",")
+            out[" ".join(exp), int(dim), method, int(realization), int(seed)] = float(ratio)
+    return out
+
+
+def compare_experiments(this: dict, other: dict) -> None:
+    """Print every experiment row whose ratio in `this` differs from `other`."""
+    moved = [f"experiment moved  {key[0]}: N={key[1]} {key[2]} realization={key[3]} "
+             f"seed={key[4]}: {other[key]!r} -> {new!r} ({new / other[key] - 1.0:+.3e})"
+             for key, new in this.items() if new != other[key]]
+    print("\n".join(moved) if moved else "experiment        no ratio moved")
+
+
 def load(src: Path):
     """perfbench's workloads module and the CLI, imported against src's library."""
     for name in [k for k in sys.modules
@@ -275,10 +296,12 @@ def main(argv=None) -> int:
             raise SystemExit(f"error: no l1rankone sources under {src}")
     if args.compare:
         with tempfile.TemporaryDirectory() as workdir:
-            (this, this_greedy), (other, other_greedy) = (
-                (outcomes(wl, workdir), greedy_outcomes(wl)) for wl, _ in map(load, srcs))
+            (this, this_greedy, this_exp), (other, other_greedy, other_exp) = (
+                (outcomes(wl, workdir), greedy_outcomes(wl), experiment_ratios(cli, workdir))
+                for wl, cli in map(load, srcs))
             compare(this, other)
             compare_greedy(this_greedy, other_greedy)
+            compare_experiments(this_exp, other_exp)
         this_lines, other_lines = map(src_lines, srcs)
         print(f"src lines         {this_lines:,} against {other_lines:,} "
               f"({this_lines - other_lines:+,})")
