@@ -146,7 +146,8 @@ def _eigenspace_basis(block: np.ndarray) -> np.ndarray:
 
 
 def eigh(a: HermitianMatrix) -> EigenSystem:
-    """Full eigendecomposition by LAPACK (zheevd), made deterministic.
+    """Full eigendecomposition by LAPACK, made deterministic: dsyevd on the
+    real part when every entry is real, zheevd otherwise.
 
     Eigenvalues ascend. Inside a cluster of eigenvalues within
     EIG_CLUSTER_TOL * ||A||_op of each other any orthonormal basis is an
@@ -155,10 +156,13 @@ def eigh(a: HermitianMatrix) -> EigenSystem:
     above 1e-12 in magnitude is then made real positive. Downstream costs are
     thus reproducible and unchanged under A -> D A D* for unit phases D.
     """
+    real = not a.entries.imag.any()
     try:
-        vals, vecs = np.linalg.eigh(a.entries)
+        vals, vecs = np.linalg.eigh(a.entries.real if real else a.entries)
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"LAPACK eigh failed (n={a.n}): {exc}") from exc
+    if real:
+        vecs = vecs.astype(np.complex128)
     if not np.isfinite(vals).all():  # LAPACK passes inf/nan entries through
         raise EigenFailureError(f"non-finite eigenvalues (n={a.n}): input has inf or nan")
     op_norm = max(-float(vals[0]), float(vals[-1]))  # vals ascend
@@ -203,12 +207,23 @@ def ldl_factor(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> list[np.ndarray]
     that PSD-ness forces to vanish is skipped and emits no vector; a
     skipped pivot with a non-negligible row, or a Schur complement gone
     negative beyond tolerance, raises NotPSD.
+
+    Where LAPACK's Cholesky (zpotrf) succeeds with finite entries and every
+    |L_kk|^2 above PIVOT_TOL * scale, the loop would take every pivot and
+    its v_k is column k of L, so the rows of L^T are returned instead;
+    otherwise the loop runs.
     """
     n = a.n
     w = np.array(a.entries, dtype=np.complex128, copy=True)
     scale = max([1.0, *w.real.diagonal().tolist()])  # beats ndarray.max at small n
     tol_p = PIVOT_TOL * scale
     neg_tol = psd_tol * scale
+    try:
+        low = np.linalg.cholesky(w)
+    except np.linalg.LinAlgError:
+        low = None
+    if low is not None and np.isfinite(low).all() and (low.diagonal().real ** 2 > tol_p).all():
+        return list(_readonly(np.ascontiguousarray(low.T)))
     out = np.zeros((n, n), dtype=np.complex128)
     r = 0
     # Row and column k are never read after step k, so only the trailing

@@ -194,6 +194,31 @@ class TestEigh:
         with pytest.raises(EigenFailureError):
             lr.eigh(lr.HermitianMatrix(np.array([[bad, 0], [0, 1]], dtype=complex)))
 
+    def test_real_and_complex_paths_agree(self, rng):
+        """A real A goes to the real solver, D A D* for unit phases D to the
+        complex one. Both give A's eigenvalues, and each eigenvector of
+        D A D* is D times A's, phase-normalised, also inside the repeated
+        eigenvalue of the last case, where the cluster is rebuilt."""
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        cases = [random_psd(rng, n, complex_entries=False) for n in (2, 5, 9)]
+        cases += [random_hermitian(rng, 7, complex_entries=False),
+                  hermitian((q * [1.0, 2.0, 2.0, 2.0, 4.0, 5.0]) @ q.T)]
+        for a in cases:
+            d = np.exp(2j * np.pi * rng.random(a.n))
+            b = hermitian(d[:, None] * a.entries * d.conj()[None, :])
+            assert not a.entries.imag.any() and b.entries.imag.any()
+            es_a, es_b = lr.eigh(a), lr.eigh(b)
+            scale = np.abs(es_a.eigenvalues).max()
+            assert np.abs(es_b.eigenvalues - es_a.eigenvalues).max() <= 1e-12 * scale
+            want = d[:, None] * es_a.eigenvectors
+            piv = want[np.argmax(np.abs(want) > 1e-12, axis=0), np.arange(a.n)]
+            want *= piv.conj() / np.abs(piv)
+            np.testing.assert_allclose(es_b.eigenvectors, want, rtol=0, atol=1e-10)
+            for es in (es_a, es_b):
+                assert es.eigenvectors.dtype == np.complex128
+                assert not es.eigenvectors.flags.writeable
+                assert not es.eigenvalues.flags.writeable
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
            phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=8, max_size=8),
@@ -271,10 +296,17 @@ def _with_zero_line(b, p):
 
 
 class TestLdlFactor:
-    def test_matches_per_vector_loop(self, rng):
-        """Byte for byte against the per-vector loop, on real and complex
-        PSD matrices n = 2..64, rank-deficient ones and ones with vanished
-        pivots; every returned row is read-only."""
+    def test_matches_per_vector_loop(self, rng, monkeypatch):
+        """Against the per-vector loop, on real and complex PSD matrices
+        n = 2..64, rank-deficient ones, ones with vanished pivots and two
+        diagonals either side of the pivot cut; every returned row is
+        read-only.
+
+        With Cholesky failing, the loop alone matches byte for byte.
+        Unpatched, the Cholesky factor is returned exactly where the loop
+        keeps every pivot, and there it agrees with the loop to 1e-12 in
+        cost; elsewhere the bytes match.
+        """
         cases = [random_psd(rng, n, complex_entries=cplx)
                  for n in range(2, 65) for cplx in (False, True)]
         cases += [random_psd(rng, n, rank=k, complex_entries=cplx)
@@ -284,11 +316,50 @@ class TestLdlFactor:
                   for n in (1, 4, 9) for p in (0, n // 2, n)]
         cases += [hermitian([[1e-13, off], [off, 1]]) for off in (1e-11, 1e-6)]
         cases += [hermitian(np.zeros((3, 3)))]
-        for a in cases:
-            got, want = lr.ldl_factor(a), _ldl_factor_reference(a)
-            assert [v.shape for v in got] == [(a.n,)] * len(want)
-            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        cases += [hermitian(np.diag([1.0, f * PIVOT_TOL])) for f in (0.5, 2.0)]
+        wants = [_ldl_factor_reference(a) for a in cases]
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "cholesky", fail)
+            for a, want in zip(cases, wants):
+                got = lr.ldl_factor(a)
+                assert [v.shape for v in got] == [(a.n,)] * len(want)
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+                assert not any(v.flags.writeable for v in got)
+
+        factors = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda w: factors.append(cholesky(w)) or factors[-1])
+        taken = []
+        for a, want in zip(cases, wants):
+            factors.clear()
+            got = lr.ldl_factor(a)
+            rows = [v.tobytes() for v in got]
+            fast = bool(factors) and rows == [c.tobytes() for c in factors[0].T]
+            assert fast == (len(want) == a.n)
             assert not any(v.flags.writeable for v in got)
+            if fast:
+                cost = lr.decomposition_cost(want)
+                assert abs(lr.decomposition_cost(got) - cost) <= 1e-12 * cost
+                assert lr.verify_reconstruction(a, got).ok
+                assert all(not v[:k].any() and v[k] != 0 for k, v in enumerate(got))
+            else:
+                assert rows == [v.tobytes() for v in want]
+            taken.append(fast)
+        assert taken[-2:] == [False, True]  # the diagonals either side of the cut
+
+    def test_non_finite_factor_goes_to_the_loop(self, monkeypatch):
+        # A factor with a non-finite entry is declined even when LAPACK did
+        # not raise and every pivot clears the cut.
+        a = hermitian([[4, 2], [2, 5]])
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda w: np.array([[2, 0], [np.inf, 2]], dtype=complex))
+        got = lr.ldl_factor(a)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in _ldl_factor_reference(a)]
 
     def test_2x2_closed_form(self):
         # [[a, c], [conj(c), b]] -> (sqrt(a), conj(c)/sqrt(a)), (0, sqrt(b - |c|^2/a))
@@ -331,6 +402,23 @@ class TestLdlFactor:
         else:
             with pytest.raises(NotPSDError):
                 lr.ldl_factor(a)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 12), k=st.integers(-10, 20), seed=st.integers(0, 2**32 - 1),
+           complex_entries=st.booleans())
+    def test_definite_cost_matches_loop(self, n, k, seed, complex_entries):
+        """A = 4^k (G G* + I) keeps every pivot above PIVOT_TOL * scale: the
+        factor's cost agrees with the loop's to 1e-12 relative, and the LDL
+        cost never falls below ||A||_1,1."""
+        g_rng = np.random.default_rng(seed)
+        g = g_rng.standard_normal((n, n))
+        if complex_entries:
+            g = g + 1j * g_rng.standard_normal((n, n))
+        m = g @ g.conj().T + np.eye(n)
+        a = hermitian(4.0 ** k * (m + m.conj().T) / 2.0)
+        cost = lr.decomposition_cost(_ldl_factor_reference(a))
+        assert abs(lr.decomposition_cost(lr.ldl_factor(a)) - cost) <= 1e-12 * cost
+        assert lr.ldl_decompose(a).cost >= lr.norm_l11(a) * (1 - 1e-12)
 
 
 class TestReconstruct:

@@ -42,9 +42,10 @@ the certified flags that flipped, the winning strategies that changed and the
 ops whose per_method costs moved (so a strategy that never wins still shows),
 then each stream's mean upper / lower - 1. It then prints the greedy stream
 the same way, per input kind, lists every op whose greedy family moved,
-lists every data row of each EXPERIMENTS CSV whose ratio moved, and ends
-with the line total of src/l1rankone/*.py in both checkouts (not in any hash
-line, so equal outputs still hash equal).
+lists every data row of each EXPERIMENTS CSV whose ratio moved, prints per
+(n, method) of the ensemble-vectors stream how many costs moved and the
+largest relative move, and ends with the line total of src/l1rankone/*.py
+in both checkouts (not in any hash line, so equal outputs still hash equal).
 """
 
 from __future__ import annotations
@@ -153,13 +154,37 @@ def decompose_records(wl, cli, workdir: str):
         yield run(wl.write_matrix(wl.make_input("thorough", 1, index), workdir), "oracle")
 
 
-def ensemble_vector_records(lr):
+def ensemble_decompositions(lr):
+    """(n, seed, decomposition) of the ensemble-vectors stream, in order."""
     for n in ENSEMBLE_DIMS:
         for seed in ENSEMBLE_SEEDS:
             a = lr.random_psd(n, seed)
             for dec in (lr.ldl_decompose(a), lr.eigen_decompose(a)):
-                head = f"{n} {seed} {dec.method} {dec.cost!r}\n".encode()
-                yield head + b"".join(v.tobytes() for v in dec.vectors)
+                yield n, seed, dec
+
+
+def ensemble_vector_records(lr):
+    for n, seed, dec in ensemble_decompositions(lr):
+        head = f"{n} {seed} {dec.method} {dec.cost!r}\n".encode()
+        yield head + b"".join(v.tobytes() for v in dec.vectors)
+
+
+def ensemble_costs(lr) -> dict:
+    """(n, method, seed) -> cost of the ensemble-vectors stream."""
+    return {(n, dec.method, seed): dec.cost for n, seed, dec in ensemble_decompositions(lr)}
+
+
+def compare_ensemble(this: dict, other: dict) -> None:
+    """Print, per (n, method) of the ensemble-vectors stream, how many costs
+    in `this` differ from `other` and the largest relative move."""
+    rows = {}
+    for key, new in this.items():
+        row = rows.setdefault(key[:2], [0, 0.0])
+        row[0] += new != other[key]
+        row[1] = max(row[1], new / other[key] - 1.0, key=abs)
+    for (n, method), (moved, largest) in rows.items():
+        print(f"ensemble moved    N={n} {method}: {moved} of {len(ENSEMBLE_SEEDS)} costs, "
+              f"largest {largest:+.3e}")
 
 
 def experiment_csv(cli, args, workdir: str) -> bytes:
@@ -296,12 +321,12 @@ def main(argv=None) -> int:
             raise SystemExit(f"error: no l1rankone sources under {src}")
     if args.compare:
         with tempfile.TemporaryDirectory() as workdir:
-            (this, this_greedy, this_exp), (other, other_greedy, other_exp) = (
-                (outcomes(wl, workdir), greedy_outcomes(wl), experiment_ratios(cli, workdir))
-                for wl, cli in map(load, srcs))
-            compare(this, other)
-            compare_greedy(this_greedy, other_greedy)
-            compare_experiments(this_exp, other_exp)
+            this, other = ((outcomes(wl, workdir), greedy_outcomes(wl),
+                            experiment_ratios(cli, workdir), ensemble_costs(wl.lr))
+                           for wl, cli in map(load, srcs))
+            for show, mine, theirs in zip((compare, compare_greedy, compare_experiments,
+                                           compare_ensemble), this, other):
+                show(mine, theirs)
         this_lines, other_lines = map(src_lines, srcs)
         print(f"src lines         {this_lines:,} against {other_lines:,} "
               f"({this_lines - other_lines:+,})")
