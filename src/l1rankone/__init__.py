@@ -3,9 +3,9 @@
 A complex Hermitian PSD matrix A is written as a sum of outer products
 A = sum_k g_k g_k*, minimizing the total squared l1 mass sum_k ||g_k||_1^2.
 The package provides constructive strategies (LDL pivoting, eigen scaling,
-the diagonally-dominant closed form, greedy peeling, a numeric oracle),
-certified two-sided bounds for the associated functionals, Caratheodory
-term reduction, and a seeded Monte-Carlo benchmark harness.
+the diagonally-dominant closed form, a greedy pivot-order search, a numeric
+oracle), certified two-sided bounds for the associated functionals,
+Caratheodory term reduction, and a seeded Monte-Carlo benchmark harness.
 """
 
 from . import errors

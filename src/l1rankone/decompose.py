@@ -2,12 +2,13 @@
 
 Every strategy returns a RankOneDecomposition whose cost sum_k ||g_k||_1^2
 upper-bounds the optimal value for its target matrix; the closed forms
-(diagonally dominant, 2x2 LDL) attain it exactly.
+(diagonally dominant, 2x2 LDL) attain it exactly. Greedy is the cheapest LDL
+pivot order, found by a dynamic program over sets of eliminated pivots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,13 +21,11 @@ from .errors import (
     QuadFormTooLargeError,
     RankOneInputError,
     ReconstructionError,
-    StallDetectedError,
     ZeroDirectionError,
 )
 from .hermitian import (
     PIVOT_TOL,
     PSD_TOL,
-    RECON_TOL,
     HermitianMatrix,
     _readonly,
     eigenvalue_cut,
@@ -40,7 +39,7 @@ from .hermitian import (
 
 RANK_TOL = 1e-8  # times ||A||_op; eigenvalues above it count toward rank
 NULL_TOL = 1e-14  # times A.scale(); vectors with ||v||_1^2 at or below it are dropped
-PIVOT_SEARCH_MAX_N = 6  # largest n whose LDL pivot orders are all searched (with pruning)
+PIVOT_SEARCH_STATES = 70  # pivot sets kept per step of the search: C(8, 4), exact for n <= 8
 TIE_TOL = 1e-12  # relative; costs closer than this tie
 
 METHOD_LDL = "ldl"
@@ -232,165 +231,127 @@ def numerical_rank(a: HermitianMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Greedy peeling
+# Greedy: the cheapest LDL pivot order
 # ---------------------------------------------------------------------------
 
 
 def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float) -> list[np.ndarray]:
     """The vectors of the cheapest LDL pivot order found.
 
-    For n <= PIVOT_SEARCH_MAX_N every order is searched, pruned with the
-    entrywise-l1 lower bound on any completion (a full n = 6 tree has 1,957
-    nodes); for larger n each node keeps only its cheapest child, which is
-    steepest-descent pivot choice.
-    """
-    exhaustive = a_arr.shape[0] <= PIVOT_SEARCH_MAX_N
-    best_cost = np.inf
-    best_vecs: list[np.ndarray] = []
-
-    def descend(w: np.ndarray, acc: float, vecs: list[np.ndarray]):
-        nonlocal best_cost, best_vecs
-        diag = np.diagonal(w).real
-        active = np.flatnonzero(diag > tol_p)
-        if active.size == 0:
-            if acc < best_cost - 1e-15:
-                best_cost = acc
-                best_vecs = list(vecs)
-            return
-        if acc + vector_l1(w) >= best_cost - 1e-12:
-            return
-        # Rows of the transposed copy sum like the columns summed alone.
-        l1 = _row_l1(w.T[active])
-        scored = sorted((c ** 2 / d, i) for c, d, i
-                        in zip(l1, diag[active].tolist(), active.tolist()))
-        if not exhaustive:
-            scored = scored[:1]
-        for step, i in scored:
-            v = w[:, i] / np.sqrt(diag[i])
-            w2 = w - np.outer(v, v.conj())
-            w2[i, :] = 0.0
-            w2[:, i] = 0.0
-            vecs.append(v)
-            descend(w2, acc + step, vecs)
-            vecs.pop()
-
-    descend(a_arr.copy(), 0.0, [])
-    return best_vecs
-
-
-def _quick_scores(r: np.ndarray, ys: np.ndarray, peel_floor: float) -> list[float]:
-    """||y||_1^2 + ||R - yy*||_1 for each row y = Rx of ys; inf where x peels
-    less than peel_floor."""
-    k, n = ys.shape
-    mass = np.add.reduce(np.abs(ys) ** 2, axis=1).tolist()
-    resid = (r - ys[:, :, None] * ys.conj()[:, None, :]).reshape(k, n * n)
-    return [np.inf if m < peel_floor else c ** 2 + t
-            for m, c, t in zip(mass, _row_l1(ys), _row_l1(resid))]
-
-
-def _pivot_candidates(r: np.ndarray, tol_p: float, peel_floor: float):
-    """Directions e_i / sqrt(R_ii) over pivots above tol_p, and their quick scores."""
-    n = r.shape[0]
-    diag = np.diagonal(r).real
-    active = np.flatnonzero(diag > tol_p)
-    inv_root = 1.0 / np.sqrt(diag[active])
-    cands = np.eye(n, dtype=np.complex128)[active] * inv_root[:, None]
-    # R e_i s is column i of R times s, the same bits as the product R @ x.
-    ys = r.T[active] * inv_root[:, None]
-    return list(cands), _quick_scores(r, ys, peel_floor)
-
-
-def _peel_step(r: np.ndarray, x: np.ndarray, peel_floor: float):
-    """One LDL step of the peel pass: peel y = Rx, with x the pivot direction
-    e_i / sqrt(R_ii) that _greedy_run picked; (y, residual), or None when
-    y peels less than peel_floor."""
-    y = r @ x
-    if float((np.abs(y) ** 2).sum()) < peel_floor:
-        return None
-    resid = r - np.outer(y, y.conj())
-    return y, (resid + resid.conj().T) / 2.0
-
-
-_refine_direction = _peel_step  # noqa  (kept by name: perfbench's tracer traces it)
-
-
-def _greedy_run(a_arr: np.ndarray, tol_p: float, max_steps: int):
-    """One greedy peeling pass; returns the list of peeled vectors.
-
-    Each step peels along the pivot direction e_i / sqrt(R_ii) with the best
-    quick score (_peel_step), so the pass is the LDL pivot order that picks
-    each pivot by its quick score. The residual trace strictly falls, so no
-    residual is visited twice.
+    An LDL step on pivot i of the Schur complement W costs
+    ||W[:, i]||_1^2 / W_ii, and W depends only on the set S of pivots
+    already taken, so the cheapest order is a shortest path over sets (the
+    Held-Karp dynamic program). Layer s holds sets of size s, each with W_S
+    (rows and columns in S zeroed) and its cost so far; every (set, pivot
+    above tol_p) steps as one NumPy batch. Each child set keeps its cheapest
+    (parent, pivot), and a layer keeps its PIVOT_SEARCH_STATES cheapest
+    sets, chosen before their matrices are built. Equal costs go to the
+    earlier candidate, in order of parent, then pivot. No layer of n <= 8
+    holds more than C(8, 4) = 70 sets, so there the search is exact; past
+    n = 8 it is a beam search. A set with no pivot above tol_p is terminal,
+    and the path of the cheapest terminal set is returned (the earliest
+    layer on equal costs).
     """
     n = a_arr.shape[0]
-    r = a_arr.copy()
-    vectors: list[np.ndarray] = []
-    scale = max(1.0, float(np.abs(a_arr).max()))
-    stop = 0.05 * RECON_TOL * scale
-    trace_prev = float(np.diagonal(r).real.sum())
-    for _ in range(max_steps):
-        if float(np.abs(r).max()) <= stop:
+    idx = np.arange(n)
+    # A set is a row of uint64 words, pivot i at bit i % 64 of word i // 64.
+    word, bit = np.divmod(idx, 64)
+    bit = np.left_shift(np.uint64(1), bit.astype(np.uint64))
+    w = a_arr[None].copy()             # (sets, n, n)
+    cost = np.zeros(1)
+    sets = np.zeros((1, word[-1] + 1), dtype=np.uint64)
+    steps = []                         # per layer: parent and vector of each set
+    best, best_at = np.inf, (0, 0)
+    for layer in range(n + 1):
+        diag = w[:, idx, idx].real
+        active = diag > tol_p
+        live = active.any(axis=1)
+        if not live.all():
+            done = np.flatnonzero(~live)
+            j = done[np.argmin(cost[done])]
+            if cost[j] < best:
+                best, best_at = cost[j], (layer, j)
+        parent, pivot = np.nonzero(active)
+        if parent.size == 0:
             break
-        # Any rank-counted eigendirection peels at least RANK_TOL * tr / n.
-        peel_floor = RANK_TOL * trace_prev / n
-        cands, quick = _pivot_candidates(r, tol_p, peel_floor)
-        best = min(quick, default=np.inf)  # its first index is the pick
-        if not np.isfinite(best):
-            break
-        step = _peel_step(r, cands[quick.index(best)], peel_floor)
-        if step is None:
-            break
-        y, r = step
-        vectors.append(y)
-        trace_now = float(np.diagonal(r).real.sum())
-        if trace_now > trace_prev - 1e-15 * scale:
-            raise StallDetectedError(
-                f"residual trace stalled at {trace_now:.6e} after {len(vectors)} peels"
-            )
-        trace_prev = trace_now
-    return vectors
+        pivots = diag[parent, pivot]
+        # Row sums of |W|: W is Hermitian, so they are its column l1 norms.
+        l1 = np.add.reduce(np.abs(w), axis=2)[parent, pivot]
+        child_cost = cost[parent] + l1 * l1 / pivots
+        child = sets[parent]
+        child[np.arange(parent.size), word[pivot]] |= bit[pivot]
+        # Grouped by set, then by cost: the first of each group (stable, so
+        # the earliest candidate on equal costs) is that set's cheapest path.
+        order = np.lexsort((child_cost, *child.T))
+        grouped = child[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (grouped[1:] != grouped[:-1]).any(axis=1)
+        cheapest = np.sort(order[first])
+        keep = cheapest[np.argsort(child_cost[cheapest], kind="stable")[:PIVOT_SEARCH_STATES]]
+        p, i = parent[keep], pivot[keep]
+        v = w[p, :, i] / np.sqrt(pivots[keep])[:, None]
+        w = w[p]
+        w -= v[:, :, None] * v[:, None, :].conj()
+        rows = np.arange(keep.size)
+        w[rows, i, :] = 0.0
+        w[rows, :, i] = 0.0
+        cost, sets = child_cost[keep], child[keep]
+        steps.append((p, v))
+    layer, j = best_at
+    vectors = []
+    for p, v in reversed(steps[:layer]):
+        vectors.append(v[j])
+        j = p[j]
+    return vectors[::-1]
 
 
-def greedy_decompose(a: HermitianMatrix) -> RankOneDecomposition:
-    """The best of three LDL pivot orders.
+def _greedy_run(*args, **kwargs):
+    """Retired peel pass: uncalled, kept by name while perfbench's tracer
+    wraps it as a layer (perfbench/layers.py), where it reads 0 calls."""
+    raise NotImplementedError("greedy's peel pass is retired")
 
-    Builds up to three families in order: natural-order LDL, the best LDL
-    pivot order found by _best_pivot_order_ldl, and the peel pass
-    (_greedy_run), whose pivots are picked by quick score. Each pivot rule
-    reads only |.| of the residual, so up to rounding the families of
-    D A D* (D diagonal with unit phases) are those of A, each vector v
-    mapped to D v, at the same costs. A family is dropped when
-    RankOneDecomposition.build rejects it or it is below_lower_bound, which
-    only a family meeting A within RECON_TOL can be. The first family
-    at_lower_bound is returned at once (on a 2x2, LDL); otherwise the
-    cheapest by cheapest_family, which compares the costs that build
-    computed. So greedy never costs more than ldl_decompose, and its result
-    is a function of A alone.
+
+def _refine_direction(*args, **kwargs):
+    """Retired peel step, kept by name like _greedy_run."""
+    raise NotImplementedError("greedy's peel step is retired")
+
+
+def greedy_decompose(a: HermitianMatrix, *,
+                     ldl: RankOneDecomposition | None = None) -> RankOneDecomposition:
+    """The cheaper of natural-order LDL and the best LDL pivot order.
+
+    Builds natural-order LDL (or takes `ldl`, A's ldl_decompose result),
+    then _best_pivot_order_ldl's order, the cheapest of all for n <= 8.
+    Both read only |.| of A and its Schur complements, so the families of
+    D A D* (D diagonal with unit phases) are those of A with each v mapped
+    to D v, at the same costs to rounding. A family is dropped when
+    RankOneDecomposition.build rejects it or it is below_lower_bound (only
+    a family meeting A within RECON_TOL can be). The first family
+    at_lower_bound is returned at once (on a 2x2, LDL), otherwise the
+    cheaper by cheapest_family; either is relabelled greedy. So greedy never
+    costs more than ldl_decompose and is a function of A alone.
     """
     if not is_psd(a):
         raise NotPSDError("greedy_decompose requires a PSD matrix")
-    a_arr = np.asarray(a.entries)
-    tol_p = PIVOT_TOL * a.scale()
     lower = norm_l11(a)
 
-    def families():
-        yield ldl_factor(a)
-        yield _best_pivot_order_ldl(a_arr, tol_p)
-        yield _greedy_run(a_arr, tol_p, numerical_rank(a) + 2)
-
+    builds = (lambda: ldl_decompose(a) if ldl is None else ldl,
+              lambda: RankOneDecomposition.build(
+                  a, _best_pivot_order_ldl(np.asarray(a.entries), PIVOT_TOL * a.scale()),
+                  METHOD_GREEDY))
     complete = []
-    for vecs in families():
+    for build in builds:
         try:
-            dec = RankOneDecomposition.build(a, vecs, METHOD_GREEDY)
+            dec = build()
         except ReconstructionError:
             continue
         if not below_lower_bound(dec.cost, lower):
             if at_lower_bound(dec.cost, lower):
-                return dec
+                return replace(dec, method=METHOD_GREEDY)
             complete.append(dec)
     if not complete:
         raise ReconstructionError("no greedy family reconstructs A at or above ||A||_1,1")
-    return cheapest_family(complete)
+    return replace(cheapest_family(complete), method=METHOD_GREEDY)
 
 
 # ---------------------------------------------------------------------------

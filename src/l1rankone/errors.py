@@ -59,10 +59,6 @@ class ZeroDirectionError(L1RankOneError):
     """Ax vanishes, so there is nothing to peel in that direction."""
 
 
-class StallDetectedError(L1RankOneError):
-    """Greedy residual trace stopped decreasing."""
-
-
 class NormalizationError(L1RankOneError):
     """Caratheodory input vectors are not unit l1-normalized."""
 

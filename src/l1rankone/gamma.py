@@ -171,16 +171,18 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     oracle) and stop once the preferred certificate is at_lower_bound (the
     stop of greedy and the oracle too): no exact decomposition costs less,
     so no later strategy could replace it. The report lists the strategies
-    left out in `skipped`. The oracle starts from the greedy and ldl
-    certificates built here. Scaled eigenvectors never set the upper bound
-    on the seeded bracket streams, so they are not a candidate."""
+    left out in `skipped`. Greedy reuses the ldl certificate built here,
+    and the oracle starts from the greedy and ldl certificates. Scaled
+    eigenvectors never set the upper bound on the seeded bracket streams,
+    so they are not a candidate."""
     if not is_psd(a):
         raise NotPSDError("gamma_plus is defined on PSD matrices only")
     lower = norm_l11(a)
     strategies = [(METHOD_LDL, ldl_decompose)]
     if is_diagonally_dominant(a)[0]:
         strategies.append((METHOD_DD, dd_decompose))
-    strategies.append((METHOD_GREEDY, greedy_decompose))
+    strategies.append((METHOD_GREEDY,
+                       lambda m: greedy_decompose(m, ldl=dict(named)[METHOD_LDL])))
     named, skipped = [], ()
     if effort == EFFORT_THOROUGH and a.n <= 4:
         # dd never gets here: its certificate sits on the lower bound.
@@ -615,7 +617,8 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
     a_arr = np.asarray(a.entries)
     lower = norm_l11(a)
     if warm is None:
-        warm = (greedy_decompose(a), ldl_decompose(a))
+        ldl = ldl_decompose(a)
+        warm = (greedy_decompose(a, ldl=ldl), ldl)
     warm = [dec for dec in (*warm, eigen_decompose(a))
             if not below_lower_bound(dec.cost, lower)]
 

@@ -1,7 +1,6 @@
 """Decomposition strategies, the peel step, Caratheodory reduction."""
 
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from l1rankone.errors import (
     QuadFormTooLargeError,
     RankOneInputError,
     ReconstructionError,
-    StallDetectedError,
     ZeroDirectionError,
 )
 from l1rankone.hermitian import RECON_TOL
@@ -194,7 +192,6 @@ class TestGreedy:
             raise AssertionError("greedy searched past a family at the bound")
 
         monkeypatch.setattr(dc, "_best_pivot_order_ldl", refuse)
-        monkeypatch.setattr(dc, "_greedy_run", refuse)
         a = hermitian(entries)
         d = dc.greedy_decompose(a)
         assert d.method == dc.METHOD_GREEDY
@@ -246,117 +243,29 @@ class TestGreedy:
             np.testing.assert_array_equal(v1, v2)
 
 
-def _greedy_run_reference(a_arr, tol_p, max_steps):
-    """One greedy pass, per candidate and with nothing batched.
-    greedy_decompose's pass must reproduce it bit for bit."""
+# Per-vector forms of the batched build code, and the pivot-order search by
+# brute force, kept as references.
+
+
+def _cheapest_pivot_order_reference(a_arr, tol_p):
+    """Least cost over all n! LDL pivot orders; a pivot at or below tol_p
+    when its turn comes is skipped, as it stays there (Schur complements of
+    a PSD matrix only lower the diagonal)."""
     n = a_arr.shape[0]
-    r = a_arr.copy()
-    vectors = []
-    scale = max(1.0, float(np.abs(a_arr).max()))
-    stop = 0.05 * RECON_TOL * scale
-    trace_prev = float(np.diagonal(r).real.sum())
-    for _ in range(max_steps):
-        if float(np.abs(r).max()) <= stop:
-            break
-        diag = np.diagonal(r).real
-        peel_floor = dc.RANK_TOL * trace_prev / n
-        cands = []
-        for i in np.flatnonzero(diag > tol_p):
-            x = np.zeros(n, dtype=np.complex128)
-            x[i] = 1.0 / np.sqrt(diag[i])
-            cands.append(x)
-        if not cands:
-            break
-        quick = []
-        for x in cands:
-            y = r @ x
-            if float((np.abs(y) ** 2).sum()) < peel_floor:
-                quick.append(np.inf)
-                continue
-            resid = r - np.outer(y, y.conj())
-            quick.append(dc.vector_l1(y) ** 2 + dc.vector_l1(resid))
-        order = [int(i) for i in np.argsort(quick, kind="stable")
-                 if np.isfinite(quick[int(i)])]
-        if not order:
-            break
-        y = r @ cands[order[0]]
-        if float((np.abs(y) ** 2).sum()) < peel_floor:
-            break
-        resid = r - np.outer(y, y.conj())
-        vectors.append(y)
-        r = (resid + resid.conj().T) / 2.0
-        trace_now = float(np.diagonal(r).real.sum())
-        if trace_now > trace_prev - 1e-15 * scale:
-            raise StallDetectedError("residual trace stalled")
-        trace_prev = trace_now
-    return vectors
-
-
-class TestGreedyPass:
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(data=st.data(), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
-    def test_matches_reference_pass(self, data, n, seed):
-        """The peel pass equals the reference pass bit for bit, and so does
-        greedy's pick among its families, family and cost."""
-        rank = data.draw(st.integers(1, n), label="rank")
-        a = random_psd(np.random.default_rng(seed), n, rank)
-        args = (np.asarray(a.entries), lr.hermitian.PIVOT_TOL * a.scale(),
-                dc.numerical_rank(a) + 2)
-        assert ([v.tobytes() for v in dc._greedy_run(*args)]
-                == [v.tobytes() for v in _greedy_run_reference(*args)])
-        got = dc.greedy_decompose(a)
-        with mock.patch.object(dc, "_greedy_run", _greedy_run_reference):
-            want = dc.greedy_decompose(a)
-        assert got.cost == want.cost
-        assert [v.tobytes() for v in got.vectors] == [v.tobytes() for v in want.vectors]
-
-
-# Per-candidate and per-vector forms of the batched greedy and build code,
-# kept as references: the batched code must reproduce them bit for bit.
-
-
-def _quick_score_reference(r, x, peel_floor):
-    y = r @ x
-    if float((np.abs(y) ** 2).sum()) < peel_floor:
-        return np.inf
-    resid = r - np.outer(y, y.conj())
-    return dc.vector_l1(y) ** 2 + dc.vector_l1(resid)
-
-
-def _best_pivot_order_ldl_reference(a_arr, tol_p, node_cap):
-    best_cost = np.inf
-    best_vecs = []
-    nodes = 0
-
-    def descend(w, acc, vecs):
-        nonlocal best_cost, best_vecs, nodes
-        nodes += 1
-        diag = np.diagonal(w).real
-        active = np.flatnonzero(diag > tol_p)
-        if active.size == 0:
-            if acc < best_cost - 1e-15:
-                best_cost = acc
-                best_vecs = list(vecs)
-            return
-        if acc + dc.vector_l1(w) >= best_cost - 1e-12:
-            return
-        scored = []
-        for i in active:
-            scored.append((dc.vector_l1(w[:, i]) ** 2 / diag[i], int(i)))
-        scored.sort()
-        if nodes > node_cap:
-            scored = scored[:1]
-        for step, i in scored:
-            v = w[:, i] / np.sqrt(diag[i])
-            w2 = w - np.outer(v, v.conj())
-            w2[i, :] = 0.0
-            w2[:, i] = 0.0
-            vecs.append(v)
-            descend(w2, acc + step, vecs)
-            vecs.pop()
-
-    descend(a_arr.copy(), 0.0, [])
-    return best_cost, best_vecs
+    best = np.inf
+    for order in itertools.permutations(range(n)):
+        w = a_arr.copy()
+        cost = 0.0
+        for i in order:
+            d = w[i, i].real
+            if d > tol_p:
+                v = w[:, i] / np.sqrt(d)
+                cost += dc.vector_l1(v) ** 2
+                w = w - np.outer(v, v.conj())
+                w[i, :] = 0.0
+                w[:, i] = 0.0
+        best = min(best, cost)
+    return best
 
 
 def _decomposition_cost_reference(vectors):
@@ -377,73 +286,35 @@ _RANK_ONE = np.outer(np.array([1, 2j, -1, 0, 3]), np.array([1, 2j, -1, 0, 3]).co
 
 
 def _wishart_7_rank_3():
-    """perfbench bracket seed 3001 op 191 (half_rank, n = 7): steepest-descent
-    pivot order and the peel pass both cost at least 2.2 % more than natural
-    order here."""
+    """perfbench bracket seed 3001 op 191 (half_rank, n = 7): a steepest-descent
+    pivot order costs at least 2.2 % more than natural order here."""
     rng = np.random.default_rng([3001, 191])
     g = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
     return g @ g.conj().T
 
 
 @st.composite
-def _psd_arrays(draw):
-    """Complex Wishart n 2..8 of rank 1..n."""
-    n = draw(st.integers(2, 8), label="n")
+def _psd_arrays(draw, max_n=8):
+    """Complex Wishart n 2..max_n of rank 1..n."""
+    n = draw(st.integers(2, max_n), label="n")
     rank = draw(st.integers(1, n), label="rank")
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
     return np.asarray(random_psd(np.random.default_rng(seed), n, rank).entries)
 
 
-def _greedy_floors(r):
-    """Pivot tolerance and the peel floor _greedy_run uses on residual r."""
-    diag = np.diagonal(r).real
-    return (lr.hermitian.PIVOT_TOL * max(1.0, float(diag.max())),
-            dc.RANK_TOL * float(diag.sum()) / r.shape[0])
-
-
-def _random_directions(r, seed):
-    """Two random directions scaled to <Rx, x> = 1: quick scores off the
-    coordinate axes."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(2):
-        z = rng.standard_normal(r.shape[0]) + 1j * rng.standard_normal(r.shape[0])
-        q = float(np.vdot(z, r @ z).real)
-        if q > 1e-12:
-            out.append(z / np.sqrt(q))
-    return out
-
-
 class TestBatchedParity:
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(r=_psd_arrays())
-    @example(r=_RANK_ONE)
-    def test_quick_scores_match_reference(self, r):
-        tol_p, peel_floor = _greedy_floors(r)
-        cands, quick = dc._pivot_candidates(r, tol_p, peel_floor)
-        n = r.shape[0]
-        for i, x in zip(np.flatnonzero(np.diagonal(r).real > tol_p), cands):
-            want = np.zeros(n, dtype=np.complex128)
-            want[i] = 1.0 / np.sqrt(np.diagonal(r).real[i])
-            assert x.tobytes() == want.tobytes()
-        assert len(cands) == len(quick)
-        assert quick == [_quick_score_reference(r, x, peel_floor) for x in cands]
-        xs = _random_directions(r, n)
-        ys = np.array([r @ x for x in xs]).reshape(-1, n)
-        assert dc._quick_scores(r, ys, peel_floor) == [
-            _quick_score_reference(r, x, peel_floor) for x in xs]
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(a=_psd_arrays())
+    @given(a=_psd_arrays(max_n=6))
     @example(a=_RANK_ONE)
     def test_pivot_order_search_matches_reference(self, a):
-        # A full n = 6 tree has 1,957 nodes, so the reference's 4,000-node
-        # budget never cuts it short; past n = 6 each node keeps one child.
-        tol_p, _ = _greedy_floors(a)
-        node_cap = 4000 if a.shape[0] <= 6 else 0
-        vecs = dc._best_pivot_order_ldl(a, tol_p)
-        _, want_vecs = _best_pivot_order_ldl_reference(a, tol_p, node_cap)
-        assert [v.tobytes() for v in vecs] == [v.tobytes() for v in want_vecs]
+        """For n <= 8 the search is exact: its family reconstructs A at the
+        least cost over every pivot order."""
+        target = lr.ingest_matrix(a)
+        tol_p = lr.hermitian.PIVOT_TOL * target.scale()
+        vecs = dc._best_pivot_order_ldl(np.asarray(target.entries), tol_p)
+        assert lr.verify_reconstruction(target, vecs).ok
+        want = _cheapest_pivot_order_reference(np.asarray(target.entries), tol_p)
+        assert dc.decomposition_cost(vecs) == pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(a=_psd_arrays(), seed=st.integers(0, 2**32 - 1))
@@ -475,8 +346,6 @@ class TestBatchedParity:
         x = 24.63541527532056
         assert dc.decomposition_cost([np.array([x])]) == x ** 2
         assert dc.decomposition_cost([np.array([x]), np.array([-x])]) == x ** 2 + x ** 2
-        r = np.array([[x * x]], dtype=np.complex128)  # R - yy* vanishes for y = [x]
-        assert dc._quick_scores(r, np.array([[x + 0j]]), 0.0) == [x ** 2]
 
 
 class TestCaratheodory:
@@ -581,7 +450,7 @@ class TestSpecial3x3Gap:
 
 class TestStrategyInvariants:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(a=_psd_arrays())
+    @given(a=_psd_arrays(max_n=12))
     @example(a=_wishart_7_rank_3())
     def test_greedy_never_costs_more_than_ldl(self, a):
         a = lr.ingest_matrix(a)

@@ -44,8 +44,15 @@ then each stream's mean upper / lower - 1. It then prints the greedy stream
 the same way, per input kind, lists every op whose greedy family moved,
 lists every data row of each EXPERIMENTS CSV whose ratio moved, prints per
 (n, method) of the ensemble-vectors stream how many costs moved and the
-largest relative move, and ends with the line total of src/l1rankone/*.py
-in both checkouts (not in any hash line, so equal outputs still hash equal).
+largest relative move, prints for each library how many fast-bracket
+uppers move under a permutation of the input (the `permuted` line, below),
+and ends with the line total of src/l1rankone/*.py in both checkouts (not
+in any hash line, so equal outputs still hash equal).
+
+The `permuted` line takes the wishart and half_rank bracket ops with n >= 7
+of the bracket seeds, ops 0-349, and runs gamma_plus_bounds on P A P* for P
+the reversal and the rolls by 1 and by 3. It counts the ops whose upper
+moves beyond 1e-12 relative under any of them, and gives the largest move.
 """
 
 from __future__ import annotations
@@ -59,6 +66,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -277,6 +286,36 @@ def compare_greedy(this: dict, other: dict) -> None:
     print("\n".join(moved) if moved else "greedy            no family moved")
 
 
+def permuted_moves(wl) -> tuple[list, int, float]:
+    """(moved ops, ops scanned, largest relative move) of the `permuted` line."""
+    moved, scanned, largest = [], 0, 0.0
+    for seed in BRACKET_SEEDS:
+        for index in range(BRACKET_OPS):
+            inp = wl.make_input("bracket", seed, index)
+            n = inp.matrix.shape[0]
+            if inp.kind not in ("wishart", "half_rank") or n < 7:
+                continue
+            scanned += 1
+            upper = wl.call("bracket", inp).upper
+            moves = []
+            for perm in (np.arange(n)[::-1], np.roll(np.arange(n), 1), np.roll(np.arange(n), 3)):
+                turned = wl.lr.ingest_matrix(inp.matrix[np.ix_(perm, perm)])
+                moves.append(wl.lr.gamma_plus_bounds(turned).upper / upper - 1.0)
+            move = max(moves, key=abs)
+            largest = max(largest, move, key=abs)
+            if abs(move) > 1e-12:
+                moved.append(f"seed={seed} op={index}")
+    return moved, scanned, largest
+
+
+def compare_permuted(this: tuple, other: tuple) -> None:
+    """Print the `permuted` line of both libraries."""
+    for name, (moved, scanned, largest) in (("this", this), ("other", other)):
+        print(f"permuted          {name:5}: {len(moved)} of {scanned} uppers move beyond "
+              f"1e-12 under reversal and rolls by 1 and 3, largest {largest:+.3%}"
+              + (f" ({', '.join(moved)})" if moved else ""))
+
+
 def compare(this: dict, other: dict) -> None:
     """Print per-kind upper moves of `this` against `other`."""
     rows, excess = {}, {}
@@ -322,10 +361,11 @@ def main(argv=None) -> int:
     if args.compare:
         with tempfile.TemporaryDirectory() as workdir:
             this, other = ((outcomes(wl, workdir), greedy_outcomes(wl),
-                            experiment_ratios(cli, workdir), ensemble_costs(wl.lr))
+                            experiment_ratios(cli, workdir), ensemble_costs(wl.lr),
+                            permuted_moves(wl))
                            for wl, cli in map(load, srcs))
             for show, mine, theirs in zip((compare, compare_greedy, compare_experiments,
-                                           compare_ensemble), this, other):
+                                           compare_ensemble, compare_permuted), this, other):
                 show(mine, theirs)
         this_lines, other_lines = map(src_lines, srcs)
         print(f"src lines         {this_lines:,} against {other_lines:,} "
