@@ -38,7 +38,6 @@ from .gamma import (
     gamma_exact,
     gamma_plus_bounds,
     numeric_gamma_plus_oracle,
-    omega_membership,
 )
 from .hermitian import (
     EigenSystem,

@@ -10,12 +10,17 @@ eigen-split constructions. A report is CERTIFIED when the bracket width
 upper - lower is at most CERT_TOL * min(1, lower), with CERT_TOL = 1e-6:
 absolute at and above lower = 1, relative below it.
 
-The oracle is a penalized search over k^2 + 1 vectors in range(A), k the
-numerical rank, from ORACLE_RESTARTS starts at once by default: minimize, a
-batched L-BFGS in NumPy, runs every start as one row of an (R, d) array of
-real coordinates, and _oracle_objective evaluates all rows with stacked
-matrix products. Its exact starts join its pool as they are; search
-results are made exact and checked, or dropped when they cannot be.
+The oracle searches exact decompositions only. With A = L L* over the k
+eigenpairs above the numerical-rank cut, every family of m >= k vectors
+summing to A is g = C L^T (rows) for an m x k C with C*C = I; the oracle
+takes m = k^2 + 1 and C the polar factor of a free m x k matrix X, so every
+point it visits is a decomposition of A up to rounding. minimize, a batched
+L-BFGS in NumPy, runs ORACLE_RESTARTS starts by default as the rows of one
+(R, d) array of real coordinates of X, and _oracle_objective evaluates all
+rows with stacked matrix products. Its exact starts join its pool as they
+are; search results are checked and dropped when they fail. The oracle's
+answer is evidence, not a bound it can prove optimal: it is reproducible
+for bit-identical input only, since rounding-level changes to A can move it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .decompose import (
     TIE_TOL,
     RankOneDecomposition,
     _checked_family,
-    _kept_family,
     at_lower_bound,
     below_lower_bound,
     cheapest_family,
@@ -43,7 +47,6 @@ from .decompose import (
     is_diagonally_dominant,
     ldl_decompose,
     numerical_rank,
-    reduce_decomposition,
     vector_l1,
 )
 from .errors import BudgetExceededError, NotPSDError, ReconstructionError
@@ -51,17 +54,13 @@ from .hermitian import (
     HermitianMatrix,
     eigenvalue_cut,
     eigh,  # noqa: F401  (kept in this namespace: perfbench's tracer rebinds it here)
-    gram,
     is_psd,
-    ldl_factor,
     norm_l11,
-    operator_norm,
 )
 
 CERT_TOL = 1e-6            # bracket width for CERTIFIED-OPTIMAL, relative below lower = 1
 ORACLE_MAX_N = 6
 ORACLE_RESTARTS = 32       # default oracle starts, for the library and the CLI
-RHO_ROUNDS = (1e2, 10 ** (10 / 3), 10 ** (14 / 3), 1e6)  # oracle penalty ramp
 LBFGS_MEMORY = 10          # (s, y) pairs per L-BFGS row
 LBFGS_MAXITER = 150        # iterations per row and call of minimize
 LBFGS_FTOL = 1e-14         # relative decrease below which a row stops
@@ -76,11 +75,6 @@ FUNCTIONAL_GAMMA_ZERO = "gamma_zero"
 
 EFFORT_FAST = "fast"
 EFFORT_THOROUGH = "thorough"
-
-INSIDE = "inside"
-OUTSIDE = "outside"
-UNDECIDED = "undecided"
-
 
 @dataclass(frozen=True)
 class SignedDecomposition:
@@ -252,68 +246,50 @@ def gamma0_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
                             [("half_sum", half), ("eigen_split", split)])
 
 
-def omega_membership(t: HermitianMatrix) -> str:
-    """Locate T against the body {PSD T : gamma_plus(T) <= 1}, with the fast
-    gamma_plus bracket.
-
-    Outside on a certified lower bound > 1, inside on a certificate <= 1,
-    undecided in the gap; membership is never guessed."""
-    if not is_psd(t):
-        return OUTSIDE
-    if norm_l11(t) > 1.0 + 1e-9:
-        return OUTSIDE
-    report = gamma_plus_bounds(t)
-    if report.upper <= 1.0 + 1e-9:
-        return INSIDE
-    return UNDECIDED
-
-
 # ---------------------------------------------------------------------------
 # Numeric oracle
 # ---------------------------------------------------------------------------
 
 
-def _real_map(b: np.ndarray) -> np.ndarray:
-    """The real (2k, 2n) matrix of c -> c b, for complex (k, n) b, acting on
-    rows of interleaved (Re, Im) pairs."""
-    k, n = b.shape
-    out = np.empty((k, 2, n, 2))
-    out[:, 0, :, 0] = out[:, 1, :, 1] = b.real
-    out[:, 0, :, 1] = b.imag
-    out[:, 1, :, 0] = -b.imag
-    return out.reshape(2 * k, 2 * n)
+def _polar(x: np.ndarray):
+    """(C, XV, r, V) for each (m, k) X of a batch: one batched k x k
+    eigensolve X*X = V diag(r^2) V*, XV = X V, and the polar factor
+    C = X (X*X)^(-1/2) = XV diag(1/r) V*."""
+    s, v = np.linalg.eigh(x.conj().swapaxes(1, 2) @ x)
+    r = np.sqrt(s)
+    xv = x @ v
+    return (xv / r[:, None, :]) @ v.conj().swapaxes(1, 2), xv, r, v
 
 
-def _oracle_objective(theta: np.ndarray, a: np.ndarray, basis, m: int,
-                      rho: float, eps: float):
-    """Penalized cost sum ||g_k||_1^2 + rho ||A - sum g g*||_Fr^2 of m vectors,
-    with its gradient, for every start at once.
+def _oracle_objective(theta: np.ndarray, lt: np.ndarray, eps: float):
+    """Smoothed cost sum ||g_j||_1^2 of the exact decomposition that each
+    start's point stands for, with its gradient, for every start at once.
 
-    Row j of theta (shape (R, 2mk)) is start j: the m x k coordinates c of
-    its vectors in range(A), stored as interleaved (Re, Im) pairs, so that
-    the row viewed as complex is c. The vectors are g = c B^T, with basis =
-    _real_map(B^T) the same map on the pairs, or g = c when basis is None
-    (full rank); |g| is smoothed to sqrt(|g|^2 + eps^2). The gradient row
-    holds the derivatives in the same pairs: with respect to g it is
-    2 l1_k g / |g| - 4 rho g conj(A - sum g g*), mapped back by basis^T.
+    Row j of theta (shape (R, 2mk)) is start j: a free complex m x k matrix
+    X, stored as interleaved (Re, Im) pairs, whose polar factor C (_polar)
+    has C*C = I, so that the rows of g = C L^T, for lt = L^T and A = L L*,
+    sum to sum g g* = A. |g| is smoothed to sqrt(|g|^2 + eps^2). The
+    gradient row holds the derivatives in the same pairs. With respect to g
+    it is G_g = 2 l1_j g / |g|, so G_C = G_g conj(L); through the inverse
+    square root (Daleckii-Krein), with S = X*X = V diag(r^2) V* and
+    Gam_ab = -1 / (r_a r_b (r_a + r_b)), it is
+    G_X = G_C S^(-1/2) + X (Y + Y*), Y = V (Gam o (V* X* G_C V)) V*.
+    Gam is real symmetric, so with B = (XV)* G_C V this is
+    G_X = (G_C V diag(1/r) + XV (Gam o (B + B*))) V*.
     Returns the values (R,) and gradients (R, 2mk)."""
-    starts = len(theta)
-    g = theta.reshape(starts * m, -1)
-    if basis is not None:
-        g = g @ basis
-    g = g.reshape(starts, m, -1).view(np.complex128)
-    r = a - np.matmul(g.transpose(0, 2, 1), g.conj())
+    starts, k = len(theta), lt.shape[0]
+    x = theta.view(np.complex128).reshape(starts, -1, k)
+    c, xv, r, v = _polar(x)
+    g = c @ lt
     smooth = np.hypot(np.abs(g), eps)
     l1 = smooth.sum(axis=2)
-    flat = r.reshape(starts, -1).view(np.float64)
-    f = np.vecdot(l1, l1) + rho * np.vecdot(flat, flat)
-    grad = g @ r.transpose(0, 2, 1)  # conj(r) = r^T: r is Hermitian
-    grad *= -4.0 * rho
-    grad += g * ((2.0 * l1)[:, :, None] / smooth)
-    grad = grad.reshape(starts * m, -1).view(np.float64)
-    if basis is not None:
-        grad = grad @ basis.T
-    return f, grad.reshape(starts, -1)
+    f = np.vecdot(l1, l1)
+    gv = (g * ((2.0 * l1)[:, :, None] / smooth)) @ lt.conj().T @ v
+    b = xv.conj().swapaxes(1, 2) @ gv
+    b += b.conj().swapaxes(1, 2)
+    b *= -1.0 / (r[:, :, None] * r[:, None, :] * (r[:, :, None] + r[:, None, :]))
+    grad = (gv / r[:, None, :] + xv @ b) @ v.conj().swapaxes(1, 2)
+    return f, grad.reshape(starts, -1).view(np.float64)
 
 
 def _cubic_step(a, fa, sa, b, fb, sb):
@@ -559,62 +535,49 @@ def minimize(fun, x0, args=()):
 
 
 def _restore_feasibility(a: HermitianMatrix, g: np.ndarray):
-    """Scale the optimizer's vectors g by sqrt(lambda), lambda the largest
-    value in [0, 1] with lambda_min(A - lambda S) >= -tau for S = sum g g*
-    and tau = 1e-13 max(1, ||A||_op); then peel the exact residual with LDL.
-    Returns the result as a checked RankOneDecomposition (method oracle).
+    """One search result g as a checked RankOneDecomposition (method
+    oracle), or None when the check fails and the oracle drops the start.
 
-    The condition is A + tau I - lambda S >= 0. With A = V diag(a_k) V* and
-    W = V diag((a_k + tau)^(-1/2)) it reads lambda mu <= 1 for the largest
-    eigenvalue mu of W* S W, so lambda = min(1, 1/mu): one small eigenvalue
-    solve on A's cached eigensystem. Returns None, and the oracle drops the
-    start, when no vector of g clears the null floor, when A + tau I is not
-    positive definite, or when the residual is not PSD or the check fails."""
-    keep = _kept_family(a, g)[0]
-    if not len(keep):
-        return None
-    s = gram(keep)
-    es = a.eigensystem
-    shifted = es.eigenvalues + 1e-13 * max(1.0, operator_norm(a))
-    if shifted[0] <= 0.0:
-        return None
-    w = es.eigenvectors / np.sqrt(shifted)
-    mu = float(np.linalg.eigvalsh(w.conj().T @ s @ w)[-1])
-    lam = 1.0 if mu <= 1.0 else 1.0 / mu
-    resid = a.entries - lam * s
+    Every point of the search is an exact decomposition of L L* (A less
+    its eigenvalues under the numerical_rank cut) up to rounding, so nothing
+    is restored: the name remains only because perfbench's tracer wraps it
+    as a layer, until the benchmark change that retires it (ROADMAP item
+    1)."""
     try:
-        tail = ldl_factor(HermitianMatrix((resid + resid.conj().T) / 2.0), psd_tol=1e-8)
-        return RankOneDecomposition.build(a, [*(np.sqrt(lam) * keep), *tail], METHOD_ORACLE)
-    except (NotPSDError, ReconstructionError):
+        return RankOneDecomposition.build(a, g, METHOD_ORACLE)
+    except ReconstructionError:
         return None
 
 
 def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTARTS,
                               seed: int = 0, *, warm=None) -> RankOneDecomposition:
-    """Multi-start penalized search for a cheap exact decomposition.
+    """Multi-start search over exact decompositions for a cheap one.
 
-    Minimizes sum ||g_k||_1^2 + rho ||A - sum g g*||_Fr^2 over k^2 + 1
-    vectors g = B c (enough for the optimum), with B the k eigenvectors
-    above the numerical_rank cut, so the search stays in range(A) (B = I at
-    full rank, k = n). The first starts are the exact decompositions in warm
-    (default: greedy_decompose, then ldl_decompose) and eigen_decompose,
-    less any below_lower_bound (a numerical failure, such as eigen's
-    absolute cut on tiny input), plus small noise; the rest are random.
-    All starts are searched together: each is one row of the real
-    coordinates (Re, Im pairs of c) handed to minimize once for each rho in
-    RHO_ROUNDS, with up to LBFGS_MAXITER L-BFGS iterations per start and
-    round. Each result is restored to exact
-    feasibility and checked, or dropped (_restore_feasibility), so the pool
-    holds checked certificates only; the cheapest by cheapest_family, start
-    or result, is relabelled oracle and reduced in term count. Guarded to
-    n <= 6.
+    With A = L L*, L = V_k diag(lambda_k)^(1/2) from the k eigenpairs above
+    the numerical_rank cut, the families of m >= k vectors in range(A) that
+    sum to A are g_j = L c_j for the m x k matrices C with C*C = I. The
+    search takes m = k^2 + 1 (enough for the optimum) and C the polar factor
+    of a free complex m x k matrix X, and minimizes the smoothed cost over X
+    (_oracle_objective) for A / ||A||_1,1, so that the stopping tolerances
+    of minimize act relative to A's scale. The first starts are the exact
+    decompositions in warm (default: greedy_decompose, then ldl_decompose)
+    and eigen_decompose, less any below_lower_bound (a numerical failure,
+    such as eigen's absolute cut on tiny input), each mapped to its own
+    C = g0 conj(V_k) / sqrt(lambda_k) plus small noise; the rest are
+    Gaussian X, whose polar factors are Haar-distributed. All starts are
+    searched together, one row each of the real coordinates (Re, Im pairs
+    of X), in one call of minimize with up to LBFGS_MAXITER L-BFGS
+    iterations per start. Each result is built and checked, or dropped
+    (_restore_feasibility), and so is one below_lower_bound (L L* can miss
+    eigenvalues of A under the cut within RECON_TOL), so the pool holds
+    checked certificates only; the cheapest by cheapest_family, start or
+    result, is relabelled oracle. No family has more than n^2 + 1 vectors.
+    Guarded to n <= 6.
     """
     if a.n > ORACLE_MAX_N:
         raise BudgetExceededError(f"oracle supports n <= {ORACLE_MAX_N}, got {a.n}")
     if not is_psd(a):
         raise NotPSDError("oracle requires a PSD matrix")
-    n = a.n
-    a_arr = np.asarray(a.entries)
     lower = norm_l11(a)
     if warm is None:
         ldl = ldl_decompose(a)
@@ -629,31 +592,23 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
     if not at_lower_bound(min((dec.cost for dec in warm), default=np.inf), lower):
         k = numerical_rank(a)
         m = k * k + 1
-        range_basis = a.eigensystem.eigenvectors[:, n - k:]
-        basis = None if k == n else _real_map(range_basis.T)
-        tr = float(np.diagonal(a_arr).real.sum())
-        sigma = np.sqrt(max(tr, 1e-12) / (m * k))
+        es = a.eigensystem
+        vecs, lam = es.eigenvectors[:, a.n - k:], es.eigenvalues[a.n - k:]
         starts = []
         for r in range(max(restarts, 1)):
             rng = np.random.default_rng(seed + r)
-            noise = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+            x = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
             if r < len(warm):
+                x *= 1e-3 / np.sqrt(m)
                 start = np.array(warm[r].vectors[:m])
-                c0 = 1e-3 * sigma * noise
-                c0[:len(start)] += start if basis is None else start @ range_basis.conj()
-            else:
-                c0 = sigma * noise
-            starts.append(c0.view(np.float64).ravel())
-        theta = np.array(starts)
-        for rho in RHO_ROUNDS:
-            theta = minimize(_oracle_objective, theta, args=(a_arr, basis, m, rho, 1e-8))
-        g = theta.reshape(len(starts) * m, 2 * k)
-        if basis is not None:
-            g = g @ basis
-        restored = (_restore_feasibility(a, family)
-                    for family in g.reshape(len(starts), m, -1).view(np.complex128))
-        pool += [dec for dec in restored if dec is not None]
+                x[:len(start)] += start @ vecs.conj() / np.sqrt(lam)
+            starts.append(x.view(np.float64).ravel())
+        lt = (vecs * np.sqrt(lam)).T
+        x = minimize(_oracle_objective, np.array(starts), args=(lt / np.sqrt(lower), 1e-8))
+        c = _polar(x.view(np.complex128).reshape(len(starts), m, k))[0]
+        found = (_restore_feasibility(a, family) for family in c @ lt)
+        pool += [dec for dec in found
+                 if dec is not None and not below_lower_bound(dec.cost, lower)]
     if not pool:
         raise ReconstructionError("no oracle certificate reconstructs A at or above ||A||_1,1")
-    best = replace(cheapest_family(pool), method=METHOD_ORACLE)
-    return reduce_decomposition(best, a)
+    return replace(cheapest_family(pool), method=METHOD_ORACLE)

@@ -345,21 +345,59 @@ class TestPermutationInvariance:
         assert turned.upper == pytest.approx(plain.upper, rel=1e-12)
 
 
-class TestOmegaMembership:
-    def test_inside_certified(self):
-        t = hermitian(np.array([[2, 1], [1, 2]]) / 6.0)
-        assert gm.omega_membership(t) == gm.INSIDE
+@st.composite
+def _small_wishart(draw):
+    """A complex Wishart A, n in 2..4 of rank 1..n, with its rng for the
+    transformation drawn next."""
+    n = draw(st.integers(2, 4), label="n")
+    k = draw(st.integers(1, n), label="rank")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    a = g @ g.conj().T
+    return (a + a.conj().T) / 2.0, rng
 
-    def test_outside_not_psd(self):
-        assert gm.omega_membership(hermitian(FLIP)) == gm.OUTSIDE
 
-    def test_outside_l11(self):
-        assert gm.omega_membership(hermitian(2 * np.eye(2))) == gm.OUTSIDE
+def _assert_thorough_holds(entries):
+    """On A: both brackets hold; the thorough upper is at most the fast one
+    (1 + TIE_TOL), and thorough is certified whenever fast is."""
+    a = hermitian(entries)
+    fast = gm.gamma_plus_bounds(a)
+    thorough = gm.gamma_plus_bounds(a, gm.EFFORT_THOROUGH, seed=0, oracle_restarts=2)
+    for report in (fast, thorough):
+        _assert_bracket_holds(report)
+    assert thorough.upper <= fast.upper * (1.0 + dc.TIE_TOL)
+    assert thorough.certified or not fast.certified
 
-    def test_undecided_in_gap(self):
-        # scaled Remark matrix: lower < 1 < best upper
-        t = hermitian(REMARK_4X4 / 1.05)
-        assert gm.omega_membership(t) == gm.UNDECIDED
+
+class TestThoroughBracket:
+    """The thorough bracket's properties hold on A and on its unit-phase
+    conjugations, permutations and 1e-16 relative perturbations; its upper
+    may move under them (the oracle's answer is evidence, reproducible for
+    bit-identical input only)."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(drawn=_small_wishart())
+    def test_under_unit_phases(self, drawn):
+        a, rng = drawn
+        d = np.exp(2j * np.pi * rng.uniform(size=len(a)))
+        _assert_thorough_holds(a)
+        _assert_thorough_holds(d[:, None] * a * d.conj())
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(drawn=_small_wishart())
+    def test_under_permutations(self, drawn):
+        a, rng = drawn
+        perm = rng.permutation(len(a))
+        _assert_thorough_holds(a)
+        _assert_thorough_holds(a[np.ix_(perm, perm)])
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(drawn=_small_wishart())
+    def test_under_relative_perturbations(self, drawn):
+        a, rng = drawn
+        e = rng.standard_normal(a.shape)
+        _assert_thorough_holds(a)
+        _assert_thorough_holds(a * (1.0 + 1e-16 * (e + e.T)))
 
 
 class TestOracle:
@@ -389,9 +427,21 @@ class TestOracle:
             assert dec.cost >= lr.norm_l11(a) - 1e-9
             assert lr.verify_reconstruction(a, dec.vectors).ok
 
-    def test_no_certificate_at_or_above_the_bound_raises(self):
-        # ||A||_1,1 = 5e-11: eigen's family (cost 0) is dropped as a start,
-        # no other start is given, and no restored search result passes.
+    def test_tiny_matrix_gets_a_certificate_on_the_bound(self):
+        # ||A||_1,1 = 5e-11: eigen's family (cost 0) is dropped as a start
+        # and no other start is given, so the certificate is a search result.
+        # The search runs on A / ||A||_1,1 and reaches the bound, which every
+        # 2x2 attains.
+        tiny = hermitian([[1e-11, 1e-11], [1e-11, 2e-11]])
+        dec = gm.numeric_gamma_plus_oracle(tiny, restarts=4, seed=0, warm=[])
+        assert dec.method == dc.METHOD_ORACLE
+        assert dec.cost == pytest.approx(5e-11, rel=1e-12)
+        assert lr.verify_reconstruction(tiny, dec.vectors).max_residual < 1e-25
+
+    def test_no_certificate_at_or_above_the_bound_raises(self, monkeypatch):
+        # eigen's family is dropped as a start, no other start is given, and
+        # every search result is dropped: the pool is empty.
+        monkeypatch.setattr(gm, "_restore_feasibility", lambda a, g: None)
         tiny = hermitian([[1e-11, 1e-11], [1e-11, 2e-11]])
         with pytest.raises(ReconstructionError):
             gm.numeric_gamma_plus_oracle(tiny, restarts=4, seed=0, warm=[])
@@ -432,33 +482,32 @@ class TestOracle:
                          "numeric_gamma_plus_oracle": 1}
 
 
-def _complex_objective(theta, a_arr, m, n, rho, eps):
-    """Reference: the penalized objective on full complex coordinates, theta =
-    [Re g | Im g] each flattened, with its gradient."""
-    g = theta[: m * n].reshape(m, n) + 1j * theta[m * n:].reshape(m, n)
-    s = g.T @ g.conj()
-    r = a_arr - s
-    smooth = np.sqrt(g.real ** 2 + g.imag ** 2 + eps * eps)
-    l1 = smooth.sum(axis=1)
-    f = float((l1 ** 2).sum() + rho * (np.abs(r) ** 2).sum())
-    w = g @ np.conj(r)
-    grad_re = 2.0 * l1[:, None] * (g.real / smooth) - 4.0 * rho * w.real
-    grad_im = 2.0 * l1[:, None] * (g.imag / smooth) - 4.0 * rho * w.imag
-    return f, np.concatenate([grad_re.ravel(), grad_im.ravel()])
-
-
-def _search_space(a):
-    """The oracle's search setup: (A, basis, m, B) with B the range
-    eigenvectors and basis the real map of B^T, None at full rank."""
+def _range_factor(a):
+    """L^T for A = L L*, with L the eigenvectors above the numerical_rank
+    cut scaled by sqrt(lambda), as the oracle builds it."""
     k = dc.numerical_rank(a)
-    vecs = a.eigensystem.eigenvectors[:, a.n - k:]
-    basis = None if k == a.n else gm._real_map(vecs.T)
-    return np.asarray(a.entries), basis, k * k + 1, vecs
+    es = a.eigensystem
+    return (es.eigenvectors[:, a.n - k:] * np.sqrt(es.eigenvalues[a.n - k:])).T
 
 
-def _theta(c):
-    """Search coordinates of the complex (m, k) c: one row of (Re, Im) pairs."""
-    return np.ascontiguousarray(c).view(np.float64).reshape(1, -1)
+def _complex_objective(x, lt, eps):
+    """Reference: the smoothed cost of g = C L^T for one complex (m, k) X,
+    with its polar factor C = U W* from the SVD X = U diag(s) W*."""
+    u, _, wh = np.linalg.svd(x, full_matrices=False)
+    g = (u @ wh) @ lt
+    l1 = np.sqrt(g.real ** 2 + g.imag ** 2 + eps * eps).sum(axis=1)
+    return float((l1 ** 2).sum())
+
+
+def _theta(x):
+    """Search coordinates of the complex (m, k) X: one row of (Re, Im) pairs."""
+    return np.ascontiguousarray(x).view(np.float64).reshape(1, -1)
+
+
+def _random_x(rng, lt):
+    """A complex Gaussian X of the oracle's shape (k^2 + 1, k)."""
+    k = lt.shape[0]
+    return rng.standard_normal((k * k + 1, k)) + 1j * rng.standard_normal((k * k + 1, k))
 
 
 RANKS = [(3, 3), (4, 4), (3, 2), (4, 3), (4, 1)]
@@ -467,44 +516,40 @@ RANKS = [(3, 3), (4, 4), (3, 2), (4, 3), (4, 1)]
 class TestOracleObjective:
     @pytest.mark.parametrize("n, rank", RANKS)
     def test_value_matches_complex_formula(self, rng, n, rank):
-        a = random_psd(rng, n, rank)
-        a_arr, basis, m, vecs = _search_space(a)
-        k = vecs.shape[1]
-        for rho in gm.RHO_ROUNDS:
-            c = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
-            g = c if basis is None else c @ vecs.T
-            f, _ = gm._oracle_objective(_theta(c), a_arr, basis, m, rho, 1e-8)
-            ref, _ = _complex_objective(np.concatenate([g.real.ravel(), g.imag.ravel()]),
-                                        a_arr, m, n, rho, 1e-8)
+        lt = _range_factor(random_psd(rng, n, rank))
+        for _ in range(4):
+            x = _random_x(rng, lt)
+            f, _ = gm._oracle_objective(_theta(x), lt, 1e-8)
             assert f.shape == (1,)
-            assert f[0] == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert f[0] == pytest.approx(_complex_objective(x, lt, 1e-8), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n, rank", RANKS)
     def test_gradient_matches_central_differences(self, rng, n, rank):
-        a = random_psd(rng, n, rank)
-        a_arr, basis, m, vecs = _search_space(a)
-        theta = rng.standard_normal((1, 2 * m * vecs.shape[1]))
-        _, grad = gm._oracle_objective(theta, a_arr, basis, m, 1e2, 1e-8)
+        # At rank 1 every C is a unit column, so the cost is constant up to
+        # the smoothing and the gradient all but vanishes: the tolerance is
+        # relative to the value.
+        lt = _range_factor(random_psd(rng, n, rank))
+        theta = _theta(_random_x(rng, lt))
+        f, grad = gm._oracle_objective(theta, lt, 1e-8)
         assert grad.shape == theta.shape
         step = 1e-6
         diffs = np.empty_like(theta)
         for i in range(theta.size):
             e = np.zeros_like(theta)
             e[0, i] = step
-            up = gm._oracle_objective(theta + e, a_arr, basis, m, 1e2, 1e-8)[0][0]
-            down = gm._oracle_objective(theta - e, a_arr, basis, m, 1e2, 1e-8)[0][0]
+            up = gm._oracle_objective(theta + e, lt, 1e-8)[0][0]
+            down = gm._oracle_objective(theta - e, lt, 1e-8)[0][0]
             diffs[0, i] = (up - down) / (2.0 * step)
-        np.testing.assert_allclose(grad, diffs, rtol=0.0, atol=1e-6 * np.abs(grad).max())
+        np.testing.assert_allclose(grad, diffs, rtol=0.0, atol=1e-7 * f[0])
 
     @pytest.mark.parametrize("n, rank", [(4, 4), (4, 2)])
     def test_each_start_of_a_batch_matches_its_single_call(self, rng, n, rank):
-        a = random_psd(rng, n, rank)
-        a_arr, basis, m, vecs = _search_space(a)
-        batch = rng.standard_normal((5, 2 * m * vecs.shape[1]))
-        f, grad = gm._oracle_objective(batch, a_arr, basis, m, 1e4, 1e-8)
+        lt = _range_factor(random_psd(rng, n, rank))
+        batch = np.vstack([_theta(_random_x(rng, lt)) for _ in range(5)])
+        f, grad = gm._oracle_objective(batch, lt, 1e-8)
         assert f.shape == (5,) and grad.shape == batch.shape
         for j in range(5):
-            f1, grad1 = gm._oracle_objective(batch[j:j + 1], a_arr, basis, m, 1e4, 1e-8)
+            f1, grad1 = gm._oracle_objective(batch[j:j + 1], lt, 1e-8)
             assert f[j] == pytest.approx(f1[0], rel=1e-12, abs=0.0)
             np.testing.assert_allclose(grad[j], grad1[0], rtol=0.0,
                                        atol=1e-12 * np.abs(grad1).max())
@@ -644,73 +689,53 @@ class TestMinimize:
         assert np.abs(x[1]).max() < 1e-8
 
 
-def _bisection_restore(a, g):
-    """Reference restore: bisect 60 times for the largest lambda in [0, 1]
-    with lambda_min(A - lambda S) >= -1e-13 max(1, ||A - lambda S||_op),
-    then peel the residual by LDL, pulling lambda back if that fails.
-    Returns (lambda, family)."""
-    keep = list(dc._kept_family(a, g)[0])
-    if not keep:
-        return None, lr.ldl_factor(a)
-    s = sum(np.outer(v, v.conj()) for v in keep)
-    s = (s + s.conj().T) / 2.0
-
-    def residual_at(lam):
-        resid = a.entries - lam * s
-        return lr.HermitianMatrix((resid + resid.conj().T) / 2.0)
-
-    def psd_at(lam):
-        vals = lr.eigh(residual_at(lam)).eigenvalues
-        return float(vals[0]) >= -1e-13 * max(1.0, float(np.abs(vals).max()))
-
-    lo, hi = (1.0, 1.0) if psd_at(1.0) else (0.0, 1.0)
-    for _ in range(60 if lo < 1.0 else 0):
-        mid = (lo + hi) / 2.0
-        if psd_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    for pullback in (1.0, 1.0 - 1e-9, 1.0 - 1e-6, 1.0 - 1e-3):
-        try:
-            tail = lr.ldl_factor(residual_at(lo * pullback), psd_tol=1e-8)
-        except NotPSDError:
-            continue
-        return lo * pullback, [np.sqrt(lo * pullback) * v for v in keep] + tail
-    return None, lr.ldl_factor(a)
-
-
 class TestRestoreFeasibility:
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(data=st.data(), n=st.integers(2, 4), log_noise=st.floats(-12.0, 0.0),
-           extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
-    def test_matches_bisection(self, data, n, log_noise, extra, seed):
-        """Closed-form lambda against the bisection reference: equal to
-        1e-8 on full-rank A; on rank-deficient A the slack alone sets
-        lambda, so only the restored costs are compared."""
-        rank = data.draw(st.integers(1, n), label="rank")
-        rng = np.random.default_rng(seed)
-        a = random_psd(rng, n, rank)
-        scale = 10.0 ** log_noise * np.sqrt(lr.operator_norm(a))
+    """_restore_feasibility builds one search result, checked, or drops it."""
 
-        def noise():
-            return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    def test_search_results_are_exact(self, rng, monkeypatch):
+        points, families, build = [], [], gm._restore_feasibility
 
-        exact = lr.ldl_factor(a)
-        out = gm._restore_feasibility(a, exact).vectors
-        assert all(np.array_equal(u, v) for u, v in zip(out, exact))  # lambda = 1
+        def minimize(*args, _f=gm.minimize, **kwargs):
+            points.append(_f(*args, **kwargs))
+            return points[-1]
 
-        family = [v + noise() for v in exact] + [noise() for _ in range(extra)]
-        out = gm._restore_feasibility(a, family).vectors
-        assert lr.verify_reconstruction(a, out).ok
-        lam_ref, ref = _bisection_restore(a, family)
-        assert lam_ref is not None
-        if rank == n:
-            kept = dc._kept_family(a, family)[0][0]
-            lam = (dc.vector_l1(out[0]) / dc.vector_l1(kept)) ** 2
-            assert lam == pytest.approx(lam_ref, rel=1e-8, abs=0.0)
-        else:
-            cost, cost_ref = dc.decomposition_cost(out), dc.decomposition_cost(ref)
-            assert cost == pytest.approx(cost_ref, rel=1e-6)
+        def restore(a, g):
+            families.append(g)
+            return build(a, g)
+
+        monkeypatch.setattr(gm, "minimize", minimize)
+        monkeypatch.setattr(gm, "_restore_feasibility", restore)
+        for n, rank in [(3, 3), (4, 4), (3, 2), (4, 3), (4, 2)]:
+            a = random_psd(rng, n, rank)
+            points.clear()
+            families.clear()
+            gm.numeric_gamma_plus_oracle(a, restarts=4, seed=0, warm=[])
+            k = dc.numerical_rank(a)
+            (x,) = points
+            for c in gm._polar(x.view(np.complex128).reshape(4, -1, k))[0]:
+                np.testing.assert_allclose(c.conj().T @ c, np.eye(k), rtol=0.0, atol=1e-12)
+            assert len(families) == 4  # one per start
+            for family in families:
+                assert lr.verify_reconstruction(a, family).ok
+                dec = build(a, family)
+                assert dec.method == dc.METHOD_ORACLE
+                np.testing.assert_array_equal(np.array(dec.vectors), family)
+
+    def test_result_below_the_lower_bound_is_dropped(self, monkeypatch):
+        # Rank one plus 1e-10 of rank two: the search runs on the rank-one
+        # part above the numerical_rank cut, and its results pass the check
+        # but cost about 2e-10 (relative) below ||A||_1,1.
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+        h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        a = hermitian(g @ g.conj().T + 1e-10 * (h @ h.conj().T))
+        lower, build, found = lr.norm_l11(a), gm._restore_feasibility, []
+        monkeypatch.setattr(gm, "_restore_feasibility",
+                            lambda a, g: found.append(build(a, g)) or found[-1])
+        report = gm.gamma_plus_bounds(a, gm.EFFORT_THOROUGH, oracle_restarts=2)
+        assert any(dc.below_lower_bound(dec.cost, lower) for dec in found)
+        assert "oracle" in report.per_method
+        assert not dc.below_lower_bound(report.upper, lower)
 
     def test_all_null_family_is_dropped(self, rng):
         a = random_psd(rng, 3)
@@ -718,25 +743,22 @@ class TestRestoreFeasibility:
 
     def test_calls_no_eigh(self, rng, monkeypatch):
         a = random_psd(rng, 4, 2)
-        a.eigensystem  # the oracle has solved it (is_psd) before any restore
-        family = [v + 1e-6 for v in lr.ldl_factor(a)]
+        a.eigensystem  # the oracle has solved it (is_psd) before any search result
 
         def fail(m):
             raise AssertionError("eigh called")
 
         for module in (lr.hermitian, gm):
             monkeypatch.setattr(module, "eigh", fail)
-        assert lr.verify_reconstruction(a, gm._restore_feasibility(a, family).vectors).ok
-
-    def test_family_failing_the_check_is_dropped(self, monkeypatch):
-        # With no LDL tail the restored families miss A by about 5e-5, far
-        # beyond RECON_TOL; dropped, they leave the checked warm starts.
-        a = random_psd(np.random.default_rng(3), 4)
-        monkeypatch.setattr(gm, "ldl_factor", lambda *args, **kwargs: [])
-        dec = gm.numeric_gamma_plus_oracle(a, restarts=8)
-        assert dec.method == dc.METHOD_ORACLE
+        dec = gm._restore_feasibility(a, lr.ldl_factor(a))
         assert lr.verify_reconstruction(a, dec.vectors).ok
-        assert dec.cost <= dc.greedy_decompose(a).cost
+
+    def test_family_failing_the_check_is_dropped(self):
+        # An exact family moved by 1e-6 misses A far beyond RECON_TOL.
+        a = random_psd(np.random.default_rng(3), 4)
+        exact = np.array(lr.ldl_factor(a))
+        assert gm._restore_feasibility(a, exact) is not None
+        assert gm._restore_feasibility(a, exact + 1e-6) is None
 
 
 class TestFunctionalProperties:

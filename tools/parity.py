@@ -20,8 +20,9 @@ the library comes from --repo's src/. Lines:
                     before greedy runs
     thorough        `gamma --effort thorough` exit code and stdout,
                     seeds 1 and 2, ops 0-119 (perfbench's --restarts 1)
-    thorough-restarts  the same for seed 1, ops 0-20, at --restarts 8, so
-                    that the oracle searches many starts at once
+    thorough-restarts  the same for seed 1, ops 0-20, at the library's
+                    default gamma.ORACLE_RESTARTS (32), so that the oracle
+                    searches many starts at once on its default path
     decompose       `decompose` exit code and stdout (cost, vectors and the
                     printed residual): --method ldl, eigen and greedy on the
                     PSD inputs of bracket seed 1, ops 0-59, dd on that
@@ -38,16 +39,18 @@ so an output that differs only by a retired strategy hashes the same.
 --compare OTHER_CHECKOUT runs the bracket and both thorough streams on both
 libraries (--repo's and OTHER's) and prints, per input kind, how many uppers
 are better (lower), worse or equal than OTHER's, the largest relative move,
-the certified flags that flipped, the winning strategies that changed and the
-ops whose per_method costs moved (so a strategy that never wins still shows),
-then each stream's mean upper / lower - 1. It then prints the greedy stream
-the same way, per input kind, lists every op whose greedy family moved,
-lists every data row of each EXPERIMENTS CSV whose ratio moved, prints per
-(n, method) of the ensemble-vectors stream how many costs moved and the
-largest relative move, prints for each library how many fast-bracket
-uppers move under a permutation of the input (the `permuted` line, below),
-and ends with the line total of src/l1rankone/*.py in both checkouts (not
-in any hash line, so equal outputs still hash equal).
+the largest rise, the certified flags that flipped, the winning strategies
+that changed and the ops whose per_method costs moved (so a strategy that
+never wins still shows), then each stream's mean upper / lower - 1 and, for
+each library, the wall seconds of each thorough stream's CLI calls (one run,
+not a benchmark). It then prints the greedy stream the same way, per input
+kind, lists every op whose greedy family moved, lists every data row of each
+EXPERIMENTS CSV whose ratio moved, prints per (n, method) of the
+ensemble-vectors stream how many costs moved and the largest relative move,
+prints for each library how many fast-bracket uppers move under a
+permutation of the input (the `permuted` line, below), and ends with the
+line total of src/l1rankone/*.py in both checkouts (not in any hash line, so
+equal outputs still hash equal).
 
 The `permuted` line takes the wishart and half_rank bracket ops with n >= 7
 of the bracket seeds, ops 0-349, and runs gamma_plus_bounds on P A P* for P
@@ -65,6 +68,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -73,9 +77,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 BRACKET_SEEDS = (1, 2, 3001)
 BRACKET_OPS = 350
-# (stream, seeds, ops, oracle restarts; None for perfbench's own)
-THOROUGH_STREAMS = (("thorough", (1, 2), 120, None),
-                    ("thorough-restarts", (1,), 21, 8))
+# (stream, seeds, ops, oracle starts: perfbench's own or the library's default)
+THOROUGH_STREAMS = (("thorough", (1, 2), 120, "perfbench"),
+                    ("thorough-restarts", (1,), 21, "default"))
 DECOMPOSE_OPS = 60  # bracket seed 1
 ORACLE_OPS = 14     # thorough seed 1
 ENSEMBLE_DIMS = (8, 16, 32, 64)
@@ -122,22 +126,24 @@ def greedy_bytes(index: int, dec) -> bytes:
     return f"{index} {dec.cost!r}\n".encode() + b"".join(v.tobytes() for v in dec.vectors)
 
 
-def thorough_call(wl, inp, restarts: int | None):
-    """perfbench's thorough op on inp, with `restarts` oracle starts unless
-    None (perfbench's own THOROUGH_RESTARTS, set back afterwards)."""
+def thorough_call(wl, inp, starts: str):
+    """perfbench's thorough op on inp, with perfbench's own THOROUGH_RESTARTS
+    oracle starts, or with the library's gamma.ORACLE_RESTARTS when starts
+    is "default" (set back afterwards)."""
     own = wl.THOROUGH_RESTARTS
-    wl.THOROUGH_RESTARTS = own if restarts is None else restarts
+    if starts == "default":
+        wl.THOROUGH_RESTARTS = wl.lr.gamma.ORACLE_RESTARTS
     try:
         return wl.call("thorough", inp)
     finally:
         wl.THOROUGH_RESTARTS = own
 
 
-def thorough_records(wl, seed: int, ops: int, restarts: int | None,
+def thorough_records(wl, seed: int, ops: int, starts: str,
                      drop: str | None, workdir: str):
     for index in range(ops):
         inp = wl.write_matrix(wl.make_input("thorough", seed, index), workdir)
-        code, stdout, _ = thorough_call(wl, inp, restarts)
+        code, stdout, _ = thorough_call(wl, inp, starts)
         if drop is not None and code == 0:
             obj = json.loads(stdout)
             obj["per_method"].pop(drop, None)
@@ -240,25 +246,31 @@ def load(src: Path):
     return wl, cli
 
 
-def outcomes(wl, workdir: str) -> dict:
-    """(stream, seed, index) -> (kind, checked Outcome, per_method costs) of
-    every bracket and thorough op: a bracket op's costs come from its report,
-    a thorough op's from its stdout."""
-    out = {}
+def outcomes(wl, workdir: str) -> tuple[dict, dict]:
+    """(records, seconds): records maps (stream, seed, index) to (kind,
+    checked Outcome, per_method costs) of every bracket and thorough op (a
+    bracket op's costs come from its report, a thorough op's from its
+    stdout); seconds maps each thorough stream to the wall time of its
+    calls, checks left out."""
+    out, seconds = {}, {}
     for seed in BRACKET_SEEDS:
         for index in range(BRACKET_OPS):
             inp = wl.make_input("bracket", seed, index)
             result = wl.call("bracket", inp)
             out["bracket", seed, index] = (inp.kind, wl.check("bracket", inp, result),
                                            result.per_method)
-    for stream, seeds, ops, restarts in THOROUGH_STREAMS:
+    for stream, seeds, ops, starts in THOROUGH_STREAMS:
+        seconds[stream] = 0.0
         for seed in seeds:
             for index in range(ops):
                 inp = wl.write_matrix(wl.make_input("thorough", seed, index), workdir)
-                outcome = wl.check("thorough", inp, thorough_call(wl, inp, restarts))
+                begin = time.perf_counter()
+                result = thorough_call(wl, inp, starts)
+                seconds[stream] += time.perf_counter() - begin
+                outcome = wl.check("thorough", inp, result)
                 costs = json.loads(outcome.stdout)["per_method"] if outcome.ok else None
                 out[stream, seed, index] = (inp.kind, outcome, costs)
-    return out
+    return out, seconds
 
 
 def greedy_outcomes(wl) -> dict:
@@ -316,28 +328,34 @@ def compare_permuted(this: tuple, other: tuple) -> None:
               + (f" ({', '.join(moved)})" if moved else ""))
 
 
-def compare(this: dict, other: dict) -> None:
-    """Print per-kind upper moves of `this` against `other`."""
+def compare(this: tuple, other: tuple) -> None:
+    """Print per-kind upper moves of `this` against `other` (each an
+    outcomes() pair), then each library's thorough stream times."""
+    (this, this_seconds), (other, other_seconds) = this, other
     rows, excess = {}, {}
     for key, (kind, new, new_costs) in this.items():
         _, old, old_costs = other[key]
         if not (new.ok and old.ok):
             raise SystemExit(f"error: {key} failed: {new.reason or old.reason}")
         move = (1.0 + new.excess) / (1.0 + old.excess) - 1.0
-        row = rows.setdefault((key[0], kind), [0, 0, 0, 0.0, 0, 0, 0])
+        row = rows.setdefault((key[0], kind), [0, 0, 0, 0.0, 0.0, 0, 0, 0])
         row[0 if move < 0.0 else 1 if move > 0.0 else 2] += 1
         row[3] = max(row[3], move, key=abs)
-        row[4] += new.certified != old.certified
-        row[5] += new.winner != old.winner
-        row[6] += new_costs != old_costs
+        row[4] = max(row[4], move)
+        row[5] += new.certified != old.certified
+        row[6] += new.winner != old.winner
+        row[7] += new_costs != old_costs
         excess.setdefault(key[0], []).append((old.excess, new.excess))
-    for (stream, kind), (better, worse, equal, largest, flips, winners, costs) in rows.items():
+    for (stream, kind), (better, worse, equal, largest, rise, flips, winners,
+                         costs) in rows.items():
         print(f"{stream:17} {kind:13} better {better:3} worse {worse:3} equal {equal:3} "
-              f"largest move {largest:+.3%} certified flips {flips} winner changes {winners} "
-              f"per_method moved {costs}")
+              f"largest move {largest:+.3%} rise {rise:+.3%} certified flips {flips} "
+              f"winner changes {winners} per_method moved {costs}")
     for stream, pairs in excess.items():
         old, new = (sum(p[i] for p in pairs) / len(pairs) for i in (0, 1))
         print(f"{stream:17} mean upper/lower - 1 over {len(pairs)} ops: {old:.5f} -> {new:.5f}")
+    for stream, new in this_seconds.items():
+        print(f"{stream:17} wall s: this {new:.2f}, other {other_seconds[stream]:.2f}")
 
 
 def src_lines(src: Path) -> int:
@@ -381,9 +399,9 @@ def main(argv=None) -> int:
         print(f"greedy          seed={seed} "
               f"{digest(greedy_bytes(i, dec) for i, _, dec in greedy_records(wl, seed))}")
     with tempfile.TemporaryDirectory() as workdir:
-        for stream, seeds, ops, restarts in THOROUGH_STREAMS:
+        for stream, seeds, ops, starts in THOROUGH_STREAMS:
             for seed in seeds:
-                records = thorough_records(wl, seed, ops, restarts, drop, workdir)
+                records = thorough_records(wl, seed, ops, starts, drop, workdir)
                 print(f"{stream:15} seed={seed} {digest(records)}")
         print(f"decompose       seed=1 {digest(decompose_records(wl, cli, workdir))}")
         for exp in EXPERIMENTS:
