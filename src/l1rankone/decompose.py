@@ -24,7 +24,6 @@ from .errors import (
     ZeroDirectionError,
 )
 from .hermitian import (
-    PIVOT_TOL,
     PSD_TOL,
     HermitianMatrix,
     _readonly,
@@ -32,7 +31,9 @@ from .hermitian import (
     eigh,  # noqa: F401  (kept in this namespace: perfbench's tracer rebinds it here)
     is_psd,
     ldl_factor,
+    ldl_step,
     norm_l11,
+    pivot_cut,
     stack_family,
     verify_reconstruction,
 )
@@ -235,29 +236,29 @@ def numerical_rank(a: HermitianMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float) -> list[np.ndarray]:
+def _best_pivot_order_ldl(a: HermitianMatrix) -> list[np.ndarray]:
     """The vectors of the cheapest LDL pivot order found.
 
     An LDL step on pivot i of the Schur complement W costs
     ||W[:, i]||_1^2 / W_ii, and W depends only on the set S of pivots
     already taken, so the cheapest order is a shortest path over sets (the
     Held-Karp dynamic program). Layer s holds sets of size s, each with W_S
-    (rows and columns in S zeroed) and its cost so far; every (set, pivot
-    above tol_p) steps as one NumPy batch. Each child set keeps its cheapest
-    (parent, pivot), and a layer keeps its PIVOT_SEARCH_STATES cheapest
-    sets, chosen before their matrices are built. Equal costs go to the
-    earlier candidate, in order of parent, then pivot. No layer of n <= 8
-    holds more than C(8, 4) = 70 sets, so there the search is exact; past
-    n = 8 it is a beam search. A set with no pivot above tol_p is terminal,
-    and the path of the cheapest terminal set is returned (the earliest
-    layer on equal costs).
+    (rows and columns in S zeroed) and its cost so far; the kept (set,
+    pivot above pivot_cut(a)) pairs step as one ldl_step batch. Each child
+    set keeps its cheapest (parent, pivot), and a layer keeps its
+    PIVOT_SEARCH_STATES cheapest sets, chosen before their matrices are
+    built. Equal costs go to the earlier candidate, in order of parent, then
+    pivot. No layer of n <= 8 holds more than C(8, 4) = 70 sets, so there
+    the search is exact; past n = 8 it is a beam search. A set with no pivot
+    above the cut is terminal, and the path of the cheapest terminal set is
+    returned (the earliest layer on equal costs).
     """
-    n = a_arr.shape[0]
+    n, tol_p = a.n, pivot_cut(a)
     idx = np.arange(n)
     # A set is a row of uint64 words, pivot i at bit i % 64 of word i // 64.
     word, bit = np.divmod(idx, 64)
     bit = np.left_shift(np.uint64(1), bit.astype(np.uint64))
-    w = a_arr[None].copy()             # (sets, n, n)
+    w = a.entries[None].copy()         # (sets, n, n)
     cost = np.zeros(1)
     sets = np.zeros((1, word[-1] + 1), dtype=np.uint64)
     steps = []                         # per layer: parent and vector of each set
@@ -288,13 +289,9 @@ def _best_pivot_order_ldl(a_arr: np.ndarray, tol_p: float) -> list[np.ndarray]:
         first[1:] = (grouped[1:] != grouped[:-1]).any(axis=1)
         cheapest = np.sort(order[first])
         keep = cheapest[np.argsort(child_cost[cheapest], kind="stable")[:PIVOT_SEARCH_STATES]]
-        p, i = parent[keep], pivot[keep]
-        v = w[p, :, i] / np.sqrt(pivots[keep])[:, None]
+        p = parent[keep]
         w = w[p]
-        w -= v[:, :, None] * v[:, None, :].conj()
-        rows = np.arange(keep.size)
-        w[rows, i, :] = 0.0
-        w[rows, :, i] = 0.0
+        v = ldl_step(w, pivot[keep], pivots[keep])
         cost, sets = child_cost[keep], child[keep]
         steps.append((p, v))
     layer, j = best_at
@@ -336,9 +333,7 @@ def greedy_decompose(a: HermitianMatrix, *,
     lower = norm_l11(a)
 
     builds = (lambda: ldl_decompose(a) if ldl is None else ldl,
-              lambda: RankOneDecomposition.build(
-                  a, _best_pivot_order_ldl(np.asarray(a.entries), PIVOT_TOL * a.scale()),
-                  METHOD_GREEDY))
+              lambda: RankOneDecomposition.build(a, _best_pivot_order_ldl(a), METHOD_GREEDY))
     complete = []
     for build in builds:
         try:
@@ -446,8 +441,8 @@ def special_3x3_gap(a: HermitianMatrix) -> float:
     """LDL-vs-l11 gap 2(|ae - conj(b)c| + |b||c| - a|e|)/a for 3x3 PSD input.
 
     Zero gap certifies that the natural-order LDL decomposition is optimal.
-    A vanishing (1,1) pivot reduces the matrix to the 2x2 case where the gap
-    is always zero.
+    A (1,1) pivot at or below pivot_cut vanishes, as in LDL, and reduces the
+    matrix to the 2x2 case where the gap is always zero.
     """
     if a.n != 3:
         raise DimensionMismatchError(f"need a 3x3 matrix, got n={a.n}")
@@ -456,7 +451,7 @@ def special_3x3_gap(a: HermitianMatrix) -> float:
     if numerical_rank(a) <= 1:
         raise RankOneInputError("rank-one input: single-vector decomposition is optimal")
     aa = float(a.entries[0, 0].real)
-    if aa <= PSD_TOL * a.scale():
+    if aa <= pivot_cut(a):
         return 0.0
     b = a.entries[0, 1]
     c = a.entries[0, 2]

@@ -109,7 +109,7 @@ class GammaReport:
     lower: float
     upper: float
     best: object  # RankOneDecomposition | SignedDecomposition | None
-    per_method: dict  # cost of each strategy that ran
+    per_method: dict  # cost of each strategy that ran and passed its check
     certified: bool
     skipped: tuple = ()  # strategies not run because the bracket had closed
 
@@ -165,10 +165,11 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     oracle) and stop once the preferred certificate is at_lower_bound (the
     stop of greedy and the oracle too): no exact decomposition costs less,
     so no later strategy could replace it. The report lists the strategies
-    left out in `skipped`. Greedy reuses the ldl certificate built here,
-    and the oracle starts from the greedy and ldl certificates. Scaled
-    eigenvectors never set the upper bound on the seeded bracket streams,
-    so they are not a candidate."""
+    left out in `skipped`; a strategy whose check fails is dropped from
+    both, and only a bracket left with none raises. Greedy reuses the ldl
+    certificate built here, and the oracle starts from the greedy and ldl
+    certificates. Scaled eigenvectors never set the upper bound on the
+    seeded bracket streams, so they are not a candidate."""
     if not is_psd(a):
         raise NotPSDError("gamma_plus is defined on PSD matrices only")
     lower = norm_l11(a)
@@ -176,18 +177,23 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     if is_diagonally_dominant(a)[0]:
         strategies.append((METHOD_DD, dd_decompose))
     strategies.append((METHOD_GREEDY,
-                       lambda m: greedy_decompose(m, ldl=dict(named)[METHOD_LDL])))
+                       lambda m: greedy_decompose(m, ldl=dict(named).get(METHOD_LDL))))
     named, skipped = [], ()
     if effort == EFFORT_THOROUGH and a.n <= 4:
-        # dd never gets here: its certificate sits on the lower bound.
+        # Greedy, then ldl, as kept; dd never gets here (it sits on the bound).
         strategies.append((METHOD_ORACLE, lambda m: numeric_gamma_plus_oracle(
             m, restarts=oracle_restarts, seed=seed,
-            warm=[dict(named)[name] for name in (METHOD_GREEDY, METHOD_LDL)])))
+            warm=[dec for _, dec in reversed(named)])))
     for k, (name, strategy) in enumerate(strategies):
-        named.append((name, strategy(a)))
+        try:
+            named.append((name, strategy(a)))
+        except ReconstructionError:
+            continue
         if at_lower_bound(_cheapest(named).cost, lower):
             skipped = tuple(later for later, _ in strategies[k + 1:])
             break
+    if not named:
+        raise ReconstructionError("no gamma_plus strategy reconstructs A")
     return GammaReport.pick(FUNCTIONAL_GAMMA_PLUS, lower, named, skipped)
 
 
@@ -560,13 +566,13 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
     of a free complex m x k matrix X, and minimizes the smoothed cost over X
     (_oracle_objective) for A / ||A||_1,1, so that the stopping tolerances
     of minimize act relative to A's scale. The first starts are the exact
-    decompositions in warm (default: greedy_decompose, then ldl_decompose)
-    and eigen_decompose, less any below_lower_bound (a numerical failure,
-    such as eigen's absolute cut on tiny input), each mapped to its own
-    C = g0 conj(V_k) / sqrt(lambda_k) plus small noise; the rest are
-    Gaussian X, whose polar factors are Haar-distributed. All starts are
-    searched together, one row each of the real coordinates (Re, Im pairs
-    of X), in one call of minimize with up to LBFGS_MAXITER L-BFGS
+    decompositions in warm (default: greedy_decompose, then ldl_decompose
+    unless its check fails) and eigen_decompose, less any below_lower_bound
+    (a numerical failure, such as eigen's absolute cut on tiny input), each
+    mapped to its own C = g0 conj(V_k) / sqrt(lambda_k) plus small noise;
+    the rest are Gaussian X, whose polar factors are Haar-distributed. All
+    starts are searched together, one row each of the real coordinates (Re,
+    Im pairs of X), in one call of minimize with up to LBFGS_MAXITER L-BFGS
     iterations per start. Each result is built and checked, or dropped
     (_restore_feasibility), and so is one below_lower_bound (L L* can miss
     eigenvalues of A under the cut within RECON_TOL), so the pool holds
@@ -580,10 +586,13 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
         raise NotPSDError("oracle requires a PSD matrix")
     lower = norm_l11(a)
     if warm is None:
-        ldl = ldl_decompose(a)
+        try:
+            ldl = ldl_decompose(a)
+        except ReconstructionError:  # dropped, as greedy drops it
+            ldl = None
         warm = (greedy_decompose(a, ldl=ldl), ldl)
     warm = [dec for dec in (*warm, eigen_decompose(a))
-            if not below_lower_bound(dec.cost, lower)]
+            if dec is not None and not below_lower_bound(dec.cost, lower)]
 
     # Exact starts join the pool as they are, so the result is never worse
     # than one. When one already sits on the lower bound ||A||_1,1 the

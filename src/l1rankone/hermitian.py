@@ -2,7 +2,8 @@
 
 Everything downstream (decomposition strategies, gamma bounds, experiments)
 consumes this module. All values are immutable after construction and all
-functions are pure.
+functions are pure. is_psd is the one PSD test and ldl_step the one LDL
+step, run by natural-order ldl_factor and greedy's pivot-order search.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     ScaleOverflowError,
 )
 
-# Tolerances; HERMITIAN_TOL, PSD_TOL and RECON_TOL are also parameter defaults.
+# Tolerances; HERMITIAN_TOL and RECON_TOL are also parameter defaults.
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 PIVOT_TOL = 1e-12
@@ -186,7 +187,7 @@ def trace_norm(a: HermitianMatrix) -> float:
 
 
 def operator_norm(a: HermitianMatrix) -> float:
-    return float(np.abs(a.eigensystem.eigenvalues).max())
+    return max(-float(a.eigensystem.eigenvalues[0]), float(a.eigensystem.eigenvalues[-1]))
 
 
 def eigenvalue_cut(a: HermitianMatrix) -> float:
@@ -199,63 +200,55 @@ def is_psd(a: HermitianMatrix) -> bool:
     return float(a.eigensystem.eigenvalues[0]) >= -eigenvalue_cut(a)
 
 
-def ldl_factor(a: HermitianMatrix, psd_tol: float = PSD_TOL) -> list[np.ndarray]:
+def pivot_cut(a: HermitianMatrix) -> float:
+    """PIVOT_TOL * max(1, largest diagonal entry): LDL pivots at or below it vanish."""
+    return PIVOT_TOL * max([1.0, *a.entries.real.diagonal().tolist()])  # beats ndarray.max
+
+
+def ldl_step(w: np.ndarray, i, d) -> np.ndarray:
+    """The one LDL elimination step, in place on each matrix W of a
+    (b, n, n) stack: W gives up its pivot i (one per matrix) of value
+    W_ii = d > 0 as v = W[:, i] / sqrt(d), becomes W - v v* and has row and
+    column i zeroed. Returns the (b, n) stack of v. A scalar i and d serve a
+    stack of one, with basic indexing."""
+    at = np.arange(len(w)) if isinstance(i, np.ndarray) else slice(None)
+    v = w[at, :, i] / np.sqrt(d)[..., None]
+    w -= v[:, :, None] * v[:, None, :].conj()
+    w[at, i, :] = 0.0
+    w[at, :, i] = 0.0
+    return v
+
+
+def ldl_factor(a: HermitianMatrix) -> list[np.ndarray]:
     """Lagrangian (LDL-style) rank-one elimination in natural pivot order.
 
     Returns vectors v_k, each zero on positions before its pivot, with
-    sum_k v_k v_k* = A: the read-only rows of one (r, n) array. A pivot
-    that PSD-ness forces to vanish is skipped and emits no vector; a
-    skipped pivot with a non-negligible row, or a Schur complement gone
-    negative beyond tolerance, raises NotPSD.
-
-    Where LAPACK's Cholesky (zpotrf) succeeds with finite entries and every
-    |L_kk|^2 above PIVOT_TOL * scale, the loop would take every pivot and
-    its v_k is column k of L, so the rows of L^T are returned instead;
-    otherwise the loop runs.
+    sum_k v_k v_k* = A: the read-only rows of one (r, n) array. Where
+    LAPACK's Cholesky (zpotrf) succeeds with finite entries and every
+    |L_kk|^2 above pivot_cut(a), every pivot is taken and v_k is column k of
+    L, so the rows of L^T are returned. Otherwise NotPSDError is raised
+    unless is_psd(a), the one PSD test, holds; then each pivot runs through
+    ldl_step, and one at or below the cut counts as vanished: it emits no
+    vector and its row and column are zeroed.
     """
-    n = a.n
-    w = np.array(a.entries, dtype=np.complex128, copy=True)
-    scale = max([1.0, *w.real.diagonal().tolist()])  # beats ndarray.max at small n
-    tol_p = PIVOT_TOL * scale
-    neg_tol = psd_tol * scale
+    tol_p = pivot_cut(a)
     try:
-        low = np.linalg.cholesky(w)
+        low = np.linalg.cholesky(a.entries)
     except np.linalg.LinAlgError:
         low = None
     if low is not None and np.isfinite(low).all() and (low.diagonal().real ** 2 > tol_p).all():
         return list(_readonly(np.ascontiguousarray(low.T)))
-    out = np.zeros((n, n), dtype=np.complex128)
-    r = 0
-    # Row and column k are never read after step k, so only the trailing
-    # block w[k+1:, k+1:] is kept up to date.
-    for k in range(n):
-        d = float(w[k, k].real)
-        if d < -neg_tol:
-            raise NotPSDError(
-                f"Schur complement pivot {k} is {d:.3e} < -{neg_tol:.3e}"
-            )
-        if d <= tol_p:
-            # A matrix PSD within neg_tol obeys |W_kj|^2 <= (W_kk+slack)(W_jj+slack),
-            # so a vanished pivot forces its whole row under this cap. The cap
-            # is at least slack, and the row's squared 2-norm, one cheap call,
-            # bounds its largest entry squared: most rows stop there.
-            slack = tol_p + neg_tol
-            rest = w[k, k + 1:]
-            if float(np.vdot(rest, rest).real) > slack * slack:
-                row_max = float(np.abs(rest).max())
-                diag_rest = np.abs(np.diagonal(w)[k + 1:].real)
-                cap = np.sqrt((max(d, 0.0) + slack) * (diag_rest.max() + slack))
-                if row_max > cap + slack:
-                    raise NotPSDError(
-                        f"pivot {k} vanished but its row has magnitude {row_max:.3e}"
-                    )
-            continue
-        v = out[r]
-        v[k:] = w[k:, k] / math.sqrt(d)
-        r += 1
-        # np.outer, not a broadcast product: the two round differently.
-        w[k + 1:, k + 1:] -= np.outer(v[k + 1:], v[k + 1:].conj())
-    return list(_readonly(out)[:r])
+    if not is_psd(a):
+        raise NotPSDError(f"smallest eigenvalue {a.eigensystem.eigenvalues[0]:.3e} is negative")
+    w = a.entries[None].copy()
+    out = []
+    for k in range(a.n):
+        d = w[0, k, k].real
+        if d > tol_p:
+            out.append(ldl_step(w, k, d))
+        else:
+            w[0, k] = w[0, :, k] = 0.0
+    return list(_readonly(np.concatenate(out))) if out else []
 
 
 def stack_family(vectors, n: int | None = None) -> np.ndarray:

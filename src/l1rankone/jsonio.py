@@ -5,8 +5,10 @@ Matrix:        {"n": int, "entries": [[entry, ...], ...]} where entry is
 Decomposition: {"method": str, "cost": float, "vectors": [[entry, ...], ...]}
 Gamma report:  {"functional": ..., "lower": ..., "upper": ..., "certified":
                ..., "per_method": {...}, "skipped": [...], "decomposition": {...}}
-               per_method holds the strategies that ran, skipped (always
-               present, possibly empty) those left out once the bracket closed.
+               per_method holds the strategies that ran and passed their
+               check (a dropped strategy, whose certificate missed A, is
+               omitted), skipped (always present, possibly empty) those left
+               out once the bracket closed.
 """
 
 from __future__ import annotations

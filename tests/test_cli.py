@@ -12,7 +12,7 @@ from l1rankone import cli
 from l1rankone.cli import main
 from l1rankone.errors import BudgetExceededError, EigenFailureError, InsufficientDataError
 
-from test_hermitian import REMARK_4X4
+from test_hermitian import REMARK_4X4, rounding_growth_gram
 
 A_2X2 = {"n": 2, "entries": [[2, 1], [1, 2]]}
 FLIP = {"n": 2, "entries": [[0, 1], [1, 0]]}
@@ -121,6 +121,20 @@ class TestDecompose:
         obj = json.loads(out)
         assert obj["method"] == "oracle"
         assert obj["cost"] >= 5e-11 * (1.0 - 1e-12)
+
+    def test_rounding_growth_is_a_miss_not_indefiniteness(self, files, capsys):
+        # A PSD 4x4 on which natural-order LDL meets a Schur pivot of
+        # -1.8e-8: ldl's family misses A beyond RECON_TOL (exit 2, input
+        # problem), not a PSD failure (3); the bracket and the oracle drop
+        # that family and answer.
+        p = files["dir"] / "growth.json"
+        p.write_text(json.dumps({"n": 4, "entries": rounding_growth_gram(4, 3, 1370).tolist()}))
+        assert run(capsys, "decompose", str(p), "--method", "ldl") == (2, "")
+        for argv in (["decompose", "--method", "oracle", "--restarts", "2"],
+                     ["gamma", "--functional", "plus"]):
+            code, out = run(capsys, argv[0], str(p), *argv[1:])
+            assert code == 0
+            assert json.loads(out)
 
 
 class TestGamma:

@@ -310,10 +310,10 @@ class TestBatchedParity:
         """For n <= 8 the search is exact: its family reconstructs A at the
         least cost over every pivot order."""
         target = lr.ingest_matrix(a)
-        tol_p = lr.hermitian.PIVOT_TOL * target.scale()
-        vecs = dc._best_pivot_order_ldl(np.asarray(target.entries), tol_p)
+        vecs = dc._best_pivot_order_ldl(target)
         assert lr.verify_reconstruction(target, vecs).ok
-        want = _cheapest_pivot_order_reference(np.asarray(target.entries), tol_p)
+        want = _cheapest_pivot_order_reference(np.asarray(target.entries),
+                                               lr.hermitian.pivot_cut(target))
         assert dc.decomposition_cost(vecs) == pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -433,6 +433,16 @@ class TestSpecial3x3Gap:
         assert gap == pytest.approx(4.0, abs=1e-12)
         excess = dc.ldl_decompose(a).cost - lr.norm_l11(a)
         assert excess == pytest.approx(gap, abs=1e-9)
+
+    @pytest.mark.parametrize("a11", [5e-11, 5e-12])
+    def test_small_first_pivot_matches_ldl_excess(self, a11):
+        # A_11 above the pivot cut (1e-12 here) is taken by LDL, so the gap
+        # is the formula's, not the vanished pivot's zero.
+        b, c = 0.9 * np.sqrt(a11), 0.3 * np.sqrt(a11)
+        a = hermitian([[a11, b, c], [b, 1, 0.1], [c, 0.1, 1]])
+        excess = dc.ldl_decompose(a).cost - lr.norm_l11(a)
+        assert excess == pytest.approx(0.68, rel=1e-9)
+        assert dc.special_3x3_gap(a) == pytest.approx(excess, abs=1e-9)
 
     def test_rank_one_rejected(self):
         u = np.array([1.0, 2.0, 3.0])

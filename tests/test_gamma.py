@@ -15,7 +15,7 @@ from l1rankone.hermitian import RECON_TOL
 
 from conftest import hermitian, random_dd, random_hermitian, random_psd
 
-from test_hermitian import REMARK_4X4
+from test_hermitian import REMARK_4X4, ROUNDING_GROWTH, rounding_growth_gram
 
 FLIP = [[0, 1], [1, 0]]
 
@@ -261,6 +261,18 @@ class TestBracketHolds:
         report = gm.gamma0_bounds(a)
         _assert_bracket_holds(report)
         assert report.lower >= lr.norm_l11(a) * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("n, r, seed", ROUNDING_GROWTH)
+    def test_past_rounding_growth(self, n, r, seed):
+        """Natural-order LDL meets a negative Schur pivot on these PSD
+        inputs, and on 6 of them its family misses A beyond RECON_TOL; the
+        bracket drops ldl where it fails and holds on greedy's certificate."""
+        a = lr.ingest_matrix(rounding_growth_gram(n, r, seed))
+        report = gm.gamma_plus_bounds(a)
+        _assert_bracket_holds(report)
+        assert report.best.method == dc.METHOD_GREEDY
+        assert lr.verify_reconstruction(a, report.best.vectors).ok
+        _assert_bracket_holds(gm.gamma0_bounds(a))
 
 
 @st.composite

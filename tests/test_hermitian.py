@@ -25,6 +25,18 @@ REMARK_4X4 = np.array(
     [[1, 0, 1, 1], [0, 1, -1, 1], [1, -1, 2, 0], [1, 1, 0, 2]], dtype=float
 ) / 14.0
 
+# (n, r, seed) of real Gram matrices G G^T, G = default_rng(seed).standard_normal((n, r)),
+# on which natural-order elimination meets a Schur pivot below -PSD_TOL * scale
+# from rounding growth alone: each is PSD to is_psd.
+ROUNDING_GROWTH = [(4, 3, 1370), (5, 3, 1370), (6, 4, 1652), (6, 5, 1900), (7, 5, 1900),
+                   (8, 6, 439), (8, 7, 554), (8, 7, 588), (9, 7, 554), (9, 7, 588),
+                   (10, 8, 2818)]
+
+
+def rounding_growth_gram(n, r, seed) -> np.ndarray:
+    g = np.random.default_rng(seed).standard_normal((n, r))
+    return g @ g.T
+
 
 class TestIngest:
     def test_already_hermitian(self):
@@ -286,6 +298,10 @@ def _ldl_factor_reference(a, psd_tol=PSD_TOL):
     return vectors
 
 
+def _decline(_):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
 def _with_zero_line(b, p):
     """b with a zero row and column inserted at index p."""
     n = b.shape[0] + 1
@@ -318,12 +334,8 @@ class TestLdlFactor:
         cases += [hermitian(np.zeros((3, 3)))]
         cases += [hermitian(np.diag([1.0, f * PIVOT_TOL])) for f in (0.5, 2.0)]
         wants = [_ldl_factor_reference(a) for a in cases]
-
-        def fail(_):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "cholesky", fail)
+            patch.setattr(np.linalg, "cholesky", _decline)
             for a, want in zip(cases, wants):
                 got = lr.ldl_factor(a)
                 assert [v.shape for v in got] == [(a.n,)] * len(want)
@@ -390,18 +402,43 @@ class TestLdlFactor:
         with pytest.raises(NotPSDError):
             lr.ldl_factor(hermitian([[1, 2], [2, 1]]))
 
-    @pytest.mark.parametrize("off, psd", [(1e-11, True), (1e-6, True), (1e-4, False)])
-    def test_vanished_pivot_row_cap(self, off, psd):
-        # Pivot 0 (1e-13) is under PIVOT_TOL. PSD within tolerance caps its row
-        # near sqrt(1e-13 + 1e-10) ~ 1e-5: a row under the slack skips the cap,
-        # 1e-6 passes it, 1e-4 breaks it. Each verdict agrees with is_psd.
-        a = hermitian([[1e-13, off], [off, 1]])
+    @pytest.mark.parametrize("entries, psd", [
+        *(pytest.param([[1e-13, off], [off, 1]], psd, id=f"{off}-{psd}")
+          for off, psd in ((1e-11, True), (1e-6, True), (1e-4, False))),
+        pytest.param(np.diag([1.0, -1e-11, 1.0]), True, id="negative-within-cut"),
+        pytest.param(np.diag([1.0, -1e-9, 1.0]), False, id="negative-pivot"),
+        pytest.param([[0, 1], [1, 0]], False, id="vanished-pivot"),
+        pytest.param([[1, 1, 0], [1, 1, 1e-3], [0, 1e-3, 1]], False, id="vanished-schur-pivot"),
+        pytest.param([[4, 2j, 1], [-2j, 1, 1j], [1, -1j, 2]], False, id="complex"),
+        pytest.param(np.diag([1.0, 2.0, 3.0]) - 2.5 * np.ones((3, 3)), False, id="dense"),
+    ])
+    def test_vanished_pivot_row_cap(self, entries, psd, monkeypatch):
+        """ldl_factor raises NotPSDError exactly when Cholesky declines and
+        is_psd is false: is_psd is its one PSD test. Each PSD input here has
+        one pivot at or below the cut (below zero too), which vanishes; each
+        indefinite one is refused, with Cholesky declining by itself and
+        when forced to."""
+        a = hermitian(entries)
         assert lr.is_psd(a) is psd
-        if psd:
-            assert len(lr.ldl_factor(a)) == 1
-        else:
-            with pytest.raises(NotPSDError):
-                lr.ldl_factor(a)
+        if not psd:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(a.entries)
+        for cholesky in (np.linalg.cholesky, _decline):
+            monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+            if psd:
+                assert len(lr.ldl_factor(a)) == a.n - 1
+            else:
+                with pytest.raises(NotPSDError):
+                    lr.ldl_factor(a)
+
+    @pytest.mark.parametrize("n, r, seed", ROUNDING_GROWTH)
+    def test_rounding_growth_is_not_indefiniteness(self, n, r, seed):
+        """Unpivoted elimination of a semidefinite Gram matrix can meet a
+        Schur pivot below -PSD_TOL * scale from rounding growth alone; A is
+        still PSD to is_psd, so ldl_factor treats that pivot as vanished."""
+        a = lr.ingest_matrix(rounding_growth_gram(n, r, seed))
+        assert lr.is_psd(a)
+        assert 0 < len(lr.ldl_factor(a)) < n
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(n=st.integers(1, 12), k=st.integers(-10, 20), seed=st.integers(0, 2**32 - 1),

@@ -28,6 +28,9 @@ the library comes from --repo's src/. Lines:
                     PSD inputs of bracket seed 1, ops 0-59, dd on that
                     range's dd ops, and oracle at its default starts and
                     seed on thorough seed 1, ops 0-13
+    decompose-notpsd  `decompose` exit code (3: not PSD, decided by
+                    is_psd alone) and stdout: --method ldl, greedy and
+                    eigen on the indefinite inputs of the same range
     experiment      the CSV of each EXPERIMENTS command
     ensemble-vectors  cost and certificate vector bytes of ldl_decompose and
                     eigen_decompose on random_psd(n, seed), n in 8, 16, 32,
@@ -152,21 +155,33 @@ def thorough_records(wl, seed: int, ops: int, starts: str,
         yield f"{index} {code}\n".encode() + stdout
 
 
-def decompose_records(wl, cli, workdir: str):
-    def run(inp, method: str) -> bytes:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(["decompose", inp.path, "--method", method])
-        return f"{inp.index} {method} {code}\n".encode() + out.getvalue().encode()
+def decompose_run(cli, inp, method: str) -> bytes:
+    """`decompose --method METHOD` on inp: its index, method, exit code, stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["decompose", inp.path, "--method", method])
+    return f"{inp.index} {method} {code}\n".encode() + out.getvalue().encode()
 
+
+def decompose_records(wl, cli, workdir: str):
     for index in range(DECOMPOSE_OPS):
         inp = wl.make_input("bracket", 1, index)
         if inp.kind != "indefinite":
             inp = wl.write_matrix(inp, workdir)
             for method in ("ldl", "eigen", "greedy", *(("dd",) if inp.kind == "dd" else ())):
-                yield run(inp, method)
+                yield decompose_run(cli, inp, method)
     for index in range(ORACLE_OPS):
-        yield run(wl.write_matrix(wl.make_input("thorough", 1, index), workdir), "oracle")
+        yield decompose_run(cli, wl.write_matrix(wl.make_input("thorough", 1, index), workdir),
+                            "oracle")
+
+
+def decompose_notpsd_records(wl, cli, workdir: str):
+    for index in range(DECOMPOSE_OPS):
+        inp = wl.make_input("bracket", 1, index)
+        if inp.kind == "indefinite":
+            inp = wl.write_matrix(inp, workdir)
+            for method in ("ldl", "greedy", "eigen"):
+                yield decompose_run(cli, inp, method)
 
 
 def ensemble_decompositions(lr):
@@ -404,6 +419,7 @@ def main(argv=None) -> int:
                 records = thorough_records(wl, seed, ops, starts, drop, workdir)
                 print(f"{stream:15} seed={seed} {digest(records)}")
         print(f"decompose       seed=1 {digest(decompose_records(wl, cli, workdir))}")
+        print(f"decompose-notpsd seed=1 {digest(decompose_notpsd_records(wl, cli, workdir))}")
         for exp in EXPERIMENTS:
             print(f"experiment      {' '.join(exp)} "
                   f"{digest([experiment_csv(cli, exp, workdir)])}")
