@@ -26,6 +26,7 @@ from .hermitian import (
     norm_l11,
     operator_norm,
     reconstruct,
+    stack_family,
     trace_norm,
     verify_reconstruction,
 )
@@ -77,17 +78,10 @@ def cmd_norms(args) -> int:
 
 def cmd_decompose(args) -> int:
     a = _load_matrix(args)
-    if args.method == "ldl":
-        dec = dc.ldl_decompose(a)
-    elif args.method == "eigen":
-        dec = dc.eigen_decompose(a)
-    elif args.method == "dd":
-        dec = dc.dd_decompose(a)
-    elif args.method == "greedy":
-        dec = dc.greedy_decompose(a)
+    if args.method == dc.METHOD_ORACLE:
+        dec = gm.numeric_gamma_plus_oracle(a, restarts=args.restarts, seed=args.seed)
     else:
-        dec = gm.numeric_gamma_plus_oracle(
-            a, restarts=args.restarts, seed=args.seed)
+        dec = dc.STRATEGIES[args.method](a)
     if dc.below_lower_bound(dec.cost, norm_l11(a)):
         raise ReconstructionError(f"{dec.method} certificate cost {dec.cost!r} is below "
                                   f"the lower bound {norm_l11(a)!r}")
@@ -148,7 +142,7 @@ def cmd_reduce(args) -> int:
             f"({recomputed!r})"
         )
     if not vectors:  # the zero matrix's family is within every cap: pass it back
-        empty = dc.RankOneDecomposition(0, (), recomputed, method)
+        empty = dc.RankOneDecomposition(0, stack_family(vectors, 0), recomputed, method)
         _emit(jsonio.dumps(jsonio.decomposition_to_obj(empty)), args.out)
         return EXIT_OK
     target = reconstruct(vectors)
@@ -229,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("decompose", "rank-one decomposition by one strategy", *matrix)
     p.add_argument("--method", required=True,
-                   choices=("ldl", "eigen", "dd", "greedy", "oracle"))
+                   choices=(*dc.STRATEGIES, dc.METHOD_ORACLE))
     p.add_argument("--restarts", type=_int_from(1), default=gm.ORACLE_RESTARTS,
                    help="oracle starts; greedy is deterministic and does not read it")
     p.add_argument("--seed", type=_int_from(0), default=0,

@@ -4,6 +4,8 @@ Every strategy returns a RankOneDecomposition whose cost sum_k ||g_k||_1^2
 upper-bounds the optimal value for its target matrix; the closed forms
 (diagonally dominant, 2x2 LDL) attain it exactly. Greedy is the cheapest LDL
 pivot order, found by a dynamic program over sets of eliminated pivots.
+STRATEGIES maps each name to its builder. Every family, from its producer
+to its record, is one read-only (r, n) complex128 stack (stack_family).
 """
 
 from __future__ import annotations
@@ -68,12 +70,11 @@ def decomposition_cost(vectors) -> float:
     return float(sum(l1 ** 2 for l1 in _row_l1(vectors)))
 
 
-def _kept_family(target: HermitianMatrix, vectors) -> tuple[np.ndarray, float]:
-    """(kept, cost): the family stacked once (see stack_family), less its
-    rows with ||v||_1^2 at or below NULL_TOL * target.scale(), as one
-    read-only copy, and the cost of those kept rows. One row sum gives both."""
-    stack = stack_family(vectors, target.n)
-    floor = NULL_TOL * target.scale()
+def _kept_family(stack: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+    """(kept, cost): the rows of an (r, n) stack with ||v||_1^2 above floor,
+    as one read-only copy, and their cost. One row sum gives both."""
+    if not len(stack):  # stack_family made it, so it needs no copy
+        return _readonly(stack), 0.0
     squares = [l1 ** 2 for l1 in _row_l1(stack)]
     keep = [sq > floor for sq in squares]
     cost = float(sum(sq for sq, k in zip(squares, keep) if k))
@@ -90,43 +91,42 @@ def below_lower_bound(cost: float, lower: float) -> bool:
     return cost < lower * (1.0 - 1e-12)
 
 
-def _lex_key(dec) -> tuple:
-    return tuple((float(z.real), float(z.imag)) for v in dec.vectors for z in v)
-
-
 def cheapest_family(decs) -> "RankOneDecomposition":
     """The built decomposition of least cost, as its check computed it;
-    equal costs go to the smaller vectors in lexicographic order (keyed only
-    for the tied), so the pick ignores input order."""
+    equal costs go to the smaller (Re, Im) entries in lexicographic order
+    (keyed only for the tied), so the pick ignores input order."""
     low = min(dec.cost for dec in decs)
     tied = [dec for dec in decs if dec.cost == low]
-    return tied[0] if len(tied) == 1 else min(tied, key=_lex_key)
+    return tied[0] if len(tied) == 1 else min(
+        tied, key=lambda dec: dec.vectors.view(np.float64).ravel().tolist())
 
 
 def _checked_family(target: HermitianMatrix, label: str, positive, negative=()):
-    """(positive, negative, cost) less null rows (_kept_family), checked by
-    one verify_reconstruction call: the one check of both builds. A miss
-    raises ReconstructionError naming `label`."""
-    pos, cost = _kept_family(target, positive)
-    neg, neg_cost = _kept_family(target, negative) if len(negative) else ((), 0.0)
+    """(positive, negative, cost): each side stacked once, less its rows with
+    ||v||_1^2 at or below NULL_TOL * target.scale(), checked by one
+    verify_reconstruction call: the one check of both builds. A miss raises
+    ReconstructionError naming `label`."""
+    floor = NULL_TOL * target.scale()
+    pos, cost = _kept_family(stack_family(positive, target.n), floor)
+    neg, neg_cost = _kept_family(stack_family(negative, target.n), floor)
     report = verify_reconstruction(target, pos, negative=neg)
     if not report.ok:
         raise ReconstructionError(
             f"{label} decomposition misses target by {report.max_residual:.3e} "
             f"(tol {report.tol:.3e})"
         )
-    return tuple(pos), tuple(neg), cost + neg_cost
+    return pos, neg, cost + neg_cost
 
 
 @dataclass(frozen=True)
 class RankOneDecomposition:
     """Vectors g_k with A = sum g_k g_k* and cost = sum ||g_k||_1^2.
 
-    `vectors` holds the rows of one read-only, C-contiguous (r, n) complex
-    array: the family is stored once, as one stack."""
+    `vectors` is the family: one read-only, C-contiguous (r, n) complex128
+    array, the rows that the check kept."""
 
     target_n: int
-    vectors: tuple
+    vectors: np.ndarray
     cost: float
     method: str
 
@@ -236,8 +236,8 @@ def numerical_rank(a: HermitianMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _best_pivot_order_ldl(a: HermitianMatrix) -> list[np.ndarray]:
-    """The vectors of the cheapest LDL pivot order found.
+def _best_pivot_order_ldl(a: HermitianMatrix) -> np.ndarray:
+    """The vectors of the cheapest LDL pivot order found, as one (r, n) family.
 
     An LDL step on pivot i of the Schur complement W costs
     ||W[:, i]||_1^2 / W_ii, and W depends only on the set S of pivots
@@ -261,7 +261,8 @@ def _best_pivot_order_ldl(a: HermitianMatrix) -> list[np.ndarray]:
     w = a.entries[None].copy()         # (sets, n, n)
     cost = np.zeros(1)
     sets = np.zeros((1, word[-1] + 1), dtype=np.uint64)
-    steps = []                         # per layer: parent and vector of each set
+    vectors = np.empty((n, PIVOT_SEARCH_STATES, n), dtype=np.complex128)  # per layer and set
+    parents = []
     best, best_at = np.inf, (0, 0)
     for layer in range(n + 1):
         diag = w[:, idx, idx].real
@@ -291,15 +292,15 @@ def _best_pivot_order_ldl(a: HermitianMatrix) -> list[np.ndarray]:
         keep = cheapest[np.argsort(child_cost[cheapest], kind="stable")[:PIVOT_SEARCH_STATES]]
         p = parent[keep]
         w = w[p]
-        v = ldl_step(w, pivot[keep], pivots[keep])
+        vectors[layer, :p.size] = ldl_step(w, pivot[keep], pivots[keep])
         cost, sets = child_cost[keep], child[keep]
-        steps.append((p, v))
+        parents.append(p)
     layer, j = best_at
-    vectors = []
-    for p, v in reversed(steps[:layer]):
-        vectors.append(v[j])
+    rows = []
+    for p in reversed(parents[:layer]):
+        rows.append(j)
         j = p[j]
-    return vectors[::-1]
+    return vectors[np.arange(layer), rows[::-1]]
 
 
 def _greedy_run(*args, **kwargs):
@@ -313,12 +314,13 @@ def _refine_direction(*args, **kwargs):
     raise NotImplementedError("greedy's peel step is retired")
 
 
-def greedy_decompose(a: HermitianMatrix, *,
-                     ldl: RankOneDecomposition | None = None) -> RankOneDecomposition:
+def greedy_decompose(a: HermitianMatrix, *, ldl: RankOneDecomposition
+                     | ReconstructionError | None = None) -> RankOneDecomposition:
     """The cheaper of natural-order LDL and the best LDL pivot order.
 
-    Builds natural-order LDL (or takes `ldl`, A's ldl_decompose result),
-    then _best_pivot_order_ldl's order, the cheapest of all for n <= 8.
+    Builds natural-order LDL (or takes `ldl`: A's ldl_decompose result, or
+    the ReconstructionError it raised), then _best_pivot_order_ldl's order,
+    the cheapest of all for n <= 8.
     Both read only |.| of A and its Schur complements, so the families of
     D A D* (D diagonal with unit phases) are those of A with each v mapped
     to D v, at the same costs to rounding. A family is dropped when
@@ -340,13 +342,19 @@ def greedy_decompose(a: HermitianMatrix, *,
             dec = build()
         except ReconstructionError:
             continue
-        if not below_lower_bound(dec.cost, lower):
-            if at_lower_bound(dec.cost, lower):
-                return replace(dec, method=METHOD_GREEDY)
-            complete.append(dec)
+        if isinstance(dec, ReconstructionError) or below_lower_bound(dec.cost, lower):
+            continue
+        if at_lower_bound(dec.cost, lower):
+            return replace(dec, method=METHOD_GREEDY)
+        complete.append(dec)
     if not complete:
         raise ReconstructionError("no greedy family reconstructs A at or above ||A||_1,1")
     return replace(cheapest_family(complete), method=METHOD_GREEDY)
+
+
+# The builder of each strategy but the oracle (gamma), in the CLI's order.
+STRATEGIES = {METHOD_LDL: ldl_decompose, METHOD_EIGEN: eigen_decompose,
+              METHOD_DD: dd_decompose, METHOD_GREEDY: greedy_decompose}
 
 
 # ---------------------------------------------------------------------------
@@ -354,33 +362,22 @@ def greedy_decompose(a: HermitianMatrix, *,
 # ---------------------------------------------------------------------------
 
 
-def _vec_real(x: np.ndarray) -> np.ndarray:
-    """Real coordinates of xx* in the Hermitian matrix space (n^2 numbers)."""
-    outer = np.outer(x, x.conj())
-    n = x.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.concatenate([
-        np.diagonal(outer).real,
-        outer[iu].real,
-        outer[iu].imag,
-    ])
-
-
 def caratheodory_reduce(weights, unit_vectors):
     """Rewrite sum w_k x_k x_k* with at most n^2 + 1 terms.
 
-    Weights stay positive and keep their exact total; the represented matrix
-    is unchanged. Unit l1 norms and a total weight of at most 1 are checked
-    to 1e-9. Each pass solves the homogeneous system built from the
-    real coordinates of x_k x_k* plus a row of ones, then shifts the weights
-    along the null direction until the first one vanishes.
+    Returns the weights and the (r, n) family of their vectors, positive
+    and of unchanged total and matrix. Unit l1 norms and a total weight of
+    at most 1 are checked to 1e-9. The homogeneous system, a column of the
+    real coordinates of x_k x_k* and a one per term, is built once; each
+    pass solves it, shifts the weights along the null direction until the
+    first one vanishes, and drops the columns of the vanished terms.
     """
     tol = 1e-9
     w = np.asarray(weights, dtype=float).copy()
     if w.ndim != 1 or len(unit_vectors) != w.shape[0]:
         raise DimensionMismatchError("one weight per vector required")
     if w.size == 0:
-        return w, []
+        return w, np.empty((0, 0), dtype=np.complex128)
     xs = stack_family(unit_vectors)
     for l1 in _row_l1(xs):
         if abs(l1 - 1.0) > tol:
@@ -389,9 +386,12 @@ def caratheodory_reduce(weights, unit_vectors):
         raise NormalizationError("weights must be strictly positive")
     if float(w.sum()) > 1.0 + tol:
         raise NormalizationError(f"total weight {w.sum():.12g} exceeds 1")
-    cap = xs.shape[1] ** 2 + 1
-    while w.size > cap:
-        phi = np.stack([np.append(_vec_real(x), 1.0) for x in xs], axis=1)
+    n = xs.shape[1]
+    i, j = np.triu_indices(n, k=1)
+    outer = xs[:, :, None] * xs[:, None, :].conj()
+    phi = np.concatenate([outer[:, range(n), range(n)].real, outer[:, i, j].real,
+                          outer[:, i, j].imag, np.ones((len(xs), 1))], axis=1).T
+    while w.size > n * n + 1:
         _, svals, vt = np.linalg.svd(phi, full_matrices=True)
         lam = vt[-1]
         resid = float(np.linalg.norm(phi @ lam))
@@ -413,23 +413,19 @@ def caratheodory_reduce(weights, unit_vectors):
         w = w - step * lam
         w[drop] = 0.0
         keep = np.flatnonzero(w > 1e-15 * max(1.0, float(w.max())))
-        w = w[keep]
-        xs = xs[keep]
-    return w, list(xs)
+        w, xs, phi = w[keep], xs[keep], phi[:, keep]
+    return w, xs
 
 
 def reduce_decomposition(dec: RankOneDecomposition,
                          target: HermitianMatrix) -> RankOneDecomposition:
     """Caratheodory-reduce a decomposition to at most n^2 + 1 terms."""
-    cap = dec.target_n ** 2 + 1
-    if len(dec.vectors) <= cap:
+    if len(dec.vectors) <= dec.target_n ** 2 + 1:
         return dec
-    total = dec.cost
     l1 = _row_l1(dec.vectors)
-    w2, xs2 = caratheodory_reduce([x ** 2 / total for x in l1],
-                                  [v / x for v, x in zip(dec.vectors, l1)])
-    vectors = [np.sqrt(total * wk) * xk for wk, xk in zip(w2, xs2)]
-    return RankOneDecomposition.build(target, vectors, dec.method)
+    w, xs = caratheodory_reduce([x ** 2 / dec.cost for x in l1],
+                                dec.vectors / np.array(l1)[:, None])
+    return RankOneDecomposition.build(target, np.sqrt(dec.cost * w)[:, None] * xs, dec.method)
 
 
 # ---------------------------------------------------------------------------

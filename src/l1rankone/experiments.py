@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import eigen_decompose, greedy_decompose, ldl_decompose
+from .decompose import STRATEGIES
 from .errors import EigenFailureError, InsufficientDataError
 from .hermitian import HermitianMatrix, ingest_matrix, norm_l11
 
@@ -119,16 +119,6 @@ class ExperimentReport:
     fit: FitResult | None
 
 
-def _method_cost(a: HermitianMatrix, method: str) -> float:
-    if method == "ldl":
-        return ldl_decompose(a).cost
-    if method == "eigen":
-        return eigen_decompose(a).cost
-    if method == "greedy":
-        return greedy_decompose(a).cost
-    raise ValueError(f"unknown method {method!r}")
-
-
 def run_ensemble(config: EnsembleConfig) -> ExperimentReport:
     """Worst-case ratio curves over the seeded ensemble; rows are ordered by
     (dim, realization, method) so output is schedule-independent."""
@@ -142,7 +132,7 @@ def run_ensemble(config: EnsembleConfig) -> ExperimentReport:
             den = norm_l11(a)
             for j, method in enumerate(config.methods):
                 try:
-                    ratio = _method_cost(a, method) / den
+                    ratio = STRATEGIES[method](a).cost / den
                 except EigenFailureError as exc:
                     raise EigenFailureError(
                         f"eigensolver failed at dim {n}, realization {r}: {exc}"

@@ -38,6 +38,7 @@ from .decompose import (
     TIE_TOL,
     RankOneDecomposition,
     _checked_family,
+    _row_l1,
     at_lower_bound,
     below_lower_bound,
     cheapest_family,
@@ -47,7 +48,6 @@ from .decompose import (
     is_diagonally_dominant,
     ldl_decompose,
     numerical_rank,
-    vector_l1,
 )
 from .errors import BudgetExceededError, NotPSDError, ReconstructionError
 from .hermitian import (
@@ -79,11 +79,11 @@ EFFORT_THOROUGH = "thorough"
 @dataclass(frozen=True)
 class SignedDecomposition:
     """A = sum g g* - sum h h* with cost = sum ||g||_1^2 + sum ||h||_1^2;
-    each side holds the rows of one read-only (r, n) stack."""
+    each side is one read-only, C-contiguous (r, n) complex128 family."""
 
     target_n: int
-    positive: tuple
-    negative: tuple
+    positive: np.ndarray
+    negative: np.ndarray
     cost: float
 
     @classmethod
@@ -141,16 +141,12 @@ def gamma_exact(a: HermitianMatrix) -> float:
 
 
 def gamma_exact_certificate(a: HermitianMatrix):
-    """Mixed pairs (g_i, h_i) with A = sum g_i h_i* attaining gamma(A):
-    column i against the i-th standard basis vector."""
-    pairs = []
-    for i in range(a.n):
-        col = np.array(a.entries[:, i])
-        if np.any(col != 0.0):
-            h = np.zeros(a.n, dtype=np.complex128)
-            h[i] = 1.0
-            pairs.append((col, h))
-    return pairs
+    """(G, H), two (r, n) stacks with A = sum_i g_i h_i* attaining gamma(A):
+    row i of G is the i-th nonzero column of A, row i of H the standard
+    basis vector of its index."""
+    cols = np.flatnonzero((a.entries != 0.0).any(axis=0))
+    return (np.ascontiguousarray(a.entries.T[cols]),
+            np.eye(a.n, dtype=np.complex128)[cols])
 
 
 def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
@@ -167,9 +163,10 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     so no later strategy could replace it. The report lists the strategies
     left out in `skipped`; a strategy whose check fails is dropped from
     both, and only a bracket left with none raises. Greedy reuses the ldl
-    certificate built here, and the oracle starts from the greedy and ldl
-    certificates. Scaled eigenvectors never set the upper bound on the
-    seeded bracket streams, so they are not a candidate."""
+    outcome (its certificate, or the ReconstructionError of its check), and
+    the oracle starts from the greedy and ldl certificates. Scaled
+    eigenvectors never set the upper bound on the seeded bracket streams,
+    so they are not a candidate."""
     if not is_psd(a):
         raise NotPSDError("gamma_plus is defined on PSD matrices only")
     lower = norm_l11(a)
@@ -177,8 +174,8 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     if is_diagonally_dominant(a)[0]:
         strategies.append((METHOD_DD, dd_decompose))
     strategies.append((METHOD_GREEDY,
-                       lambda m: greedy_decompose(m, ldl=dict(named).get(METHOD_LDL))))
-    named, skipped = [], ()
+                       lambda m: greedy_decompose(m, ldl=outcomes[METHOD_LDL])))
+    named, outcomes, skipped = [], {}, ()
     if effort == EFFORT_THOROUGH and a.n <= 4:
         # Greedy, then ldl, as kept; dd never gets here (it sits on the bound).
         strategies.append((METHOD_ORACLE, lambda m: numeric_gamma_plus_oracle(
@@ -186,9 +183,11 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
             warm=[dec for _, dec in reversed(named)])))
     for k, (name, strategy) in enumerate(strategies):
         try:
-            named.append((name, strategy(a)))
-        except ReconstructionError:
+            outcomes[name] = strategy(a)
+        except ReconstructionError as exc:
+            outcomes[name] = exc
             continue
+        named.append((name, outcomes[name]))
         if at_lower_bound(_cheapest(named).cost, lower):
             skipped = tuple(later for later, _ in strategies[k + 1:])
             break
@@ -202,14 +201,10 @@ def _half_sum_signed(a: HermitianMatrix) -> SignedDecomposition:
 
     Rescale each pair to equal l1 mass, then split into half-sum and
     half-difference; the cost never exceeds 2 gamma(A)."""
-    pos, neg = [], []
-    for col, h in gamma_exact_certificate(a):
-        r = vector_l1(col)
-        g = col / np.sqrt(r)
-        hh = np.sqrt(r) * h
-        pos.append((g + hh) / 2.0)
-        neg.append((g - hh) / 2.0)
-    return SignedDecomposition.build(a, pos, neg)
+    g, h = gamma_exact_certificate(a)
+    root = np.sqrt(_row_l1(g))[:, None]
+    g, h = g / root, root * h
+    return SignedDecomposition.build(a, (g + h) / 2.0, (g - h) / 2.0)
 
 
 def _eigen_split_signed(a: HermitianMatrix, effort: str, seed: int,
@@ -588,11 +583,11 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
     if warm is None:
         try:
             ldl = ldl_decompose(a)
-        except ReconstructionError:  # dropped, as greedy drops it
-            ldl = None
+        except ReconstructionError as exc:  # dropped, as greedy drops it
+            ldl = exc
         warm = (greedy_decompose(a, ldl=ldl), ldl)
     warm = [dec for dec in (*warm, eigen_decompose(a))
-            if dec is not None and not below_lower_bound(dec.cost, lower)]
+            if isinstance(dec, RankOneDecomposition) and not below_lower_bound(dec.cost, lower)]
 
     # Exact starts join the pool as they are, so the result is never worse
     # than one. When one already sits on the lower bound ||A||_1,1 the
@@ -609,7 +604,7 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
             x = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
             if r < len(warm):
                 x *= 1e-3 / np.sqrt(m)
-                start = np.array(warm[r].vectors[:m])
+                start = warm[r].vectors[:m]
                 x[:len(start)] += start @ vecs.conj() / np.sqrt(lam)
             starts.append(x.view(np.float64).ravel())
         lt = (vecs * np.sqrt(lam)).T

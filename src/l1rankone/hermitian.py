@@ -219,14 +219,14 @@ def ldl_step(w: np.ndarray, i, d) -> np.ndarray:
     return v
 
 
-def ldl_factor(a: HermitianMatrix) -> list[np.ndarray]:
+def ldl_factor(a: HermitianMatrix) -> np.ndarray:
     """Lagrangian (LDL-style) rank-one elimination in natural pivot order.
 
     Returns vectors v_k, each zero on positions before its pivot, with
-    sum_k v_k v_k* = A: the read-only rows of one (r, n) array. Where
-    LAPACK's Cholesky (zpotrf) succeeds with finite entries and every
-    |L_kk|^2 above pivot_cut(a), every pivot is taken and v_k is column k of
-    L, so the rows of L^T are returned. Otherwise NotPSDError is raised
+    sum_k v_k v_k* = A: the rows of one read-only (r, n) family (see
+    stack_family). Where LAPACK's Cholesky (zpotrf) succeeds with finite
+    entries and every |L_kk|^2 above pivot_cut(a), every pivot is taken and
+    v_k is column k of L, so L^T is returned. Otherwise NotPSDError is raised
     unless is_psd(a), the one PSD test, holds; then each pivot runs through
     ldl_step, and one at or below the cut counts as vanished: it emits no
     vector and its row and column are zeroed.
@@ -237,24 +237,25 @@ def ldl_factor(a: HermitianMatrix) -> list[np.ndarray]:
     except np.linalg.LinAlgError:
         low = None
     if low is not None and np.isfinite(low).all() and (low.diagonal().real ** 2 > tol_p).all():
-        return list(_readonly(np.ascontiguousarray(low.T)))
+        return _readonly(np.ascontiguousarray(low.T))
     if not is_psd(a):
         raise NotPSDError(f"smallest eigenvalue {a.eigensystem.eigenvalues[0]:.3e} is negative")
     w = a.entries[None].copy()
-    out = []
+    out = [np.empty((0, a.n), dtype=np.complex128)]
     for k in range(a.n):
         d = w[0, k, k].real
         if d > tol_p:
             out.append(ldl_step(w, k, d))
         else:
             w[0, k] = w[0, :, k] = 0.0
-    return list(_readonly(np.concatenate(out))) if out else []
+    return _readonly(np.concatenate(out))
 
 
 def stack_family(vectors, n: int | None = None) -> np.ndarray:
-    """A family of vectors as one C-contiguous (r, n) complex array (such an
-    array comes back as it is). Raises DimensionMismatchError unless every
-    vector is 1-D of one length, n when given; an empty family needs n."""
+    """A family as one C-contiguous (r, n) complex128 array, the one family
+    format (such an array comes back as it is). Raises DimensionMismatchError
+    unless every vector is 1-D of one length, n when given; an empty family
+    needs n."""
     if len(vectors) == 0:
         if n is None:
             raise DimensionMismatchError("cannot reconstruct from zero vectors")

@@ -3,6 +3,7 @@
 Matrix:        {"n": int, "entries": [[entry, ...], ...]} where entry is
                [re, im] or a plain number for real input.
 Decomposition: {"method": str, "cost": float, "vectors": [[entry, ...], ...]}
+               written from the family's (r, n) stack in one step.
 Gamma report:  {"functional": ..., "lower": ..., "upper": ..., "certified":
                ..., "per_method": {...}, "skipped": [...], "decomposition": {...}}
                per_method holds the strategies that ran and passed their
@@ -36,10 +37,6 @@ def _entry_to_complex(entry) -> complex:
     raise ValueError(f"matrix entry must be a number or [re, im], got {entry!r}")
 
 
-def _complex_to_entry(z: complex):
-    return [float(z.real), float(z.imag)]
-
-
 def matrix_from_obj(obj, hermitian_tol: float = HERMITIAN_TOL) -> HermitianMatrix:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
@@ -69,7 +66,9 @@ def vectors_from_obj(obj) -> list:
 
 
 def vectors_to_obj(vectors) -> list:
-    return [[_complex_to_entry(z) for z in np.asarray(v)] for v in vectors]
+    """[[[re, im], ...], ...]: one tolist of the family's (r, n, 2) float view."""
+    stack = np.ascontiguousarray(vectors, dtype=np.complex128)
+    return stack.view(np.float64).reshape(*stack.shape, 2).tolist()
 
 
 def decomposition_from_obj(obj) -> tuple:

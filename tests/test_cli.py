@@ -456,7 +456,27 @@ class TestThinAdapter:
         assert out == lib
 
 
+def _vectors_to_obj_reference(vectors) -> list:
+    """The per-entry encoder that jsonio.vectors_to_obj replaced."""
+    return [[[float(z.real), float(z.imag)] for z in np.asarray(v)] for v in vectors]
+
+
 class TestJsonFormats:
+    def test_vectors_to_obj_matches_per_entry_encoder(self):
+        from l1rankone import decompose as dc, jsonio
+        tiny = np.nextafter(0.0, 1.0)  # the least subnormal
+        family = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0), complex(tiny, -tiny)],
+                           [complex(-1e-310, 2.5e-308), complex(-1e300, 1.0 / 3.0), 1 + 2j]])
+        frozen = dc.ldl_decompose(jsonio.matrix_from_obj(A_2X2)).vectors
+        for vectors in (family, family[::-1], family[:0], np.empty((0, 3), dtype=complex),
+                        frozen, list(family)):
+            got, want = jsonio.vectors_to_obj(vectors), _vectors_to_obj_reference(vectors)
+            assert got == want
+            # Equal lists can differ in the sign of a zero; their JSON cannot.
+            assert json.dumps(got) == json.dumps(want)
+        assert json.dumps(jsonio.vectors_to_obj(family[:1])) == \
+            "[[[-0.0, 0.0], [0.0, -0.0], [5e-324, -5e-324]]]"
+
     def test_matrix_from_obj(self):
         from l1rankone import jsonio
         obj = {"n": 2, "entries": [[2, [1.5, -0.25]], [[1.5, 0.25], 3.0]]}

@@ -348,6 +348,58 @@ class TestBatchedParity:
         assert dc.decomposition_cost([np.array([x]), np.array([-x])]) == x ** 2 + x ** 2
 
 
+def _assert_family(family, n, frozen=True):
+    """An (r, n) complex128 stack; a frozen one is also C-contiguous and
+    read-only, as every record holds its family."""
+    assert isinstance(family, np.ndarray) and family.dtype == np.complex128
+    assert family.ndim == 2 and family.shape[1] == n
+    if frozen:
+        assert family.flags.c_contiguous and not family.flags.writeable
+
+
+class TestFamilyFormat:
+    """One family format from producer to record, the empty family included:
+    the zero matrix's decompositions have no vectors."""
+
+    CASES = {"dd": random_dd(np.random.default_rng(5), 3),
+             "2x2": random_dd(np.random.default_rng(6), 2, complex_off=False),
+             "zero": hermitian(np.zeros((3, 3)))}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_records_and_producers(self, case):
+        a = self.CASES[case]
+        _assert_family(lr.ldl_factor(a), a.n)
+        _assert_family(dc._best_pivot_order_ldl(a), a.n, frozen=False)
+        for build in dc.STRATEGIES.values():
+            _assert_family(build(a).vectors, a.n)
+        _assert_family(lr.numeric_gamma_plus_oracle(a, restarts=2).vectors, a.n)
+        _assert_family(dc.RankOneDecomposition.build(
+            a, list(lr.ldl_factor(a)), "external").vectors, a.n)
+        g, h = lr.gamma.gamma_exact_certificate(a)
+        _assert_family(g, a.n, frozen=False)
+        _assert_family(h, a.n, frozen=False)
+        assert len(g) == len(h) == (0 if case == "zero" else a.n)
+        for sd in (lr.gamma._half_sum_signed(a),
+                   lr.gamma._eigen_split_signed(a, "fast", 0, 1)):  # empty negative side
+            _assert_family(sd.positive, a.n)
+            _assert_family(sd.negative, a.n)
+
+    def test_reduce(self, rng):
+        vectors = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+        target = lr.reconstruct(vectors)
+        dec = dc.RankOneDecomposition.build(target, vectors, "external")
+        _assert_family(dec.vectors, 2)
+        reduced = dc.reduce_decomposition(dec, target)
+        assert len(reduced.vectors) <= 5
+        _assert_family(reduced.vectors, 2)
+        w, xs = dc.caratheodory_reduce([1 / 9] * 9, vectors / np.abs(vectors).sum(axis=1)[:, None])
+        assert len(w) == len(xs) <= 5
+        _assert_family(xs, 2, frozen=False)
+        w, xs = dc.caratheodory_reduce([], [])
+        assert w.shape == (0,)
+        _assert_family(xs, 0, frozen=False)
+
+
 class TestCaratheodory:
     def test_short_input_unchanged(self):
         xs = [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex),

@@ -30,7 +30,7 @@ class TestGammaExact:
         a = random_hermitian(rng, 4)
         rec = np.zeros((4, 4), dtype=complex)
         cost = 0.0
-        for g, h in gm.gamma_exact_certificate(a):
+        for g, h in zip(*gm.gamma_exact_certificate(a)):
             rec += np.outer(g, h.conj())
             cost += np.abs(g).sum() * np.abs(h).sum()
         assert np.abs(rec - a.entries).max() <= 1e-12
@@ -56,7 +56,7 @@ class TestSignedBuild:
         neg = [np.array([0.0, 1.0], dtype=np.complex128)]
         sd = gm.SignedDecomposition.build(hermitian([[4, 2], [2, 0]]), pos, neg)
         assert pos[0].flags.writeable and neg[0].flags.writeable
-        assert not any(v.flags.writeable for v in sd.positive + sd.negative)
+        assert not any(v.flags.writeable for v in (*sd.positive, *sd.negative))
         np.testing.assert_array_equal(sd.positive[0], pos[0])
 
 
@@ -273,6 +273,17 @@ class TestBracketHolds:
         assert report.best.method == dc.METHOD_GREEDY
         assert lr.verify_reconstruction(a, report.best.vectors).ok
         _assert_bracket_holds(gm.gamma0_bounds(a))
+
+    def test_dropped_ldl_is_factored_once(self, monkeypatch):
+        """The bracket hands greedy the ReconstructionError of the ldl it
+        dropped, so natural-order LDL is factored and checked once."""
+        a = lr.ingest_matrix(rounding_growth_gram(4, 3, 1370))
+        calls = []
+        factor = dc.ldl_factor
+        monkeypatch.setattr(dc, "ldl_factor", lambda m: calls.append(m) or factor(m))
+        report = gm.gamma_plus_bounds(a)
+        assert len(calls) == 1
+        assert report.per_method == {"greedy": 36.642314090608615}
 
 
 @st.composite

@@ -31,6 +31,11 @@ the library comes from --repo's src/. Lines:
     decompose-notpsd  `decompose` exit code (3: not PSD, decided by
                     is_psd alone) and stdout: --method ldl, greedy and
                     eigen on the indefinite inputs of the same range
+    reduce          `reduce` exit code and stdout on 40 over-long families
+                    made here: family s (s = 0..39) has n = 2 + s % 4 and
+                    n^2 + 4 + 3s complex Gaussian vectors of default_rng(s)
+    gamma-zero      `gamma --functional zero` exit code and stdout on the
+                    indefinite inputs of bracket seeds 1 and 2, ops 0-199
     experiment      the CSV of each EXPERIMENTS command
     ensemble-vectors  cost and certificate vector bytes of ldl_decompose and
                     eigen_decompose on random_psd(n, seed), n in 8, 16, 32,
@@ -85,6 +90,8 @@ THOROUGH_STREAMS = (("thorough", (1, 2), 120, "perfbench"),
                     ("thorough-restarts", (1,), 21, "default"))
 DECOMPOSE_OPS = 60  # bracket seed 1
 ORACLE_OPS = 14     # thorough seed 1
+REDUCE_FAMILIES = 40
+GAMMA_ZERO_SEEDS, GAMMA_ZERO_OPS = (1, 2), 200  # bracket
 ENSEMBLE_DIMS = (8, 16, 32, 64)
 ENSEMBLE_SEEDS = range(30)
 EXPERIMENTS = (
@@ -155,12 +162,17 @@ def thorough_records(wl, seed: int, ops: int, starts: str,
         yield f"{index} {code}\n".encode() + stdout
 
 
-def decompose_run(cli, inp, method: str) -> bytes:
-    """`decompose --method METHOD` on inp: its index, method, exit code, stdout."""
+def cli_run(cli, head: str, *argv: str) -> bytes:
+    """The CLI run in process on argv: head, the exit code, then stdout."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(["decompose", inp.path, "--method", method])
-    return f"{inp.index} {method} {code}\n".encode() + out.getvalue().encode()
+        code = cli.main(list(argv))
+    return f"{head} {code}\n".encode() + out.getvalue().encode()
+
+
+def decompose_run(cli, inp, method: str) -> bytes:
+    """`decompose --method METHOD` on inp: its index, method, exit code, stdout."""
+    return cli_run(cli, f"{inp.index} {method}", "decompose", inp.path, "--method", method)
 
 
 def decompose_records(wl, cli, workdir: str):
@@ -182,6 +194,29 @@ def decompose_notpsd_records(wl, cli, workdir: str):
             inp = wl.write_matrix(inp, workdir)
             for method in ("ldl", "greedy", "eigen"):
                 yield decompose_run(cli, inp, method)
+
+
+def reduce_records(cli, workdir: str):
+    path = os.path.join(workdir, "family.json")
+    for s in range(REDUCE_FAMILIES):
+        rng = np.random.default_rng(s)
+        n = 2 + s % 4
+        shape = (n * n + 4 + 3 * s, n)
+        family = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"method": "external",
+                       "cost": float(sum(float(np.abs(v).sum()) ** 2 for v in family)),
+                       "vectors": [[[z.real, z.imag] for z in v] for v in family.tolist()]}, fh)
+        yield cli_run(cli, str(s), "reduce", path)
+
+
+def gamma_zero_records(wl, cli, workdir: str):
+    for seed in GAMMA_ZERO_SEEDS:
+        for index in range(GAMMA_ZERO_OPS):
+            inp = wl.make_input("bracket", seed, index)
+            if inp.kind == "indefinite":
+                yield cli_run(cli, f"{seed} {index}", "gamma",
+                              wl.write_matrix(inp, workdir).path, "--functional", "zero")
 
 
 def ensemble_decompositions(lr):
@@ -420,6 +455,8 @@ def main(argv=None) -> int:
                 print(f"{stream:15} seed={seed} {digest(records)}")
         print(f"decompose       seed=1 {digest(decompose_records(wl, cli, workdir))}")
         print(f"decompose-notpsd seed=1 {digest(decompose_notpsd_records(wl, cli, workdir))}")
+        print(f"reduce          families={REDUCE_FAMILIES} {digest(reduce_records(cli, workdir))}")
+        print(f"gamma-zero      seeds=1,2 {digest(gamma_zero_records(wl, cli, workdir))}")
         for exp in EXPERIMENTS:
             print(f"experiment      {' '.join(exp)} "
                   f"{digest([experiment_csv(cli, exp, workdir)])}")
