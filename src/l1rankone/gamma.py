@@ -65,7 +65,7 @@ LBFGS_MEMORY = 10          # (s, y) pairs per L-BFGS row
 LBFGS_MAXITER = 150        # iterations per row and call of minimize
 LBFGS_FTOL = 1e-14         # relative decrease below which a row stops
 LBFGS_GTOL = 1e-10         # max |gradient| at which a row stops
-WOLFE_C1, WOLFE_C2 = 1e-3, 0.9  # sufficient decrease and curvature, as in L-BFGS-B
+WOLFE_C1, WOLFE_C2 = 1e-3, 0.9  # weak Wolfe decrease and curvature, as Lewis and Overton use
 LINE_SEARCH_EVALS = 20     # trials per line search
 EPS = float(np.finfo(float).eps)
 
@@ -313,69 +313,51 @@ def _cubic_step(a, fa, sa, b, fb, sb):
 
 
 def _line_search(fun, args, x, f0, g, d, slope, steps):
-    """Strong-Wolfe line search from each row of x along the same row of d.
+    """Weak-Wolfe line search from each row of x along the same row of d.
 
     slope[j] is g_j . d_j and steps[j] the first trial step of row j. The
     first trials of all rows are one evaluation of fun; most rows stop
-    there. Each other row keeps its own bracket in Python floats: lo, the
-    best step so far with sufficient decrease (0 at first), and hi, a step
-    known to lie past a minimizer; its later trials are evaluated together
-    with those of the other rows still searching. A trial value that is not
-    finite fails the sufficient-decrease test. A row ends at a trial that
-    meets both Wolfe conditions, and at lo when its bracket is within 10 %
-    of its far end, after LINE_SEARCH_EVALS trials, or at once when d is
-    not a descent direction. Returns the new points, values and gradients,
-    and the step each row took (0.0 when it stayed)."""
-    xt = x + np.array(steps)[:, None] * d
-    ft, gt = fun(xt, *args)
-    f_new, st = ft.tolist(), np.vecdot(gt, d).tolist()
-    taken = list(steps)
-    search = [j for j in range(len(f0)) if not (
-        f_new[j] <= f0[j] + WOLFE_C1 * steps[j] * slope[j]
-        and abs(st[j]) <= -WOLFE_C2 * slope[j])]
-    if not search:
-        return xt, f_new, gt, taken
-    lo = {j: (0.0, f0[j], slope[j]) for j in search}
-    hi = dict.fromkeys(search)
-    at = {j: j for j in search}  # row of each search row in the latest evaluation
-    xe, ge, fe = xt, gt, f_new
-    for evals in range(1, LINE_SEARCH_EVALS + 1):
+    there. Each other row keeps its own bracket in Python floats: lo, its
+    largest step so far with sufficient decrease (0 at first), and hi, its
+    smallest step without one (a value that is not finite has none); its
+    later trials are evaluated together with those of the other rows still
+    searching. A row stops at the first trial with sufficient decrease and
+    a slope of at least WOLFE_C2 * slope[j]. Its next trial is 4 lo while it
+    has no hi and _cubic_step between lo and hi after that; it ends at lo
+    after LINE_SEARCH_EVALS trials, and at once when d is not a descent
+    direction. Returns the new points, values and gradients, and the step
+    each row took (0.0 when it stayed)."""
+    lo = [(0.0, f, s) for f, s in zip(f0, slope)]
+    hi = [None] * len(f0)
+    taken, search = list(steps), range(len(f0))
+    xe, de = x + np.array(steps)[:, None] * d, d
+    for evals in range(LINE_SEARCH_EVALS):
+        fe, ge = fun(xe, *args)
+        if not evals:
+            xt, gt = xe, ge
         later = []
-        for j in search:
+        for i, (j, f, s) in enumerate(zip(search, fe.tolist(), np.vecdot(ge, de).tolist())):
             if slope[j] >= 0.0:
                 continue
-            i = at[j]
-            t, f, s = taken[j], fe[i], st[i]
-            if not f <= f0[j] + WOLFE_C1 * t * slope[j] or f >= lo[j][1]:
+            t = taken[j]
+            if not f <= f0[j] + WOLFE_C1 * t * slope[j]:
                 hi[j] = (t, f, s)
             else:
-                if xe is not xt:
-                    xt[j], gt[j] = xe[i], ge[i]
-                if abs(s) <= -WOLFE_C2 * slope[j]:
-                    lo[j] = (t, f, s)
-                    continue
-                if s >= 0.0 if hi[j] is None else s * (hi[j][0] - lo[j][0]) >= 0.0:
-                    hi[j] = lo[j]
                 lo[j] = (t, f, s)
-            if hi[j] is None:
-                taken[j] = 4.0 * t
-            elif lo[j][0] > 0.0 and abs(hi[j][0] - lo[j][0]) <= 0.1 * max(hi[j][0], lo[j][0]):
-                continue
-            else:
-                taken[j] = _cubic_step(*lo[j], *hi[j])
+                if evals:
+                    xt[j], gt[j] = xe[i], ge[i]
+                if s >= WOLFE_C2 * slope[j]:
+                    continue
+            taken[j] = 4.0 * t if hi[j] is None else _cubic_step(*lo[j], *hi[j])
             later.append(j)
-        search = later
-        if not search or evals == LINE_SEARCH_EVALS:
+        if not later:
             break
-        at = {j: i for i, j in enumerate(search)}
-        xe = x[search] + np.array([taken[j] for j in search])[:, None] * d[search]
-        fe, ge = fun(xe, *args)
-        fe, st = fe.tolist(), np.vecdot(ge, d[search]).tolist()
-    for j, (t, f, _) in lo.items():
-        taken[j], f_new[j] = t, f
+        search, de = later, d[later]
+        xe = x[later] + np.array([taken[j] for j in later])[:, None] * de
+    for j, (t, _, _) in enumerate(lo):
         if t == 0.0:
             xt[j], gt[j] = x[j], g[j]
-    return xt, f_new, gt, taken
+    return xt, [f for _, f, _ in lo], gt, [t for t, _, _ in lo]
 
 
 class _PairMemory:
@@ -484,14 +466,15 @@ def minimize(fun, x0, args=()):
     fun(x, *args) maps an (r, d) array of points to their values (r,) and
     gradients (r, d), row by row. Each row runs its own L-BFGS: the inverse
     Hessian from its last LBFGS_MEMORY (s, y) pairs (_PairMemory) and a
-    strong-Wolfe line search (_line_search). As in L-BFGS-B, a pair whose
-    s . y is not positive is skipped, the first step from an empty memory
-    is 1 / ||d||, and a row whose line search fails restarts from steepest
-    descent with an empty memory. A row stops when max |gradient| <=
-    LBFGS_GTOL, when an iteration lowers its value by at most LBFGS_FTOL *
-    max(|f_old|, |f|, 1), after LBFGS_MAXITER iterations, or when a line
-    search from steepest descent fails; a stopped row stays frozen. Returns
-    the final points (R, d)."""
+    weak-Wolfe line search (_line_search), as Lewis and Overton (2013) use
+    for nonsmooth costs; a step meeting both conditions has s . y > 0. As
+    in L-BFGS-B, a pair whose s . y is not positive is skipped, the first
+    step from an empty memory is 1 / ||d||, and a row whose line search
+    fails restarts from steepest descent with an empty memory. A row stops
+    when max |gradient| <= LBFGS_GTOL, when an iteration lowers its value by
+    at most LBFGS_FTOL * max(|f_old|, |f|, 1), after LBFGS_MAXITER
+    iterations, or when a line search from steepest descent fails; a
+    stopped row stays frozen. Returns the final points (R, d)."""
     out = np.array(x0, dtype=float)
     f, g = fun(out, *args)
     rows = [j for j, top in enumerate(np.abs(g).max(axis=1).tolist()) if top > LBFGS_GTOL]

@@ -656,17 +656,38 @@ class TestMinimize:
             np.testing.assert_allclose(x[j], capped(7, x0[j:j + 1])[0], rtol=0.0, atol=1e-12)
             assert fun(capped(8, x0[j:j + 1]))[0][0] < value < fun(capped(6, x0[j:j + 1]))[0][0]
 
-    def test_line_search_meets_strong_wolfe(self):
+    def test_line_search_meets_weak_wolfe(self):
         # From x = 0 towards the minimizer 1 of (x - 1)^2 / 2, step 1.95 has
-        # sufficient decrease but slope 0.95 > 0.9 |slope(0)|: not accepted.
+        # sufficient decrease and slope 0.95 >= 0.9 slope(0): taken, as is the
+        # unit step. Step 0.05 has slope -0.95 < 0.9 slope(0): too short.
         fun = _quadratic(np.eye(1), 1.0)
-        x, d = np.zeros((2, 1)), np.ones((2, 1))
+        x, d = np.zeros((3, 1)), np.ones((3, 1))
         f0, g = fun(x)
         x_new, f_new, g_new, taken = gm._line_search(fun, (), x, f0.tolist(), g, d,
-                                                     [-1.0, -1.0], [1.95, 1.0])
-        assert taken[0] != 1.95 and taken[1] == 1.0
-        assert np.all(np.abs(g_new * d) <= gm.WOLFE_C2)
-        assert f_new[0] <= f0[0] - gm.WOLFE_C1 * taken[0]
+                                                     [-1.0] * 3, [1.95, 1.0, 0.05])
+        assert taken[:2] == [1.95, 1.0] and taken[2] != 0.05
+        np.testing.assert_array_equal(x_new[:, 0], taken)
+        assert np.all(g_new * d >= -gm.WOLFE_C2)
+        assert np.all(np.array(f_new) <= f0 - gm.WOLFE_C1 * np.array(taken))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 8), cond=st.floats(1.0, 1e6), seed=st.integers(0, 2**32 - 1),
+           steps=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+    def test_line_search_ends_on_weak_wolfe_on_quadratics(self, dim, cond, seed, steps):
+        # Along d = -g of an SPD quadratic from any of these first steps, a
+        # point meeting both conditions lies within LINE_SEARCH_EVALS trials.
+        rng = np.random.default_rng(seed)
+        fun = _quadratic(_conditioned(rng, dim, cond), 0.0)
+        x = rng.standard_normal((len(steps), dim))
+        f0, g = fun(x)
+        d = -g
+        slope = np.vecdot(g, d)
+        x_new, f_new, g_new, taken = gm._line_search(fun, (), x, f0.tolist(), g, d,
+                                                     slope.tolist(), steps)
+        taken = np.array(taken)
+        assert np.all(np.array(f_new) <= f0 + gm.WOLFE_C1 * taken * slope)
+        assert np.all(np.vecdot(g_new, d) >= gm.WOLFE_C2 * slope)
+        assert np.all(np.vecdot(x_new - x, g_new - g) > 0.0)
 
     def test_non_finite_trial_stays_in_its_row(self, rng):
         # Beyond the wall x_0 > 0.3 the value is inf and the gradient nan. Row
@@ -710,6 +731,44 @@ class TestMinimize:
         assert np.array_equal(x[0], p)
         assert sum(trials) == gm.LINE_SEARCH_EVALS
         assert np.abs(x[1]).max() < 1e-8
+
+    def test_failed_line_search_restarts_from_steepest_descent(self, rng, monkeypatch):
+        # Row 0's third line search sees only non-finite values. Row 0 leads
+        # every evaluation of a search it is part of (the rows still searching
+        # keep their order), so the block acts on its trials alone.
+        monkeypatch.setattr(gm, "LBFGS_FTOL", 0.0)
+        fun = _quadratic(_conditioned(rng, 6, 1e3), 0.0)
+        x0 = rng.standard_normal((3, 6))
+        solo = [gm.minimize(fun, x0[j:j + 1])[0] for j in (1, 2)]
+        line_search, clear, searches, cleared = gm._line_search, gm._PairMemory.clear, [], []
+
+        def blocked_third(fun, args, x, f0, g, d, slope, steps):
+            searches.append((x.copy(), g.copy(), d.copy(), list(steps)))
+            if len(searches) != 3:
+                return line_search(fun, args, x, f0, g, d, slope, steps)
+
+            def blocked(z, *args):
+                f, grad = fun(z, *args)
+                f[0], grad[0] = np.nan, np.nan
+                return f, grad
+
+            return line_search(blocked, args, x, f0, g, d, slope, steps)
+
+        def counted(memory, j):
+            cleared.append(j)
+            clear(memory, j)
+
+        monkeypatch.setattr(gm, "_line_search", blocked_third)
+        monkeypatch.setattr(gm._PairMemory, "clear", counted)
+        x = gm.minimize(fun, x0)
+        assert cleared == [0]
+        (x3, _, _, _), (x4, g4, d4, steps4) = searches[2], searches[3]
+        np.testing.assert_array_equal(x4[0], x3[0])
+        np.testing.assert_array_equal(d4[0], -g4[0])
+        assert steps4[0] == pytest.approx(1.0 / np.linalg.norm(d4[0]), rel=1e-14)
+        assert np.abs(fun(x[:1])[1]).max() <= gm.LBFGS_GTOL
+        for j in (1, 2):
+            np.testing.assert_allclose(x[j], solo[j - 1], rtol=0.0, atol=1e-10)
 
 
 class TestRestoreFeasibility:

@@ -51,14 +51,16 @@ the largest rise, the certified flags that flipped, the winning strategies
 that changed and the ops whose per_method costs moved (so a strategy that
 never wins still shows), then each stream's mean upper / lower - 1 and, for
 each library, the wall seconds of each thorough stream's CLI calls (one run,
-not a benchmark). It then prints the greedy stream the same way, per input
-kind, lists every op whose greedy family moved, lists every data row of each
-EXPERIMENTS CSV whose ratio moved, prints per (n, method) of the
-ensemble-vectors stream how many costs moved and the largest relative move,
-prints for each library how many fast-bracket uppers move under a
-permutation of the input (the `permuted` line, below), and ends with the
-line total of src/l1rankone/*.py in both checkouts (not in any hash line, so
-equal outputs still hash equal).
+not a benchmark) and the oracle's work on that stream: the batched
+gamma._oracle_objective calls, the rows they evaluate and the
+gamma._line_search calls (exact counts, in no hash line). It then prints the
+greedy stream the same way, per input kind, lists every op whose greedy
+family moved, lists every data row of each EXPERIMENTS CSV whose ratio
+moved, prints per (n, method) of the ensemble-vectors stream how many costs
+moved and the largest relative move, prints for each library how many
+fast-bracket uppers move under a permutation of the input (the `permuted`
+line, below), and ends with the line total of src/l1rankone/*.py in both
+checkouts (not in any hash line, so equal outputs still hash equal).
 
 The `permuted` line takes the wishart and half_rank bracket ops with n >= 7
 of the bracket seeds, ops 0-349, and runs gamma_plus_bounds on P A P* for P
@@ -296,13 +298,38 @@ def load(src: Path):
     return wl, cli
 
 
-def outcomes(wl, workdir: str) -> tuple[dict, dict]:
-    """(records, seconds): records maps (stream, seed, index) to (kind,
-    checked Outcome, per_method costs) of every bracket and thorough op (a
-    bracket op's costs come from its report, a thorough op's from its
+@contextlib.contextmanager
+def oracle_work(gamma):
+    """Count, while the block runs, the batched gamma._oracle_objective
+    calls, the rows they evaluate and the gamma._line_search calls, by
+    rebinding the two module names (set back afterwards). Yields the
+    counts [calls, rows, line searches]."""
+    counts = [0, 0, 0]
+    objective, line_search = gamma._oracle_objective, gamma._line_search
+
+    def counted_objective(theta, *args):
+        counts[0] += 1
+        counts[1] += len(theta)
+        return objective(theta, *args)
+
+    def counted_line_search(*args):
+        counts[2] += 1
+        return line_search(*args)
+
+    gamma._oracle_objective, gamma._line_search = counted_objective, counted_line_search
+    try:
+        yield counts
+    finally:
+        gamma._oracle_objective, gamma._line_search = objective, line_search
+
+
+def outcomes(wl, workdir: str) -> tuple[dict, dict, dict]:
+    """(records, seconds, work): records maps (stream, seed, index) to
+    (kind, checked Outcome, per_method costs) of every bracket and thorough
+    op (a bracket op's costs come from its report, a thorough op's from its
     stdout); seconds maps each thorough stream to the wall time of its
-    calls, checks left out."""
-    out, seconds = {}, {}
+    calls, checks left out, and work to its oracle_work counts."""
+    out, seconds, work = {}, {}, {}
     for seed in BRACKET_SEEDS:
         for index in range(BRACKET_OPS):
             inp = wl.make_input("bracket", seed, index)
@@ -311,16 +338,17 @@ def outcomes(wl, workdir: str) -> tuple[dict, dict]:
                                            result.per_method)
     for stream, seeds, ops, starts in THOROUGH_STREAMS:
         seconds[stream] = 0.0
-        for seed in seeds:
-            for index in range(ops):
-                inp = wl.write_matrix(wl.make_input("thorough", seed, index), workdir)
-                begin = time.perf_counter()
-                result = thorough_call(wl, inp, starts)
-                seconds[stream] += time.perf_counter() - begin
-                outcome = wl.check("thorough", inp, result)
-                costs = json.loads(outcome.stdout)["per_method"] if outcome.ok else None
-                out[stream, seed, index] = (inp.kind, outcome, costs)
-    return out, seconds
+        with oracle_work(wl.lr.gamma) as work[stream]:
+            for seed in seeds:
+                for index in range(ops):
+                    inp = wl.write_matrix(wl.make_input("thorough", seed, index), workdir)
+                    begin = time.perf_counter()
+                    result = thorough_call(wl, inp, starts)
+                    seconds[stream] += time.perf_counter() - begin
+                    outcome = wl.check("thorough", inp, result)
+                    costs = json.loads(outcome.stdout)["per_method"] if outcome.ok else None
+                    out[stream, seed, index] = (inp.kind, outcome, costs)
+    return out, seconds, work
 
 
 def greedy_outcomes(wl) -> dict:
@@ -380,8 +408,9 @@ def compare_permuted(this: tuple, other: tuple) -> None:
 
 def compare(this: tuple, other: tuple) -> None:
     """Print per-kind upper moves of `this` against `other` (each an
-    outcomes() pair), then each library's thorough stream times."""
-    (this, this_seconds), (other, other_seconds) = this, other
+    outcomes() triple), then each library's thorough stream times and
+    oracle work."""
+    (this, this_seconds, this_work), (other, other_seconds, other_work) = this, other
     rows, excess = {}, {}
     for key, (kind, new, new_costs) in this.items():
         _, old, old_costs = other[key]
@@ -406,6 +435,11 @@ def compare(this: tuple, other: tuple) -> None:
         print(f"{stream:17} mean upper/lower - 1 over {len(pairs)} ops: {old:.5f} -> {new:.5f}")
     for stream, new in this_seconds.items():
         print(f"{stream:17} wall s: this {new:.2f}, other {other_seconds[stream]:.2f}")
+    for stream in this_work:
+        for name, (calls, rows, searches) in (("this", this_work[stream]),
+                                              ("other", other_work[stream])):
+            print(f"{stream:17} oracle work {name:5}: {calls:,} objective calls, "
+                  f"{rows:,} rows, {searches:,} line searches")
 
 
 def src_lines(src: Path) -> int:
