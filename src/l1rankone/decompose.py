@@ -329,9 +329,8 @@ def greedy_decompose(a: HermitianMatrix, *, ldl: RankOneDecomposition
     at_lower_bound is returned at once (on a 2x2, LDL), otherwise the
     cheaper by cheapest_family; either is relabelled greedy. So greedy never
     costs more than ldl_decompose and is a function of A alone.
+    NotPSDError comes from ldl_factor (in ldl_decompose, or before `ldl`).
     """
-    if not is_psd(a):
-        raise NotPSDError("greedy_decompose requires a PSD matrix")
     lower = norm_l11(a)
 
     builds = (lambda: ldl_decompose(a) if ldl is None else ldl,
@@ -367,10 +366,11 @@ def caratheodory_reduce(weights, unit_vectors):
 
     Returns the weights and the (r, n) family of their vectors, positive
     and of unchanged total and matrix. Unit l1 norms and a total weight of
-    at most 1 are checked to 1e-9. The homogeneous system, a column of the
-    real coordinates of x_k x_k* and a one per term, is built once; each
-    pass solves it, shifts the weights along the null direction until the
-    first one vanishes, and drops the columns of the vanished terms.
+    at most 1 are checked to 1e-9, NaN failing. The homogeneous system, a
+    column of the real coordinates of x_k x_k* and a one per term, is built
+    once. Each pass takes a null vector of its first n^2 + 2 live columns,
+    which sums to zero (the row of ones), moves their weights along it
+    until one vanishes, and drops the columns of the vanished terms.
     """
     tol = 1e-9
     w = np.asarray(weights, dtype=float).copy()
@@ -380,39 +380,33 @@ def caratheodory_reduce(weights, unit_vectors):
         return w, np.empty((0, 0), dtype=np.complex128)
     xs = stack_family(unit_vectors)
     for l1 in _row_l1(xs):
-        if abs(l1 - 1.0) > tol:
+        if not abs(l1 - 1.0) <= tol:
             raise NormalizationError(f"vector l1 norm {l1:.12g} is not 1 within {tol:g}")
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):
         raise NormalizationError("weights must be strictly positive")
-    if float(w.sum()) > 1.0 + tol:
+    if not float(w.sum()) <= 1.0 + tol:
         raise NormalizationError(f"total weight {w.sum():.12g} exceeds 1")
     n = xs.shape[1]
+    cap = n * n + 1
     i, j = np.triu_indices(n, k=1)
     outer = xs[:, :, None] * xs[:, None, :].conj()
     phi = np.concatenate([outer[:, range(n), range(n)].real, outer[:, i, j].real,
                           outer[:, i, j].imag, np.ones((len(xs), 1))], axis=1).T
-    while w.size > n * n + 1:
-        _, svals, vt = np.linalg.svd(phi, full_matrices=True)
+    while w.size > cap:
+        window = phi[:, :cap + 1]
+        _, svals, vt = np.linalg.svd(window)
         lam = vt[-1]
-        resid = float(np.linalg.norm(phi @ lam))
-        if resid > 1e-10 * max(1.0, float(svals[0])):
+        resid = float(np.linalg.norm(window @ lam))
+        if resid > 1e-10 * float(svals[0]):
             raise NumericalRankFailureError(
                 f"null-space residual {resid:.3e} too large for m={w.size}"
             )
         with np.errstate(divide="ignore"):
-            plus = np.where(lam > 1e-14, w / lam, np.inf)
-            minus = np.where(lam < -1e-14, w / (-lam), np.inf)
-        t_plus = float(plus.min())
-        t_minus = float(minus.min())
-        if not np.isfinite(min(t_plus, t_minus)):
-            raise NumericalRankFailureError("null direction cannot vanish a weight")
-        if t_plus <= t_minus:
-            step, drop = t_plus, int(np.argmin(plus))
-        else:
-            step, drop = -t_minus, int(np.argmin(minus))
-        w = w - step * lam
+            ratio = np.where(lam > 1e-14, w[:cap + 1] / lam, np.inf)
+        drop = int(np.argmin(ratio))
+        w[:cap + 1] -= ratio[drop] * lam
         w[drop] = 0.0
-        keep = np.flatnonzero(w > 1e-15 * max(1.0, float(w.max())))
+        keep = np.flatnonzero(w > 1e-15)
         w, xs, phi = w[keep], xs[keep], phi[:, keep]
     return w, xs
 

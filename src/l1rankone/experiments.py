@@ -58,8 +58,7 @@ def gaussian_stream(seed: int, count: int) -> np.ndarray:
 def random_psd(n: int, seed: int) -> HermitianMatrix:
     """GG^T for an n x n standard Gaussian G; deterministic per (n, seed)."""
     g = gaussian_stream(seed, n * n).reshape(n, n)
-    a = g @ g.T
-    return ingest_matrix((a + a.T) / 2.0)
+    return ingest_matrix(g @ g.T)  # stores (A + A*) / 2
 
 
 @dataclass(frozen=True)

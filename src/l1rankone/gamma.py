@@ -49,12 +49,11 @@ from .decompose import (
     ldl_decompose,
     numerical_rank,
 )
-from .errors import BudgetExceededError, NotPSDError, ReconstructionError
+from .errors import BudgetExceededError, ReconstructionError
 from .hermitian import (
     HermitianMatrix,
     eigenvalue_cut,
     eigh,  # noqa: F401  (kept in this namespace: perfbench's tracer rebinds it here)
-    is_psd,
     norm_l11,
 )
 
@@ -166,9 +165,8 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
     outcome (its certificate, or the ReconstructionError of its check), and
     the oracle starts from the greedy and ldl certificates. Scaled
     eigenvectors never set the upper bound on the seeded bracket streams,
-    so they are not a candidate."""
-    if not is_psd(a):
-        raise NotPSDError("gamma_plus is defined on PSD matrices only")
+    so they are not a candidate. Non-PSD input raises NotPSDError from
+    ldl_decompose (ldl_factor), the first strategy."""
     lower = norm_l11(a)
     strategies = [(METHOD_LDL, ldl_decompose)]
     if is_diagonally_dominant(a)[0]:
@@ -556,12 +554,11 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
     eigenvalues of A under the cut within RECON_TOL), so the pool holds
     checked certificates only; the cheapest by cheapest_family, start or
     result, is relabelled oracle. No family has more than n^2 + 1 vectors.
-    Guarded to n <= 6.
+    Guarded to n <= 6; non-PSD input raises NotPSDError from ldl_decompose
+    or eigen_decompose before any search.
     """
     if a.n > ORACLE_MAX_N:
         raise BudgetExceededError(f"oracle supports n <= {ORACLE_MAX_N}, got {a.n}")
-    if not is_psd(a):
-        raise NotPSDError("oracle requires a PSD matrix")
     lower = norm_l11(a)
     if warm is None:
         try:

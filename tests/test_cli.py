@@ -409,6 +409,18 @@ class TestReduce:
                                     "vectors": vectors}))
         assert run(capsys, "reduce", str(path))[0] == 5
 
+    def test_null_space_failure_exits_2(self, capsys, tmp_path, monkeypatch):
+        # The solve's residual check raises NumericalRankFailureError: an
+        # input problem, so exit 2 with nothing on stdout.
+        from test_decompose import _svd_without_null_vector
+
+        monkeypatch.setattr(np.linalg, "svd", _svd_without_null_vector)
+        vectors = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]] * 3
+        path = tmp_path / "fat.json"
+        path.write_text(json.dumps({"method": "external", "cost": 1.5,
+                                    "vectors": vectors}))
+        assert run(capsys, "reduce", str(path)) == (2, "")
+
     def test_nan_cost_rejected(self, capsys, tmp_path):
         # NaN compares false with everything, so it must fail the cost check.
         path = tmp_path / "nan.json"

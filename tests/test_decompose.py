@@ -14,6 +14,7 @@ from l1rankone.errors import (
     NormalizationError,
     NotDiagonallyDominantError,
     NotPSDError,
+    NumericalRankFailureError,
     QuadFormTooLargeError,
     RankOneInputError,
     ReconstructionError,
@@ -400,6 +401,40 @@ class TestFamilyFormat:
         _assert_family(xs, 0, frozen=False)
 
 
+_SVD = np.linalg.svd
+
+
+def _svd_without_null_vector(m, *args, **kwargs):
+    """np.linalg.svd with the last right singular vector set to e_0, which
+    is no null vector of a system with a row of ones."""
+    u, svals, vt = _SVD(m, *args, **kwargs)
+    vt = np.zeros_like(vt)
+    vt[-1, 0] = 1.0
+    return u, svals, vt
+
+
+@st.composite
+def _degenerate_families(draw):
+    """(weights, unit-l1 vectors) with n in 1..4 and n^2 + 2 to n^2 + 13
+    terms: real vectors, copies of a few vectors times unit phases, or
+    vectors with zero coordinates; weights total at most 1."""
+    n = draw(st.integers(1, 4), label="n")
+    m = n * n + 1 + draw(st.integers(1, 12), label="extra")
+    kind = draw(st.sampled_from(["real", "phases", "zeros"]), label="kind")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    xs = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    if kind == "real":
+        xs = xs.real.astype(complex)
+    elif kind == "phases":
+        xs = xs[rng.integers(0, draw(st.integers(1, 3), label="distinct"), size=m)]
+        xs = xs * np.exp(2j * np.pi * rng.uniform(size=(m, 1)))
+    else:
+        xs[rng.uniform(size=(m, n)) < 0.5] = 0.0
+        xs[np.arange(m), rng.integers(0, n, size=m)] = 1.0
+    w = rng.uniform(0.1, 1.0, size=m)
+    return w * rng.uniform(0.5, 1.0) / w.sum(), xs / np.abs(xs).sum(axis=1)[:, None]
+
+
 class TestCaratheodory:
     def test_short_input_unchanged(self):
         xs = [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex),
@@ -453,6 +488,36 @@ class TestCaratheodory:
         with pytest.raises(NormalizationError):
             dc.caratheodory_reduce([0.9, 0.9], [np.array([1.0, 0.0], dtype=complex),
                                                 np.array([0.0, 1.0], dtype=complex)])
+
+    def test_nan_inputs_raise_normalization_error(self):
+        # NaN fails every comparison, so each check is written to pass only
+        # on a number within bounds; six terms of n = 2 would reach the solve.
+        xs = np.eye(2, dtype=complex)[[0, 1, 0, 1, 0, 1]]
+        w = np.full(6, 1.0 / 6.0)
+        with pytest.raises(NormalizationError):
+            dc.caratheodory_reduce(w, np.where(np.arange(6)[:, None] == 2, np.nan, xs))
+        with pytest.raises(NormalizationError):
+            dc.caratheodory_reduce(np.where(np.arange(6) == 4, np.nan, w), xs)
+
+    def test_null_space_residual_checked(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", _svd_without_null_vector)
+        with pytest.raises(NumericalRankFailureError):
+            dc.caratheodory_reduce(np.full(6, 1.0 / 6.0), np.eye(2, dtype=complex)[[0, 1] * 3])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(family=_degenerate_families())
+    def test_degenerate_families(self, family):
+        """Families whose system has zero rows (real vectors or zero
+        coordinates) or repeated columns (one outer product up to phase)
+        keep their matrix and total with at most n^2 + 1 positive terms."""
+        w, xs = family
+        n = xs.shape[1]
+        w2, xs2 = dc.caratheodory_reduce(w, xs)
+        assert len(w2) == len(xs2) <= n * n + 1
+        assert np.all(w2 > 0.0)
+        assert abs(w2.sum() - w.sum()) <= 1e-12
+        rec = np.einsum("k,ki,kj->ij", w2, xs2, xs2.conj())
+        assert np.abs(rec - np.einsum("k,ki,kj->ij", w, xs, xs.conj())).max() <= 1e-12
 
 
 class TestStructuredCostCheck:

@@ -122,8 +122,9 @@ class TestGammaPlusBounds:
         if kind in ("dd", "2x2"):  # closed forms: LDL or DD sits on the bound
             assert report.skipped
 
-    def test_one_eigensolve_per_fast_bracket(self, rng, monkeypatch):
-        a = random_psd(rng, 5)
+    def test_eigensolves_only_where_cholesky_declines(self, rng, monkeypatch):
+        """A fast bracket solves A's eigensystem only for is_psd, which runs
+        when Cholesky declines a pivot: never at full rank, once below it."""
         calls = []
         solve = np.linalg.eigh
 
@@ -132,8 +133,10 @@ class TestGammaPlusBounds:
             return solve(m)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        report = gm.gamma_plus_bounds(a)
+        report = gm.gamma_plus_bounds(random_psd(rng, 5))
         assert set(report.per_method) == {"ldl", "greedy"}
+        assert calls == []
+        gm.gamma_plus_bounds(random_psd(rng, 5, rank=3))
         assert calls == [(5, 5)]
 
     def test_fast_bracket_never_runs_eigen(self, rng, monkeypatch):
@@ -284,6 +287,44 @@ class TestBracketHolds:
         report = gm.gamma_plus_bounds(a)
         assert len(calls) == 1
         assert report.per_method == {"greedy": 36.642314090608615}
+
+
+@st.composite
+def _near_psd_boundary(draw):
+    """s Q diag(lam) Q* for n in 1..4, Q a random unitary and s in
+    [1e-3, 1e3], with lambda_min a multiple (-3, -1.5, -0.5, 0 or 0.5) of
+    the eigenvalue_cut of the result and the others in [s/2, 2s]."""
+    n = draw(st.integers(1, 4), label="n")
+    s = draw(st.floats(1e-3, 1e3), label="s")
+    factor = draw(st.sampled_from([-3.0, -1.5, -0.5, 0.0, 0.5]), label="factor")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    lam = s * rng.uniform(0.5, 2.0, size=n)
+    lam[0] = factor * lr.hermitian.PSD_TOL * max(1.0, float(lam[1:].max(initial=0.0)))
+    return (q * lam) @ q.conj().T
+
+
+def _raises_not_psd(build, a) -> bool:
+    try:
+        build(a)
+    except NotPSDError:
+        return True
+    except ReconstructionError:  # a PSD input whose certificates all fail
+        pass
+    return False
+
+
+class TestNotPSDDecision:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(entries=_near_psd_boundary())
+    def test_not_psd_exactly_when_is_psd_fails(self, entries):
+        """The bracket, greedy and the oracle raise NotPSDError (CLI exit 3)
+        exactly when is_psd is false, near its cut."""
+        a = hermitian(entries)
+        want = not lr.is_psd(a)
+        for build in (gm.gamma_plus_bounds, dc.greedy_decompose,
+                      lambda m: gm.numeric_gamma_plus_oracle(m, restarts=2)):
+            assert _raises_not_psd(build, a) is want
 
 
 @st.composite
@@ -825,7 +866,7 @@ class TestRestoreFeasibility:
 
     def test_calls_no_eigh(self, rng, monkeypatch):
         a = random_psd(rng, 4, 2)
-        a.eigensystem  # the oracle has solved it (is_psd) before any search result
+        a.eigensystem  # the oracle has solved it (eigen_decompose) before any search result
 
         def fail(m):
             raise AssertionError("eigh called")

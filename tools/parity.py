@@ -50,17 +50,19 @@ are better (lower), worse or equal than OTHER's, the largest relative move,
 the largest rise, the certified flags that flipped, the winning strategies
 that changed and the ops whose per_method costs moved (so a strategy that
 never wins still shows), then each stream's mean upper / lower - 1 and, for
-each library, the wall seconds of each thorough stream's CLI calls (one run,
-not a benchmark) and the oracle's work on that stream: the batched
-gamma._oracle_objective calls, the rows they evaluate and the
+each library, the bracket stream's eigensolves (hermitian.eigh calls) per
+input kind and in total, the wall seconds of each thorough stream's CLI
+calls (one run, not a benchmark) and the oracle's work on that stream: the
+batched gamma._oracle_objective calls, the rows they evaluate and the
 gamma._line_search calls (exact counts, in no hash line). It then prints the
 greedy stream the same way, per input kind, lists every op whose greedy
 family moved, lists every data row of each EXPERIMENTS CSV whose ratio
 moved, prints per (n, method) of the ensemble-vectors stream how many costs
 moved and the largest relative move, prints for each library how many
 fast-bracket uppers move under a permutation of the input (the `permuted`
-line, below), and ends with the line total of src/l1rankone/*.py in both
-checkouts (not in any hash line, so equal outputs still hash equal).
+line, below) and the wall seconds of the reduce stream, and ends with the
+line total of src/l1rankone/*.py in both checkouts (not in any hash line,
+so equal outputs still hash equal).
 
 The `permuted` line takes the wishart and half_rank bracket ops with n >= 7
 of the bracket seeds, ops 0-349, and runs gamma_plus_bounds on P A P* for P
@@ -212,6 +214,18 @@ def reduce_records(cli, workdir: str):
         yield cli_run(cli, str(s), "reduce", path)
 
 
+def reduce_seconds(cli, workdir: str) -> float:
+    """Wall seconds of the reduce stream (one run, not a benchmark)."""
+    begin = time.perf_counter()
+    for _ in reduce_records(cli, workdir):
+        pass
+    return time.perf_counter() - begin
+
+
+def compare_reduce(this: float, other: float) -> None:
+    print(f"reduce            wall s: this {this:.2f}, other {other:.2f}")
+
+
 def gamma_zero_records(wl, cli, workdir: str):
     for seed in GAMMA_ZERO_SEEDS:
         for index in range(GAMMA_ZERO_OPS):
@@ -323,17 +337,40 @@ def oracle_work(gamma):
         gamma._oracle_objective, gamma._line_search = objective, line_search
 
 
-def outcomes(wl, workdir: str) -> tuple[dict, dict, dict]:
-    """(records, seconds, work): records maps (stream, seed, index) to
-    (kind, checked Outcome, per_method costs) of every bracket and thorough
-    op (a bracket op's costs come from its report, a thorough op's from its
-    stdout); seconds maps each thorough stream to the wall time of its
-    calls, checks left out, and work to its oracle_work counts."""
-    out, seconds, work = {}, {}, {}
+@contextlib.contextmanager
+def eigensolves(hermitian):
+    """Count, while the block runs, the hermitian.eigh calls (every cached
+    eigensystem is solved by one) by rebinding the module name (set back
+    afterwards). Yields the count [calls]."""
+    counts = [0]
+    solve = hermitian.eigh
+
+    def counted_eigh(a):
+        counts[0] += 1
+        return solve(a)
+
+    hermitian.eigh = counted_eigh
+    try:
+        yield counts
+    finally:
+        hermitian.eigh = solve
+
+
+def outcomes(wl, workdir: str) -> tuple[dict, dict, dict, dict]:
+    """(records, seconds, work, eigs): records maps (stream, seed, index)
+    to (kind, checked Outcome, per_method costs) of every bracket and
+    thorough op (a bracket op's costs come from its report, a thorough op's
+    from its stdout); seconds maps each thorough stream to the wall time of
+    its calls, checks left out, work to its oracle_work counts, and eigs
+    each bracket input kind to the eigensolves of its calls, checks left
+    out."""
+    out, seconds, work, eigs = {}, {}, {}, {}
     for seed in BRACKET_SEEDS:
         for index in range(BRACKET_OPS):
             inp = wl.make_input("bracket", seed, index)
-            result = wl.call("bracket", inp)
+            with eigensolves(wl.lr.hermitian) as calls:
+                result = wl.call("bracket", inp)
+            eigs[inp.kind] = eigs.get(inp.kind, 0) + calls[0]
             out["bracket", seed, index] = (inp.kind, wl.check("bracket", inp, result),
                                            result.per_method)
     for stream, seeds, ops, starts in THOROUGH_STREAMS:
@@ -348,7 +385,7 @@ def outcomes(wl, workdir: str) -> tuple[dict, dict, dict]:
                     outcome = wl.check("thorough", inp, result)
                     costs = json.loads(outcome.stdout)["per_method"] if outcome.ok else None
                     out[stream, seed, index] = (inp.kind, outcome, costs)
-    return out, seconds, work
+    return out, seconds, work, eigs
 
 
 def greedy_outcomes(wl) -> dict:
@@ -408,9 +445,10 @@ def compare_permuted(this: tuple, other: tuple) -> None:
 
 def compare(this: tuple, other: tuple) -> None:
     """Print per-kind upper moves of `this` against `other` (each an
-    outcomes() triple), then each library's thorough stream times and
-    oracle work."""
-    (this, this_seconds, this_work), (other, other_seconds, other_work) = this, other
+    outcomes() tuple), then each library's bracket eigensolves, thorough
+    stream times and oracle work."""
+    (this, this_seconds, this_work, this_eigs), (other, other_seconds, other_work,
+                                                 other_eigs) = this, other
     rows, excess = {}, {}
     for key, (kind, new, new_costs) in this.items():
         _, old, old_costs = other[key]
@@ -433,6 +471,10 @@ def compare(this: tuple, other: tuple) -> None:
     for stream, pairs in excess.items():
         old, new = (sum(p[i] for p in pairs) / len(pairs) for i in (0, 1))
         print(f"{stream:17} mean upper/lower - 1 over {len(pairs)} ops: {old:.5f} -> {new:.5f}")
+    for name, eigs in (("this", this_eigs), ("other", other_eigs)):
+        kinds = ", ".join(f"{kind} {calls:,}" for kind, calls in eigs.items())
+        print(f"bracket           eigensolves {name:5}: {kinds}; "
+              f"total {sum(eigs.values()):,}")
     for stream, new in this_seconds.items():
         print(f"{stream:17} wall s: this {new:.2f}, other {other_seconds[stream]:.2f}")
     for stream in this_work:
@@ -464,10 +506,11 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as workdir:
             this, other = ((outcomes(wl, workdir), greedy_outcomes(wl),
                             experiment_ratios(cli, workdir), ensemble_costs(wl.lr),
-                            permuted_moves(wl))
+                            permuted_moves(wl), reduce_seconds(cli, workdir))
                            for wl, cli in map(load, srcs))
             for show, mine, theirs in zip((compare, compare_greedy, compare_experiments,
-                                           compare_ensemble, compare_permuted), this, other):
+                                           compare_ensemble, compare_permuted,
+                                           compare_reduce), this, other):
                 show(mine, theirs)
         this_lines, other_lines = map(src_lines, srcs)
         print(f"src lines         {this_lines:,} against {other_lines:,} "
