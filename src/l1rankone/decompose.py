@@ -40,7 +40,6 @@ from .hermitian import (
     verify_reconstruction,
 )
 
-RANK_TOL = 1e-8  # times ||A||_op; eigenvalues above it count toward rank
 NULL_TOL = 1e-14  # times A.scale(); vectors with ||v||_1^2 at or below it are dropped
 PIVOT_SEARCH_STATES = 70  # pivot sets kept per step of the search: C(8, 4), exact for n <= 8
 TIE_TOL = 1e-12  # relative; costs closer than this tie
@@ -102,10 +101,11 @@ def cheapest_family(decs) -> "RankOneDecomposition":
 
 
 def _checked_family(target: HermitianMatrix, label: str, positive, negative=()):
-    """(positive, negative, cost): each side stacked once, less its rows with
-    ||v||_1^2 at or below NULL_TOL * target.scale(), checked by one
-    verify_reconstruction call: the one check of both builds. A miss raises
-    ReconstructionError naming `label`."""
+    """(positive, negative, cost, residual): each side stacked once, less its
+    rows with ||v||_1^2 at or below NULL_TOL * target.scale(), checked by one
+    verify_reconstruction call (its max residual): the one check of both
+    builds, and the one place that rejects a family. A miss, or a cost
+    below_lower_bound (A met by rounding only), raises ReconstructionError naming `label`."""
     floor = NULL_TOL * target.scale()
     pos, cost = _kept_family(stack_family(positive, target.n), floor)
     neg, neg_cost = _kept_family(stack_family(negative, target.n), floor)
@@ -115,7 +115,11 @@ def _checked_family(target: HermitianMatrix, label: str, positive, negative=()):
             f"{label} decomposition misses target by {report.max_residual:.3e} "
             f"(tol {report.tol:.3e})"
         )
-    return pos, neg, cost + neg_cost
+    cost += neg_cost
+    if below_lower_bound(cost, norm_l11(target)):
+        raise ReconstructionError(f"{label} certificate cost {cost!r} is below "
+                                  f"the lower bound {norm_l11(target)!r}")
+    return pos, neg, cost, report.max_residual
 
 
 @dataclass(frozen=True)
@@ -123,19 +127,28 @@ class RankOneDecomposition:
     """Vectors g_k with A = sum g_k g_k* and cost = sum ||g_k||_1^2.
 
     `vectors` is the family: one read-only, C-contiguous (r, n) complex128
-    array, the rows that the check kept."""
+    array, the rows that the check kept. `residual` is the max-entry
+    residual |A - sum g g*| that the check measured."""
 
-    target_n: int
     vectors: np.ndarray
     cost: float
     method: str
+    residual: float
 
     @classmethod
     def build(cls, target: HermitianMatrix, vectors,
               method: str) -> "RankOneDecomposition":
-        """Drop null vectors, compute the cost, and verify reconstruction."""
-        kept, _, cost = _checked_family(target, method, vectors)
-        return cls(target.n, kept, cost, method)
+        """Drop null vectors, compute the cost, and check the family."""
+        kept, _, cost, residual = _checked_family(target, method, vectors)
+        return cls(kept, cost, method, residual)
+
+
+def _built(build, *args):
+    """build(*args), or the ReconstructionError its check raised, to drop."""
+    try:
+        return build(*args)
+    except ReconstructionError as exc:
+        return exc
 
 
 def ldl_decompose(a: HermitianMatrix) -> RankOneDecomposition:
@@ -157,11 +170,11 @@ def eigen_decompose(a: HermitianMatrix) -> RankOneDecomposition:
 
 def is_diagonally_dominant(a: HermitianMatrix):
     """(verdict, per-row margins A_ii - sum_{j != i} |A_ij|); margins down to
-    -1e-12 pass."""
-    absrow = np.abs(a.entries).sum(axis=1)
+    -1e-12 * A.scale() pass."""
+    absrow = a.magnitudes.sum(axis=1)
     diag = np.diagonal(a.entries).real
     margins = diag - (absrow - np.abs(diag))
-    return bool(margins.min(initial=0.0) >= -1e-12), margins
+    return bool(margins.min(initial=0.0) >= -1e-12 * a.scale()), margins
 
 
 def dd_decompose(a: HermitianMatrix) -> RankOneDecomposition:
@@ -203,7 +216,7 @@ class PeelStep:
 
 def rank_one_peel(a: HermitianMatrix, x):
     """Peel (Ax)(Ax)* off A; PSD is preserved whenever <Ax, x> <= 1 (checked
-    to 1e-12).
+    to 1e-12); Ax vanishes at max |(Ax)_i| <= 1e-14 * A.scale() * ||x||_1.
 
     Returns (PeelStep, residual). At <Ax, x> = 1 the residual loses exactly
     one rank.
@@ -212,8 +225,7 @@ def rank_one_peel(a: HermitianMatrix, x):
     if x.shape != (a.n,):
         raise DimensionMismatchError(f"direction of shape {x.shape}, matrix n={a.n}")
     y = a.entries @ x
-    scale = a.scale()
-    if float(np.abs(y).max(initial=0.0)) <= 1e-14 * scale * max(1.0, vector_l1(x)):
+    if float(np.abs(y).max(initial=0.0)) <= 1e-14 * a.scale() * vector_l1(x):
         raise ZeroDirectionError("Ax vanishes; nothing to peel")
     quad = float(np.vdot(x, y).real)
     if quad > 1.0 + 1e-12:
@@ -226,9 +238,8 @@ def rank_one_peel(a: HermitianMatrix, x):
 
 
 def numerical_rank(a: HermitianMatrix) -> int:
-    vals = a.eigensystem.eigenvalues
-    lam_max = float(np.abs(vals).max(initial=0.0))
-    return int((vals > RANK_TOL * max(lam_max, np.finfo(float).tiny)).sum())
+    """The eigenvalues above eigenvalue_cut(a), the one zero-eigenvalue cut."""
+    return int((a.eigensystem.eigenvalues > eigenvalue_cut(a)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +335,7 @@ def greedy_decompose(a: HermitianMatrix, *, ldl: RankOneDecomposition
     Both read only |.| of A and its Schur complements, so the families of
     D A D* (D diagonal with unit phases) are those of A with each v mapped
     to D v, at the same costs to rounding. A family is dropped when
-    RankOneDecomposition.build rejects it or it is below_lower_bound (only
-    a family meeting A within RECON_TOL can be). The first family
+    RankOneDecomposition.build rejects it. The first family
     at_lower_bound is returned at once (on a 2x2, LDL), otherwise the
     cheaper by cheapest_family; either is relabelled greedy. So greedy never
     costs more than ldl_decompose and is a function of A alone.
@@ -337,11 +347,8 @@ def greedy_decompose(a: HermitianMatrix, *, ldl: RankOneDecomposition
               lambda: RankOneDecomposition.build(a, _best_pivot_order_ldl(a), METHOD_GREEDY))
     complete = []
     for build in builds:
-        try:
-            dec = build()
-        except ReconstructionError:
-            continue
-        if isinstance(dec, ReconstructionError) or below_lower_bound(dec.cost, lower):
+        dec = _built(build)
+        if isinstance(dec, ReconstructionError):
             continue
         if at_lower_bound(dec.cost, lower):
             return replace(dec, method=METHOD_GREEDY)
@@ -414,7 +421,7 @@ def caratheodory_reduce(weights, unit_vectors):
 def reduce_decomposition(dec: RankOneDecomposition,
                          target: HermitianMatrix) -> RankOneDecomposition:
     """Caratheodory-reduce a decomposition to at most n^2 + 1 terms."""
-    if len(dec.vectors) <= dec.target_n ** 2 + 1:
+    if len(dec.vectors) <= dec.vectors.shape[1] ** 2 + 1:
         return dec
     l1 = _row_l1(dec.vectors)
     w, xs = caratheodory_reduce([x ** 2 / dec.cost for x in l1],

@@ -8,7 +8,10 @@ gamma_plus ldl, dd, greedy and, at thorough effort, the oracle (not eigen,
 which never set the upper bound); for gamma_zero the half-sum and
 eigen-split constructions. A report is CERTIFIED when the bracket width
 upper - lower is at most CERT_TOL * min(1, lower), with CERT_TOL = 1e-6:
-absolute at and above lower = 1, relative below it.
+absolute at and above lower = 1, relative below it. Every cut is relative
+to its own matrix, so the bounds scale with A; this bracket rule alone is
+absolute, as perfbench checks certified brackets against an absolute
+CERT_WIDTH = 1e-6.
 
 The oracle searches exact decompositions only. With A = L L* over the k
 eigenpairs above the numerical-rank cut, every family of m >= k vectors
@@ -37,10 +40,10 @@ from .decompose import (
     METHOD_ORACLE,
     TIE_TOL,
     RankOneDecomposition,
+    _built,
     _checked_family,
     _row_l1,
     at_lower_bound,
-    below_lower_bound,
     cheapest_family,
     dd_decompose,
     eigen_decompose,
@@ -80,15 +83,14 @@ class SignedDecomposition:
     """A = sum g g* - sum h h* with cost = sum ||g||_1^2 + sum ||h||_1^2;
     each side is one read-only, C-contiguous (r, n) complex128 family."""
 
-    target_n: int
     positive: np.ndarray
     negative: np.ndarray
     cost: float
 
     @classmethod
     def build(cls, target: HermitianMatrix, positive, negative) -> "SignedDecomposition":
-        """Drop null vectors, compute the cost, and verify reconstruction."""
-        return cls(target.n, *_checked_family(target, "signed", positive, negative))
+        """Drop null vectors, compute the cost, and check the family."""
+        return cls(*_checked_family(target, "signed", positive, negative)[:3])
 
 
 def _cheapest(named):
@@ -97,7 +99,7 @@ def _cheapest(named):
     so ties keep the earlier one."""
     best = named[0][1]
     for _, cand in named[1:]:
-        if cand.cost < best.cost - TIE_TOL * max(1.0, best.cost):
+        if cand.cost < best.cost - TIE_TOL * best.cost:
             best = cand
     return best
 
@@ -119,15 +121,11 @@ class GammaReport:
 
         Certified when upper - lower <= CERT_TOL * min(1, lower): within
         CERT_TOL of the lower bound, and relative to it when lower < 1, so a
-        scaled-down gap is not certified. A certificate below_lower_bound
-        is a numerical failure (ReconstructionError);
-        one cheaper by rounding only becomes the lower bound, so that
-        lower <= upper holds exactly."""
+        scaled-down gap is not certified. Every certificate passed the
+        family check, which rejects one below_lower_bound; one cheaper by
+        rounding only becomes the lower bound, so that lower <= upper holds
+        exactly."""
         best = _cheapest(named)
-        if below_lower_bound(best.cost, lower):
-            raise ReconstructionError(
-                f"certificate cost {best.cost!r} is below the lower bound {lower!r}"
-            )
         lower = min(lower, best.cost)
         return cls(functional, lower, best.cost, best,
                    {name: cand.cost for name, cand in named},
@@ -180,10 +178,8 @@ def gamma_plus_bounds(a: HermitianMatrix, effort: str = EFFORT_FAST, *,
             m, restarts=oracle_restarts, seed=seed,
             warm=[dec for _, dec in reversed(named)])))
     for k, (name, strategy) in enumerate(strategies):
-        try:
-            outcomes[name] = strategy(a)
-        except ReconstructionError as exc:
-            outcomes[name] = exc
+        outcomes[name] = _built(strategy, a)
+        if isinstance(outcomes[name], ReconstructionError):
             continue
         named.append((name, outcomes[name]))
         if at_lower_bound(_cheapest(named).cost, lower):
@@ -542,18 +538,17 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
     of a free complex m x k matrix X, and minimizes the smoothed cost over X
     (_oracle_objective) for A / ||A||_1,1, so that the stopping tolerances
     of minimize act relative to A's scale. The first starts are the exact
-    decompositions in warm (default: greedy_decompose, then ldl_decompose
-    unless its check fails) and eigen_decompose, less any below_lower_bound
-    (a numerical failure, such as eigen's absolute cut on tiny input), each
-    mapped to its own C = g0 conj(V_k) / sqrt(lambda_k) plus small noise;
-    the rest are Gaussian X, whose polar factors are Haar-distributed. All
-    starts are searched together, one row each of the real coordinates (Re,
-    Im pairs of X), in one call of minimize with up to LBFGS_MAXITER L-BFGS
+    decompositions in warm (default: greedy_decompose, then ldl_decompose)
+    and eigen_decompose, less those whose check failed, each mapped to its
+    own C = g0 conj(V_k) / sqrt(lambda_k) plus small noise; the rest are
+    Gaussian X, whose polar factors are Haar-distributed. All starts are
+    searched together, one row each of the real coordinates (Re, Im pairs
+    of X), in one call of minimize with up to LBFGS_MAXITER L-BFGS
     iterations per start. Each result is built and checked, or dropped
-    (_restore_feasibility), and so is one below_lower_bound (L L* can miss
-    eigenvalues of A under the cut within RECON_TOL), so the pool holds
-    checked certificates only; the cheapest by cheapest_family, start or
-    result, is relabelled oracle. No family has more than n^2 + 1 vectors.
+    (_restore_feasibility; L L* can miss eigenvalues of A under the cut, so
+    a result can fall below_lower_bound), so the pool holds checked
+    certificates only; the cheapest by cheapest_family, start or result, is
+    relabelled oracle. No family has more than n^2 + 1 vectors.
     Guarded to n <= 6; non-PSD input raises NotPSDError from ldl_decompose
     or eigen_decompose before any search.
     """
@@ -561,13 +556,10 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
         raise BudgetExceededError(f"oracle supports n <= {ORACLE_MAX_N}, got {a.n}")
     lower = norm_l11(a)
     if warm is None:
-        try:
-            ldl = ldl_decompose(a)
-        except ReconstructionError as exc:  # dropped, as greedy drops it
-            ldl = exc
+        ldl = _built(ldl_decompose, a)  # dropped on failure, as greedy drops it
         warm = (greedy_decompose(a, ldl=ldl), ldl)
-    warm = [dec for dec in (*warm, eigen_decompose(a))
-            if isinstance(dec, RankOneDecomposition) and not below_lower_bound(dec.cost, lower)]
+    warm = [dec for dec in (*warm, _built(eigen_decompose, a))
+            if isinstance(dec, RankOneDecomposition)]
 
     # Exact starts join the pool as they are, so the result is never worse
     # than one. When one already sits on the lower bound ||A||_1,1 the
@@ -591,8 +583,7 @@ def numeric_gamma_plus_oracle(a: HermitianMatrix, restarts: int = ORACLE_RESTART
         x = minimize(_oracle_objective, np.array(starts), args=(lt / np.sqrt(lower), 1e-8))
         c = _polar(x.view(np.complex128).reshape(len(starts), m, k))[0]
         found = (_restore_feasibility(a, family) for family in c @ lt)
-        pool += [dec for dec in found
-                 if dec is not None and not below_lower_bound(dec.cost, lower)]
+        pool += [dec for dec in found if dec is not None]
     if not pool:
         raise ReconstructionError("no oracle certificate reconstructs A at or above ||A||_1,1")
     return replace(cheapest_family(pool), method=METHOD_ORACLE)

@@ -62,11 +62,16 @@ class HermitianMatrix:
         first use at worst solve twice and store equal values."""
         return eigh(self)
 
+    @functools.cached_property
+    def magnitudes(self) -> np.ndarray:
+        """|A_ij|, computed on first use and kept (read-only), as eigensystem
+        is: scale() and norm_l11 both read it."""
+        return _readonly(np.abs(self.entries))
+
     def scale(self) -> float:
-        """max(1, largest entry magnitude); reference for relative tolerances."""
-        if self.n == 0:
-            return 1.0
-        return max(1.0, float(np.abs(self.entries).max()))
+        """Largest entry magnitude, the reference of relative tolerances
+        (eigenvalue_cut and pivot_cut use ||A||_op and the diagonal)."""
+        return float(self.magnitudes.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ def ingest_matrix(raw, hermitian_tol: float = HERMITIAN_TOL) -> HermitianMatrix:
 
 def norm_l11(a: HermitianMatrix) -> float:
     """Entrywise l1 norm: sum of |A_ij| over all entries."""
-    return float(np.abs(a.entries).sum())
+    return float(a.magnitudes.sum())
 
 
 def frobenius_norm(a: HermitianMatrix) -> float:
@@ -191,8 +196,8 @@ def operator_norm(a: HermitianMatrix) -> float:
 
 
 def eigenvalue_cut(a: HermitianMatrix) -> float:
-    """PSD_TOL * max(1, ||A||_op): eigenvalues within it of zero count as zero."""
-    return PSD_TOL * max(1.0, operator_norm(a))
+    """PSD_TOL * ||A||_op: eigenvalues within it of zero count as zero."""
+    return PSD_TOL * operator_norm(a)
 
 
 def is_psd(a: HermitianMatrix) -> bool:
@@ -201,8 +206,8 @@ def is_psd(a: HermitianMatrix) -> bool:
 
 
 def pivot_cut(a: HermitianMatrix) -> float:
-    """PIVOT_TOL * max(1, largest diagonal entry): LDL pivots at or below it vanish."""
-    return PIVOT_TOL * max([1.0, *a.entries.real.diagonal().tolist()])  # beats ndarray.max
+    """PIVOT_TOL * largest diagonal entry: LDL pivots at or below it vanish."""
+    return PIVOT_TOL * max(a.entries.real.diagonal().tolist())  # beats ndarray.max
 
 
 def ldl_step(w: np.ndarray, i, d) -> np.ndarray:
@@ -292,10 +297,10 @@ class ReconstructionReport:
 
 def verify_reconstruction(a: HermitianMatrix, vectors, recon_tol: float = RECON_TOL,
                           negative=()) -> ReconstructionReport:
-    """Max-entry residual |A - sum g g* + sum h h*| against recon_tol * scale,
-    with g over the rows of `vectors` and h over those of `negative`, each
-    family taken as one (r, n) stack (see stack_family). This is the one
-    residual check: every decomposition builder and the CLI go through it."""
+    """Max-entry residual |A - sum g g* + sum h h*| against recon_tol *
+    max |A_ij|, with g over the rows of `vectors` and h over those of
+    `negative`, each family taken as one (r, n) stack (see stack_family).
+    The one residual check: the family check and `certify` call it."""
     resid = a.entries
     if len(vectors):
         resid = resid - gram(stack_family(vectors, a.n))

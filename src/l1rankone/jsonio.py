@@ -7,7 +7,7 @@ Decomposition: {"method": str, "cost": float, "vectors": [[entry, ...], ...]}
 Gamma report:  {"functional": ..., "lower": ..., "upper": ..., "certified":
                ..., "per_method": {...}, "skipped": [...], "decomposition": {...}}
                per_method holds the strategies that ran and passed their
-               check (a dropped strategy, whose certificate missed A, is
+               check (a dropped strategy, whose certificate failed it, is
                omitted), skipped (always present, possibly empty) those left
                out once the bracket closed.
 """

@@ -102,18 +102,21 @@ class TestDecompose:
         assert len(outs) == 1 and next(iter(outs))[0] == 0
 
     @pytest.mark.parametrize("method", ["eigen", "dd"])
-    def test_certificate_below_the_lower_bound_exits_2(self, files, capsys, method):
-        # ||A||_1,1 = 5e-11. The absolute eigenvalue cut drops every
-        # eigenvalue (cost 0) and the dd remainder falls under PSD_TOL
-        # (cost 4e-11); both families still pass the absolute RECON_TOL.
-        p = files["dir"] / "tiny.json"
-        p.write_text(json.dumps({"n": 2, "entries": [[1e-11, 1e-11], [1e-11, 2e-11]]}))
-        code, out = run(capsys, "decompose", str(p), "--method", method)
-        assert (code, out) == (2, "")
+    def test_tiny_scale_decomposes_like_unit_scale(self, files, capsys, method):
+        # ||A||_1,1 = 5e-11. Every cut is relative to A, so eigen keeps both
+        # eigenvalues and dd its diagonal remainder, as at unit scale.
+        costs = []
+        for scale in (1.0, 1e-11):
+            p = files["dir"] / "scaled.json"
+            p.write_text(json.dumps({"n": 2, "entries": [[scale, scale], [scale, 2 * scale]]}))
+            code, out = run(capsys, "decompose", str(p), "--method", method)
+            assert code == 0
+            costs.append(json.loads(out)["cost"])
+        assert costs[1] / 1e-11 == pytest.approx(costs[0], rel=1e-12)
 
     def test_oracle_drops_warm_starts_below_the_lower_bound(self, files, capsys):
-        # The same input: eigen's empty family (cost 0.0) must not win the
-        # oracle's pool over the exact greedy and LDL certificates.
+        # The same tiny input: no start or result below ||A||_1,1 (which
+        # the family check rejects) may win the oracle's pool.
         p = files["dir"] / "tiny.json"
         p.write_text(json.dumps({"n": 2, "entries": [[1e-11, 1e-11], [1e-11, 2e-11]]}))
         code, out = run(capsys, "decompose", str(p), "--method", "oracle")
@@ -211,7 +214,7 @@ class TestGamma:
         assert run(capsys, "gamma", str(p), "--functional", functional)[0] == 2
 
     @pytest.mark.parametrize("entries", [
-        [[1e-300, 1e-300], [1e-300, 2e-300]],  # certificates fall below the lower bound
+        [[1, 1], [0, 1]],  # not Hermitian
         [[float("nan"), 0], [0, 1]],
         [[1, 0], [0, float("inf")]],
     ])
@@ -219,6 +222,18 @@ class TestGamma:
         p = files["dir"] / "bad.json"
         p.write_text(json.dumps({"n": 2, "entries": entries}))
         assert run(capsys, "gamma", str(p), "--functional", "plus")[0] == 2
+
+    def test_tiny_scale_is_certified(self, files, capsys):
+        # ||A||_1,1 = 5e-300: every cut is relative to A, so natural-order
+        # LDL's exact family closes the bracket, as at unit scale.
+        p = files["dir"] / "tiny.json"
+        p.write_text(json.dumps({"n": 2, "entries": [[1e-300, 1e-300], [1e-300, 2e-300]]}))
+        code, out = run(capsys, "gamma", str(p), "--functional", "plus")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["lower"] == pytest.approx(5e-300, rel=1e-15)
+        assert obj["upper"] == pytest.approx(5e-300, rel=1e-15)
+        assert obj["certified"] is True
 
     @pytest.mark.parametrize("effort", ["fast", "thorough"])
     def test_ran_and_skipped_cover_the_strategies(self, files, capsys, effort):
@@ -322,6 +337,18 @@ class TestCertify:
         path = files["dir"] / "tampered.json"
         path.write_text(json.dumps(obj))
         assert run(capsys, "certify", files["a"], str(path))[0] == 5
+
+    def test_tampered_cost_at_tiny_scale(self, files, capsys):
+        # Costs match relative to the recomputed one: at 1e-11 scale a
+        # declared cost twice the true one fails as it does at unit scale.
+        p = files["dir"] / "tiny.json"
+        p.write_text(json.dumps({"n": 2, "entries": [[2e-11, 1e-11], [1e-11, 2e-11]]}))
+        _, out = run(capsys, "decompose", str(p), "--method", "ldl")
+        obj = json.loads(out)
+        dec = files["dir"] / "tiny_dec.json"
+        for factor, code in ((1.0, 0), (2.0, 5)):
+            dec.write_text(json.dumps({**obj, "cost": factor * obj["cost"]}))
+            assert run(capsys, "certify", str(p), str(dec))[0] == code
 
     def test_dimension_mismatch(self, files, capsys):
         dec = self._decompose_to_file(files, capsys)

@@ -28,15 +28,30 @@ class TestBuild:
     @pytest.mark.parametrize("miss", [0.5, 2.0])
     def test_reconstruction_checked_against_recon_tol(self, miss):
         # The vectors sum to [[4, 2], [2, 2]]; the target's off-diagonal is
-        # moved by miss * RECON_TOL * scale, with scale = max |A_ij| = 4.
+        # moved down by miss * RECON_TOL * scale, with scale = max |A_ij| = 4,
+        # so ||A||_1,1 stays below the family's cost of 10.
         vectors = [np.array([2.0, 1.0]), np.array([0.0, 1.0])]
-        off = 2.0 + miss * RECON_TOL * 4.0
+        off = 2.0 - miss * RECON_TOL * 4.0
         target = hermitian([[4.0, off], [off, 2.0]])
         if miss < 1.0:
-            assert dc.RankOneDecomposition.build(target, vectors, "external").cost == 10.0
+            dec = dc.RankOneDecomposition.build(target, vectors, "external")
+            assert dec.cost == 10.0
+            assert dec.residual == lr.verify_reconstruction(target, vectors).max_residual
         else:
             with pytest.raises(ReconstructionError):
                 dc.RankOneDecomposition.build(target, vectors, "external")
+
+    def test_family_below_the_lower_bound_raises(self):
+        # The same family meets a target moved up by RECON_TOL * 2 within
+        # RECON_TOL, but ||A||_1,1 is then 4e-10 (relative) above its cost of
+        # 10: no exact decomposition costs that little.
+        vectors = [np.array([2.0, 1.0]), np.array([0.0, 1.0])]
+        off = 2.0 + 0.5 * RECON_TOL * 4.0
+        target = hermitian([[4.0, off], [off, 2.0]])
+        assert lr.verify_reconstruction(target, vectors).ok
+        assert dc.below_lower_bound(10.0, lr.norm_l11(target))
+        with pytest.raises(ReconstructionError, match="below the lower bound"):
+            dc.RankOneDecomposition.build(target, vectors, "external")
 
     @pytest.mark.parametrize("family", [
         [np.ones(3)],
@@ -560,6 +575,18 @@ class TestSpecial3x3Gap:
         excess = dc.ldl_decompose(a).cost - lr.norm_l11(a)
         assert excess == pytest.approx(0.68, rel=1e-9)
         assert dc.special_3x3_gap(a) == pytest.approx(excess, abs=1e-9)
+
+    def test_eigenvalue_above_the_cut_counts_toward_rank(self):
+        # Eigenvalues (1, 1e-9, 0): 1e-9 is above eigenvalue_cut (1e-10 *
+        # ||A||_op), the one zero-eigenvalue cut, so A has rank two.
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+        a = hermitian((q * [1.0, 1e-9, 0.0]) @ q.T)
+        assert dc.numerical_rank(a) == 2
+        gap = dc.special_3x3_gap(a)
+        assert gap > 0.0
+        # The excess is a difference of costs near 3: rounding leaves about 1e-6
+        # of it.
+        assert gap == pytest.approx(dc.ldl_decompose(a).cost - lr.norm_l11(a), rel=1e-5)
 
     def test_rank_one_rejected(self):
         u = np.array([1.0, 2.0, 3.0])

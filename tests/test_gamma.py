@@ -83,12 +83,15 @@ class TestGammaPlusBounds:
         assert report.lower <= report.upper
         assert report.certified
 
-    def test_certificate_below_lower_bound_raises(self):
-        # At this scale every vector falls under the null-vector floor, so the
-        # certificates cost 0 < ||A||_1,1: a numerical failure, not a bracket.
+    def test_tiny_scale_bracket_is_certified(self):
+        # Every cut is relative to A, so at 1e-300 natural-order LDL's exact
+        # family closes the bracket at ||A||_1,1 = 5e-300, as at unit scale.
         a = lr.ingest_matrix(np.array([[1, 1], [1, 2]]) * 1e-300)
-        with pytest.raises(ReconstructionError):
-            gm.gamma_plus_bounds(a)
+        report = gm.gamma_plus_bounds(a)
+        assert report.lower == pytest.approx(5e-300, rel=1e-15)
+        assert report.upper == pytest.approx(5e-300, rel=1e-15)
+        assert report.certified
+        assert report.best.method == dc.METHOD_LDL
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["dd", "2x2", "deficient", "wishart"]),
@@ -314,6 +317,32 @@ def _raises_not_psd(build, a) -> bool:
     return False
 
 
+def _assert_homogeneous(bounds, entries, j):
+    """The bracket of 4^j A is 4^j times that of A."""
+    base = bounds(hermitian(entries))
+    scaled = bounds(hermitian(4.0 ** j * np.asarray(entries)))
+    assert scaled.lower == pytest.approx(4.0 ** j * base.lower, rel=1e-15)
+    assert scaled.upper == pytest.approx(4.0 ** j * base.upper, rel=1e-15)
+
+
+class TestHomogeneity:
+    """Both functionals are homogeneous and every cut is relative to its own
+    matrix, so the bounds scale with A. A power of 4 scales A exactly and
+    every vector by a power of 2, so the bounds scale to rounding."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(entries=_matrices(psd=True), j=st.integers(-40, 40))
+    @example(entries=[[1.0, 1.0], [1.0, 2.0]], j=-40)
+    def test_gamma_plus(self, entries, j):
+        _assert_homogeneous(gm.gamma_plus_bounds, entries, j)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(entries=_matrices(psd=False), j=st.integers(-40, 40))
+    @example(entries=[[1.0, 2.0], [2.0, -1.0]], j=-40)
+    def test_gamma0(self, entries, j):
+        _assert_homogeneous(gm.gamma0_bounds, entries, j)
+
+
 class TestNotPSDDecision:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(entries=_near_psd_boundary())
@@ -492,10 +521,9 @@ class TestOracle:
             assert lr.verify_reconstruction(a, dec.vectors).ok
 
     def test_tiny_matrix_gets_a_certificate_on_the_bound(self):
-        # ||A||_1,1 = 5e-11: eigen's family (cost 0) is dropped as a start
-        # and no other start is given, so the certificate is a search result.
-        # The search runs on A / ||A||_1,1 and reaches the bound, which every
-        # 2x2 attains.
+        # ||A||_1,1 = 5e-11: eigen's family, the one start, costs more than
+        # the bound, so the certificate is a search result. The search runs
+        # on A / ||A||_1,1 and reaches the bound, which every 2x2 attains.
         tiny = hermitian([[1e-11, 1e-11], [1e-11, 2e-11]])
         dec = gm.numeric_gamma_plus_oracle(tiny, restarts=4, seed=0, warm=[])
         assert dec.method == dc.METHOD_ORACLE
@@ -503,12 +531,19 @@ class TestOracle:
         assert lr.verify_reconstruction(tiny, dec.vectors).max_residual < 1e-25
 
     def test_no_certificate_at_or_above_the_bound_raises(self, monkeypatch):
-        # eigen's family is dropped as a start, no other start is given, and
-        # every search result is dropped: the pool is empty.
+        # eigen's check fails, no other start is given, and every search
+        # result is dropped: the pool is empty.
+        def failing_eigen(a):
+            raise ReconstructionError("eigen decomposition misses target")
+
+        monkeypatch.setattr(gm, "eigen_decompose", failing_eigen)
         monkeypatch.setattr(gm, "_restore_feasibility", lambda a, g: None)
         tiny = hermitian([[1e-11, 1e-11], [1e-11, 2e-11]])
         with pytest.raises(ReconstructionError):
             gm.numeric_gamma_plus_oracle(tiny, restarts=4, seed=0, warm=[])
+        # eigen's failure is dropped like a failed ldl: greedy and ldl remain.
+        dec = gm.numeric_gamma_plus_oracle(tiny, restarts=4, seed=0)
+        assert dec.cost == pytest.approx(5e-11, rel=1e-12)
 
     def test_never_costs_more_than_its_warm_starts(self, rng):
         # The standalone oracle starts from greedy and ldl, which join its
@@ -845,20 +880,34 @@ class TestRestoreFeasibility:
                 np.testing.assert_array_equal(np.array(dec.vectors), family)
 
     def test_result_below_the_lower_bound_is_dropped(self, monkeypatch):
-        # Rank one plus 1e-10 of rank two: the search runs on the rank-one
-        # part above the numerical_rank cut, and its results pass the check
-        # but cost about 2e-10 (relative) below ||A||_1,1.
-        rng = np.random.default_rng(0)
+        # Rank one plus 1e-10 of rank two (seed 1): both small eigenvalues
+        # fall under the numerical_rank cut, so the search runs on the
+        # rank-one part, and its results meet A within RECON_TOL but cost
+        # below ||A||_1,1; the family check rejects them.
+        rng = np.random.default_rng(1)
         g = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
         h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         a = hermitian(g @ g.conj().T + 1e-10 * (h @ h.conj().T))
-        lower, build, found = lr.norm_l11(a), gm._restore_feasibility, []
+        assert dc.numerical_rank(a) == 1
+        rejected, check = [], dc._checked_family
+
+        def recording_check(*args, **kwargs):
+            try:
+                return check(*args, **kwargs)
+            except ReconstructionError as exc:
+                rejected.append(str(exc))
+                raise
+
+        build, found = gm._restore_feasibility, []
+        monkeypatch.setattr(dc, "_checked_family", recording_check)
         monkeypatch.setattr(gm, "_restore_feasibility",
                             lambda a, g: found.append(build(a, g)) or found[-1])
         report = gm.gamma_plus_bounds(a, gm.EFFORT_THOROUGH, oracle_restarts=2)
-        assert any(dc.below_lower_bound(dec.cost, lower) for dec in found)
+        assert None in found
+        assert any(msg.startswith("oracle certificate cost") and "below the lower bound" in msg
+                   for msg in rejected)
         assert "oracle" in report.per_method
-        assert not dc.below_lower_bound(report.upper, lower)
+        assert not dc.below_lower_bound(report.upper, lr.norm_l11(a))
 
     def test_all_null_family_is_dropped(self, rng):
         a = random_psd(rng, 3)

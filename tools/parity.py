@@ -40,6 +40,9 @@ the library comes from --repo's src/. Lines:
     ensemble-vectors  cost and certificate vector bytes of ldl_decompose and
                     eigen_decompose on random_psd(n, seed), n in 8, 16, 32,
                     64 and seeds 0-29 (the experiment CSV holds only ratios)
+    scaled          bracket-scaled seed 1, ops 0-599 (every tenth op scaled
+                    by 10^k, k in perfbench's SCALE_EXPONENTS): each op's
+                    lower, upper and certified, or the type of its error
 
 --drop-method NAME removes NAME from per_method and skipped before hashing,
 so an output that differs only by a retired strategy hashes the same.
@@ -60,9 +63,12 @@ family moved, lists every data row of each EXPERIMENTS CSV whose ratio
 moved, prints per (n, method) of the ensemble-vectors stream how many costs
 moved and the largest relative move, prints for each library how many
 fast-bracket uppers move under a permutation of the input (the `permuted`
-line, below) and the wall seconds of the reduce stream, and ends with the
-line total of src/l1rankone/*.py in both checkouts (not in any hash line,
-so equal outputs still hash equal).
+line, below) and the wall seconds of the reduce stream, prints per scale
+exponent of the `scaled` stream each library's failures (errors by type and
+failed perfbench checks) and the ops whose upper / 10^k moves beyond 1e-12
+from the upper of the same input unscaled, and ends with the line total of
+src/l1rankone/*.py in both checkouts (not in any hash line, so equal outputs
+still hash equal).
 
 The `permuted` line takes the wishart and half_rank bracket ops with n >= 7
 of the bracket seeds, ops 0-349, and runs gamma_plus_bounds on P A P* for P
@@ -98,6 +104,7 @@ REDUCE_FAMILIES = 40
 GAMMA_ZERO_SEEDS, GAMMA_ZERO_OPS = (1, 2), 200  # bracket
 ENSEMBLE_DIMS = (8, 16, 32, 64)
 ENSEMBLE_SEEDS = range(30)
+SCALED_SEED, SCALED_OPS = 1, 600  # bracket-scaled
 EXPERIMENTS = (
     ("--dims", "8,16,32,64", "--realizations", "30", "--seed", "0"),
     ("--dims", "3,4,6,8", "--realizations", "10", "--seed", "0",
@@ -296,6 +303,68 @@ def compare_experiments(this: dict, other: dict) -> None:
              f"seed={key[4]}: {other[key]!r} -> {new!r} ({new / other[key] - 1.0:+.3e})"
              for key, new in this.items() if new != other[key]]
     print("\n".join(moved) if moved else "experiment        no ratio moved")
+
+
+def scaled_call(wl, index: int):
+    """(input, report or the error raised) of op `index` of the scaled stream."""
+    inp = wl.make_input(wl.SCALED, SCALED_SEED, index)
+    try:
+        return inp, wl.call(wl.SCALED, inp)
+    except Exception as exc:  # an error is an outcome of the stream
+        return inp, exc
+
+
+def scaled_records(wl):
+    for index in range(SCALED_OPS):
+        _, result = scaled_call(wl, index)
+        if isinstance(result, Exception):
+            yield f"{index} {type(result).__name__}\n".encode()
+        else:
+            yield f"{index} {result.lower!r} {result.upper!r} {result.certified}\n".encode()
+
+
+def unscaled_upper(wl, index: int) -> float:
+    """The upper of op `index` of the scaled stream with every scale exponent
+    set to 0 (set back afterwards): the same matrix times 10^0, exactly."""
+    exponents = wl.SCALE_EXPONENTS
+    wl.SCALE_EXPONENTS = (0,) * len(exponents)
+    try:
+        return wl.call(wl.SCALED, wl.make_input(wl.SCALED, SCALED_SEED, index)).upper
+    finally:
+        wl.SCALE_EXPONENTS = exponents
+
+
+def scaled_rows(wl) -> dict:
+    """exponent -> (ops, {failure: count}, moved ops, largest move) over the
+    scaled ops of the scaled stream; a move is upper / 10^k over the
+    unscaled upper, less 1."""
+    rows = {}
+    for index in range(9, SCALED_OPS, 10):
+        inp, result = scaled_call(wl, index)
+        exponent = wl.SCALE_EXPONENTS[(index // 10) % len(wl.SCALE_EXPONENTS)]
+        ops, failures, moved, largest = rows.get(exponent, (0, {}, 0, 0.0))
+        if isinstance(result, Exception):
+            reason = type(result).__name__
+        else:
+            reason = "" if wl.check(wl.SCALED, inp, result).ok else "failed check"
+            move = result.upper / 10.0 ** exponent / unscaled_upper(wl, index) - 1.0
+            moved += abs(move) > 1e-12
+            largest = max(largest, move, key=abs)
+        if reason:
+            failures[reason] = failures.get(reason, 0) + 1
+        rows[exponent] = (ops + 1, failures, moved, largest)
+    return rows
+
+
+def compare_scaled(this: dict, other: dict) -> None:
+    """Print each library's scaled_rows, per scale exponent."""
+    for exponent in this:
+        for name, rows in (("this", this), ("other", other)):
+            ops, failures, moved, largest = rows[exponent]
+            failed = ", ".join(f"{count} {reason}" for reason, count in failures.items())
+            print(f"scaled            1e{exponent:<+4d} {name:5}: {ops} ops, failed: "
+                  f"{failed or 'none'}; upper/c moved beyond 1e-12: {moved}, "
+                  f"largest {largest:+.3%}")
 
 
 def load(src: Path):
@@ -506,11 +575,12 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as workdir:
             this, other = ((outcomes(wl, workdir), greedy_outcomes(wl),
                             experiment_ratios(cli, workdir), ensemble_costs(wl.lr),
-                            permuted_moves(wl), reduce_seconds(cli, workdir))
+                            permuted_moves(wl), reduce_seconds(cli, workdir),
+                            scaled_rows(wl))
                            for wl, cli in map(load, srcs))
             for show, mine, theirs in zip((compare, compare_greedy, compare_experiments,
                                            compare_ensemble, compare_permuted,
-                                           compare_reduce), this, other):
+                                           compare_reduce, compare_scaled), this, other):
                 show(mine, theirs)
         this_lines, other_lines = map(src_lines, srcs)
         print(f"src lines         {this_lines:,} against {other_lines:,} "
@@ -538,6 +608,7 @@ def main(argv=None) -> int:
             print(f"experiment      {' '.join(exp)} "
                   f"{digest([experiment_csv(cli, exp, workdir)])}")
     print(f"ensemble-vectors {digest(ensemble_vector_records(wl.lr))}")
+    print(f"scaled          seed={SCALED_SEED} {digest(scaled_records(wl))}")
     return 0
 
 
